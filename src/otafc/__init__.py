@@ -3,12 +3,11 @@
 from .allocation import (AllocationState, Heuristic, allocate,
                          heuristic_weights, pilot_dictionary_size,
                          tau_min_total, tau_minimums)
-from .channel import (ChannelSet, EstimatedChannelSet, HopStatistics,
-                      NoiseModel, PathlossParams, default_noise_model,
-                      draw_channels, effective_channel, hop_statistics,
-                      linear_gain, noise_covariance, noise_power_watts,
-                      pathloss_db, relay_input_power, relay_input_powers,
-                      transfer_matrix)
+from .channel import (ChannelSet, HopStatistics, NoiseModel, PathlossParams,
+                      default_noise_model, draw_channels, effective_channel,
+                      hop_statistics, linear_gain, noise_covariance,
+                      noise_power_watts, pathloss_db, relay_input_power,
+                      relay_input_powers, transfer_matrix)
 from .estimation import (PilotPlan, estimate_all, estimate_hop, inject_error,
                          make_pilots)
 from .harness import (ConfigError, ExperimentConfig, ResultRow, SweepPoint,

@@ -10,6 +10,7 @@ vectors (a_1 ... a_L); group l applies diag(a_l) to the signal it forwards.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -165,10 +166,6 @@ class ChannelSet:
         return self.h_last.shape[0]
 
 
-# LS estimates share the container; only the provenance differs.
-EstimatedChannelSet = ChannelSet
-
-
 @dataclass(frozen=True)
 class HopStatistics:
     """Average large-scale linear gain per hop; index 0 is the BS hop."""
@@ -225,23 +222,67 @@ def draw_channels(placement: Placement, params: PathlossParams, rng_seed) -> Cha
     return ChannelSet(h_direct=h_direct, h_hop=tuple(hops), h_last=h_last)
 
 
-def _check_gains(ch: ChannelSet, gains):
+def check_gains(ch: ChannelSet, gains) -> tuple:
+    """The gains as arrays; ValueError unless there is one (K_l,) vector per group."""
     if len(gains) != ch.num_groups:
         raise ValueError(f"expected {ch.num_groups} gain vectors, got {len(gains)}")
     for l, (a, k) in enumerate(zip(gains, ch.group_sizes)):
         if np.shape(a) != (k,):
             raise ValueError(f"gain vector {l} must have shape ({k},)")
+    return tuple(np.asarray(a) for a in gains)
+
+
+class Cascade:
+    """The products of one design (gains a, F1, F2), each from O(L) matmuls.
+
+    u[l-1] = H_l A_{l-1} ... A_1 H_1 F1 enters group l, b = Heff F1, and
+    d[l-1] = F2 H_last A_L ... H_{l+1}, so F2 T_l = d[l-1] diag(a_l).
+    stage_noise(l) is the noise covariance entering group l: N_1 = s_1 I,
+    N_{l+1} = s_{l+1} I + H_{l+1} A_l N_l A_l^H H_{l+1}^H, and N_{L+1} = R.
+    The prefixes are walked on construction, where rule(self, l), if given,
+    sets a_l (1-based) from incident_powers(l); the rest is built on first
+    use, so f2 and noise may be left out when not read.
+    """
+
+    def __init__(self, ch: ChannelSet, gains, f1: np.ndarray, f2: np.ndarray = None,
+                 noise: NoiseModel = None, rule=None):
+        self.ch, self.f1, self.f2, self.noise = ch, f1, f2, noise
+        self.a = list(gains)
+        self.u = []
+        self._noise = []
+        self._chain = ch.h_hop + (ch.h_last,)
+        m = ch.h_hop[0] @ f1
+        for l in range(ch.num_groups):
+            self.u.append(m)
+            if rule is not None:
+                self.a[l] = rule(self, l + 1)
+            m = self._chain[l + 1] @ (self.a[l][:, None] * m)
+        self.b = ch.h_direct @ f1 + m
+
+    def incident_powers(self, l: int) -> np.ndarray:
+        return np.sum(np.abs(self.u[l - 1]) ** 2, axis=1) + self.noise.relay_noise_var[l - 1]
+
+    @cached_property
+    def d(self) -> list:
+        d = [self.f2 @ self.ch.h_last]
+        for l in range(len(self.a) - 1, 0, -1):
+            d.insert(0, (d[0] * self.a[l][None, :]) @ self._chain[l])
+        return d
+
+    def stage_noise(self, l: int) -> np.ndarray:
+        variances = self.noise.relay_noise_var + (self.noise.rx_noise_var,)
+        if not self._noise:
+            self._noise.append(variances[0] * np.eye(self.ch.group_sizes[0], dtype=complex))
+        for j in range(len(self._noise), l):  # only the hops upstream of group l
+            h, a = self._chain[j], self.a[j - 1]
+            x = (a[:, None] * self._noise[-1]) * a.conj()[None, :]
+            self._noise.append(h @ x @ h.conj().T + variances[j] * np.eye(h.shape[0]))
+        return self._noise[l - 1]
 
 
 def effective_channel(ch: ChannelSet, gains) -> np.ndarray:
     """End-to-end matrix H_direct + H_last A_L H_L ... A_2 H_2 A_1 H_1."""
-    _check_gains(ch, gains)
-    m = ch.h_hop[0]
-    for l, a in enumerate(gains):
-        m = np.asarray(a)[:, None] * m
-        nxt = ch.h_hop[l + 1] if l + 1 < ch.num_groups else ch.h_last
-        m = nxt @ m
-    return ch.h_direct + m
+    return Cascade(ch, check_gains(ch, gains), np.eye(ch.n_tx, dtype=complex)).b
 
 
 def transfer_matrix(ch: ChannelSet, gains, j: int) -> np.ndarray:
@@ -249,7 +290,7 @@ def transfer_matrix(ch: ChannelSet, gains, j: int) -> np.ndarray:
 
     T_j = H_last A_L H_L ... H_{j+1} A_j, shape N_r x K_j.
     """
-    _check_gains(ch, gains)
+    check_gains(ch, gains)
     if not 1 <= j <= ch.num_groups:
         raise ValueError(f"hop index {j} out of range 1..{ch.num_groups}")
     m = np.diag(np.asarray(gains[j - 1], dtype=complex))
@@ -266,11 +307,9 @@ def noise_covariance(ch: ChannelSet, gains, noise: NoiseModel) -> np.ndarray:
     """
     if len(noise.relay_noise_var) != ch.num_groups:
         raise ValueError("noise model group count must match the channel set")
-    r = noise.rx_noise_var * np.eye(ch.n_rx, dtype=complex)
-    for j in range(1, ch.num_groups + 1):
-        t = transfer_matrix(ch, gains, j)
-        r = r + noise.relay_noise_var[j - 1] * (t @ t.conj().T)
-    return hermitize(r)
+    gains = check_gains(ch, gains)
+    no_signal = np.zeros((ch.n_tx, 0), dtype=complex)  # R does not depend on F1
+    return hermitize(Cascade(ch, gains, no_signal, noise=noise).stage_noise(ch.num_groups + 1))
 
 
 def relay_input_powers(ch: ChannelSet, gains, f1: np.ndarray,
@@ -283,10 +322,7 @@ def relay_input_powers(ch: ChannelSet, gains, f1: np.ndarray,
     """
     if not 1 <= l <= ch.num_groups:
         raise ValueError(f"hop index {l} out of range 1..{ch.num_groups}")
-    m = ch.h_hop[0] @ f1
-    for j in range(1, l):
-        m = ch.h_hop[j] @ (np.asarray(gains[j - 1])[:, None] * m)
-    return np.sum(np.abs(m) ** 2, axis=1) + noise.relay_noise_var[l - 1]
+    return Cascade(ch, check_gains(ch, gains), f1, noise=noise).incident_powers(l)
 
 
 def relay_input_power(ch: ChannelSet, gains, f1: np.ndarray,

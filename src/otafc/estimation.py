@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, EstimatedChannelSet, NoiseModel
+from .channel import ChannelSet, NoiseModel
 from .utils import as_rng, complex_normal
 
 
@@ -104,56 +104,54 @@ def estimate_hop(h_true: np.ndarray, plan: PilotPlan, hop: int,
     return (y @ phi.conj()) / (np.sqrt(plan.pilot_power) * tau)
 
 
+def _per_phase(ch: ChannelSet, plan: PilotPlan, noise: NoiseModel, rng_seed,
+               estimate) -> ChannelSet:
+    """Apply estimate(h, phase, receive_noise_var, rng) to every link.
+
+    Links are visited in one fixed order (hop 1, the direct link when
+    present, hops 2..L, the last hop), so a seed maps to the same draws.
+    A blocked direct link stays exactly zero.
+    """
+    L = ch.num_groups
+    if plan.num_phases != L + 1:
+        raise ValueError(f"plan has {plan.num_phases} phases, channel needs {L + 1}")
+    rng = as_rng(rng_seed)
+    recv_var = _phase_noise_vars(noise)
+
+    hops = [estimate(ch.h_hop[0], 0, recv_var[0], rng)]
+    if np.any(ch.h_direct):
+        h_direct = estimate(ch.h_direct, 0, noise.rx_noise_var, rng)
+    else:
+        h_direct = np.zeros_like(ch.h_direct)
+    for l in range(1, L):
+        hops.append(estimate(ch.h_hop[l], l, recv_var[l], rng))
+    h_last = estimate(ch.h_last, L, recv_var[L], rng)
+    return ChannelSet(h_direct=h_direct, h_hop=tuple(hops), h_last=h_last)
+
+
 def estimate_all(ch: ChannelSet, plan: PilotPlan, noise: NoiseModel,
-                 rng_seed) -> EstimatedChannelSet:
+                 rng_seed) -> ChannelSet:
     """Run every training phase and assemble the estimated channel set.
 
     The direct link, when present, is estimated during the BS phase (the Rx
     correlates with the BS pilots like a group-1 device, at its own noise
     floor); otherwise it stays exactly zero.
     """
-    L = ch.num_groups
-    if plan.num_phases != L + 1:
-        raise ValueError(f"plan has {plan.num_phases} phases, channel needs {L + 1}")
-    rng = as_rng(rng_seed)
-    recv_var = _phase_noise_vars(noise)
-
-    hops = [estimate_hop(ch.h_hop[0], plan, 0, recv_var[0], rng)]
-    if np.any(ch.h_direct):
-        h_direct = estimate_hop(ch.h_direct, plan, 0, noise.rx_noise_var, rng)
-    else:
-        h_direct = np.zeros_like(ch.h_direct)
-    for l in range(1, L):
-        hops.append(estimate_hop(ch.h_hop[l], plan, l, recv_var[l], rng))
-    h_last = estimate_hop(ch.h_last, plan, L, recv_var[L], rng)
-    return EstimatedChannelSet(h_direct=h_direct, h_hop=tuple(hops), h_last=h_last)
+    def estimate(h, phase, var, rng):
+        return estimate_hop(h, plan, phase, var, rng)
+    return _per_phase(ch, plan, noise, rng_seed, estimate)
 
 
 def inject_error(ch: ChannelSet, plan: PilotPlan, noise: NoiseModel,
-                 rng_seed) -> EstimatedChannelSet:
+                 rng_seed) -> ChannelSet:
     """Closed-form shortcut: add CN(0, sigma^2 / (p_p tau_l)) errors directly.
 
     Distributionally identical to estimate_all because orthogonal-pilot LS
     errors are exactly i.i.d. complex Gaussian at that variance.
     """
-    L = ch.num_groups
-    if plan.num_phases != L + 1:
-        raise ValueError(f"plan has {plan.num_phases} phases, channel needs {L + 1}")
-    rng = as_rng(rng_seed)
-    recv_var = _phase_noise_vars(noise)
-
-    def perturbed(h, phase, var):
+    def perturbed(h, phase, var, rng):
         err_var = var / (plan.pilot_power * plan.tau[phase])
         if err_var == 0:
             return h.copy()
         return h + complex_normal(rng, h.shape, err_var)
-
-    hops = [perturbed(ch.h_hop[0], 0, recv_var[0])]
-    if np.any(ch.h_direct):
-        h_direct = perturbed(ch.h_direct, 0, noise.rx_noise_var)
-    else:
-        h_direct = np.zeros_like(ch.h_direct)
-    for l in range(1, L):
-        hops.append(perturbed(ch.h_hop[l], l, recv_var[l]))
-    h_last = perturbed(ch.h_last, L, recv_var[L])
-    return EstimatedChannelSet(h_direct=h_direct, h_hop=tuple(hops), h_last=h_last)
+    return _per_phase(ch, plan, noise, rng_seed, perturbed)

@@ -144,6 +144,9 @@ def config_from_dict(tree: dict) -> ExperimentConfig:
 
     try:
         put(topo, "n_antennas", "n_antennas", int)
+        direct = topo.get("direct_link")
+        if direct is not None and not isinstance(direct, bool):  # bool("false") is True
+            raise ConfigError(f"topology.direct_link must be true or false, got {direct!r}")
         put(topo, "direct_link", "direct_link", bool)
         put(topo, "area_m", "area_m", float)
         if pl:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelSet, NoiseModel, effective_channel,
-                      noise_covariance, relay_input_powers)
+from .channel import Cascade, ChannelSet, NoiseModel, check_gains
 from .utils import as_rng, complex_normal, hermitize
 
 
@@ -108,14 +107,25 @@ class SolveResult:
         return float(self.objective_trace[-1])
 
 
+def _cascade(est: ChannelSet, noise: NoiseModel, params) -> Cascade:
+    """The Cascade of a design. solve passes its iterate's Cascade wherever a
+    public function takes params, so the updates share its products."""
+    if isinstance(params, Cascade):
+        return params
+    return Cascade(est, check_gains(est, params.a), params.f1, params.f2, noise)
+
+
 def objective(params: OtaParams, est: ChannelSet, target: TargetLayer,
               noise: NoiseModel) -> float:
     """Imitation error plus propagated-noise penalty on the given channels."""
-    heff = effective_channel(est, params.a)
-    resid = params.f2 @ heff @ params.f1 - target.w
-    r = noise_covariance(est, params.a, noise)
-    noise_term = np.sum((params.f2 @ r) * params.f2.conj()).real
-    return float(np.sum(np.abs(resid) ** 2) + noise_term)
+    cas = _cascade(est, noise, params)
+    resid = cas.f2 @ cas.b - target.w
+    # tr(F2 R F2^H) = s_c ||F2||^2 + sum_l s_l ||d_l diag(a_l)||^2
+    value = np.vdot(resid, resid).real + noise.rx_noise_var * np.vdot(cas.f2, cas.f2).real
+    for var, d, a in zip(noise.relay_noise_var, cas.d, cas.a):
+        da = d * a[None, :]
+        value += var * np.vdot(da, da).real
+    return float(value)
 
 
 def _solve_hermitian(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -138,10 +148,9 @@ def update_f2(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
 
     With B = Heff F1: F2 = W B^H (B B^H + R)^{-1}.
     """
-    heff = effective_channel(est, params.a)
-    b = heff @ params.f1
-    g = hermitize(b @ b.conj().T + noise_covariance(est, params.a, noise))
-    rhs = target.w @ b.conj().T
+    cas = _cascade(est, noise, params)
+    g = hermitize(cas.b @ cas.b.conj().T + cas.stage_noise(est.num_groups + 1))
+    rhs = target.w @ cas.b.conj().T
     return _solve_hermitian(g, rhs.conj().T).conj().T
 
 
@@ -155,8 +164,8 @@ def update_f1(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     otherwise mu is found by bisection so ||F1||_F^2 hits the budget within
     tol. The noise penalty does not involve F1.
     """
-    heff = effective_channel(est, params.a)
-    c = params.f2 @ heff
+    cas = _cascade(est, noise, params)
+    c = cas.f2 @ cas.ch.h_direct + (cas.d[0] * cas.a[0][None, :]) @ cas.ch.h_hop[0]
     cc = hermitize(c.conj().T @ c)
     lam, u = np.linalg.eigh(cc)
     lam = np.maximum(lam, 0.0)
@@ -218,36 +227,19 @@ def _project_gains(a: np.ndarray, p_in: np.ndarray, cap: np.ndarray) -> np.ndarr
     return a * scale
 
 
-def _gain_quadratic(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
-                    params: OtaParams, l: int):
+def _gain_quadratic(cas: Cascade, target: TargetLayer, l: int):
     """Gram matrix and linear term of the objective as a quadratic in a_l.
 
-    Factoring the cascade around diag(a_l): the signal term is
-    Lft diag(a_l) Rgt + D with Lft the combined downstream map (including
-    F2) and Rgt the upstream map (including F1); every noise transfer T_j
-    with j <= l factors the same way through a partial chain M_j. Hadamard
-    identities turn all of it into a K_l x K_l normal system.
+    The signal term is d_l diag(a_l) u_l plus the direct path, and every
+    noise term F2 T_j with j <= l factors through diag(a_l) too, its
+    upstream part summing to N_l. Hadamard identities turn all of it into
+    a K_l x K_l normal system.
     """
-    L = est.num_groups
-    gains = params.a
-
-    lft = params.f2 @ est.h_last
-    for j in range(L, l, -1):
-        lft = (lft * gains[j - 1][None, :]) @ est.h_hop[j - 1]
-
-    k_l = est.group_sizes[l - 1]
-    m_chain = np.eye(k_l, dtype=complex)
-    quad = np.zeros((k_l, k_l), dtype=complex)
-    quad += noise.relay_noise_var[l - 1] * np.eye(k_l)  # M_l = I
-    for j in range(l - 1, 0, -1):
-        m_chain = (m_chain @ est.h_hop[j]) * gains[j - 1][None, :]
-        quad += noise.relay_noise_var[j - 1] * (m_chain @ m_chain.conj().T)
-    rgt = m_chain @ (est.h_hop[0] @ params.f1)
-    quad += rgt @ rgt.conj().T
-
+    lft, rgt = cas.d[l - 1], cas.u[l - 1]
+    quad = cas.stage_noise(l) + rgt @ rgt.conj().T
     g = hermitize((lft.conj().T @ lft) * quad.T)
-    resid_const = target.w - params.f2 @ est.h_direct @ params.f1
-    b = np.einsum("ik,ij,kj->k", lft.conj(), resid_const, rgt.conj())
+    resid_const = target.w - cas.f2 @ cas.ch.h_direct @ cas.f1
+    b = np.sum((lft.conj().T @ resid_const) * rgt.conj(), axis=1)
     return g, b
 
 
@@ -265,21 +257,22 @@ def update_a(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     """
     if not 1 <= l <= est.num_groups:
         raise ValueError(f"hop index {l} out of range 1..{est.num_groups}")
-    g, b = _gain_quadratic(est, target, noise, params, l)
+    cas = _cascade(est, noise, params)
+    g, b = _gain_quadratic(cas, target, l)
     cand = _solve_hermitian(g, b)
     _check_finite(cand)
 
-    p_in = relay_input_powers(est, params.a, params.f1, noise, l)
+    p_in = cas.incident_powers(l)
     cap = budget.p_relay[l - 1]
     cand = _project_gains(cand, p_in, cap)
-    incumbent = _project_gains(params.a[l - 1], p_in, cap)
+    incumbent = _project_gains(cas.a[l - 1], p_in, cap)
     if _quad_value(g, b, cand) <= _quad_value(g, b, incumbent):
         return cand
     return incumbent
 
 
-def _initial_params(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
-                    budget: PowerBudget, cfg: SolverConfig, rng) -> OtaParams:
+def _initial_cascade(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
+                     budget: PowerBudget, cfg: SolverConfig, rng) -> Cascade:
     n_tx, n_in = est.n_tx, target.in_dim
     if cfg.init_mode == "random":
         f1 = complex_normal(rng, (n_tx, n_in))
@@ -287,30 +280,11 @@ def _initial_params(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     else:
         f1 = np.sqrt(budget.p_max_bs / n_tx) * np.eye(n_tx, n_in, dtype=complex)
 
-    gains = []
-    for l in range(1, est.num_groups + 1):
-        # only upstream entries of the gain list are touched for hop l
-        p_in = relay_input_powers(est, gains, f1, noise, l)
-        gains.append(np.sqrt(budget.p_relay[l - 1] / p_in).astype(complex))
+    def full_power(cas, l):
+        return np.sqrt(budget.p_relay[l - 1] / cas.incident_powers(l)).astype(complex)
 
-    params = OtaParams(f1=f1, f2=np.zeros((target.out_dim, est.n_rx), dtype=complex),
-                       a=tuple(gains))
-    f2 = update_f2(est, target, noise, params)
-    return OtaParams(f1=f1, f2=f2, a=tuple(gains))
-
-
-def _clip_gains_from(est: ChannelSet, params: OtaParams, noise: NoiseModel,
-                     budget: PowerBudget, start: int) -> tuple:
-    """Re-project gains of hops >= start onto their caps, sequentially.
-
-    Upstream changes move the incident powers, so feasibility is restored
-    hop by hop with the already-clipped upstream gains in effect.
-    """
-    a = list(params.a)
-    for l in range(start, est.num_groups + 1):
-        p_in = relay_input_powers(est, a, params.f1, noise, l)
-        a[l - 1] = _project_gains(a[l - 1], p_in, budget.p_relay[l - 1])
-    return tuple(a)
+    cas = Cascade(est, [None] * est.num_groups, f1, noise=noise, rule=full_power)
+    return Cascade(est, cas.a, f1, update_f2(est, target, noise, cas), noise)
 
 
 def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
@@ -331,49 +305,39 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
         if p.shape != (k,):
             raise ValueError("per-relay budget lengths must match group sizes")
     rng = as_rng(rng_seed)
-    params = _initial_params(est, target, noise, budget, cfg, rng)
-    obj = objective(params, est, target, noise)
+    cur = _initial_cascade(est, target, noise, budget, cfg, rng)
+    obj = objective(cur, est, target, noise)
     if not np.isfinite(obj):
         raise SolverDivergenceError("non-finite objective at initialization")
     trace = [obj]
     status = "max_iters"
 
-    def try_accept(cand, current_obj):
+    def step(incumbent, incumbent_obj, gains, f1, f2, start):
+        # the candidate's gains of hops >= start are re-projected in walk
+        # order, so each hop sees the already-clipped upstream gains
+        def project(cas, l):
+            if l < start:
+                return cas.a[l - 1]
+            return _project_gains(cas.a[l - 1], cas.incident_powers(l),
+                                  budget.p_relay[l - 1])
+        cand = Cascade(est, gains, f1, f2, noise, rule=project)
         cand_obj = objective(cand, est, target, noise)
         if not np.isfinite(cand_obj):
             raise SolverDivergenceError("non-finite objective during iteration")
-        if cand_obj <= current_obj:
+        if cand_obj <= incumbent_obj:
             return cand, cand_obj
-        return None, current_obj
+        return incumbent, incumbent_obj
 
     for _ in range(cfg.max_outer_iters):
         it_obj = obj
-
-        f1 = update_f1(est, target, noise, params, budget, cfg.bisection_tolerance)
-        cand = OtaParams(f1=f1, f2=params.f2, a=params.a)
-        cand = OtaParams(f1=f1, f2=params.f2,
-                         a=_clip_gains_from(est, cand, noise, budget, start=1))
-        accepted, it_obj = try_accept(cand, it_obj)
-        if accepted is not None:
-            params = accepted
-
+        f1 = update_f1(est, target, noise, cur, budget, cfg.bisection_tolerance)
+        cur, it_obj = step(cur, it_obj, cur.a, f1, cur.f2, 1)
         for l in range(1, est.num_groups + 1):
-            a_l = update_a(est, target, noise, params, budget, l)
-            a = list(params.a)
-            a[l - 1] = a_l
-            cand = OtaParams(f1=params.f1, f2=params.f2, a=tuple(a))
-            if l < est.num_groups:
-                cand = OtaParams(f1=cand.f1, f2=cand.f2,
-                                 a=_clip_gains_from(est, cand, noise, budget, l + 1))
-            accepted, it_obj = try_accept(cand, it_obj)
-            if accepted is not None:
-                params = accepted
-
-        f2 = update_f2(est, target, noise, params)
-        cand = OtaParams(f1=params.f1, f2=f2, a=params.a)
-        accepted, it_obj = try_accept(cand, it_obj)
-        if accepted is not None:
-            params = accepted
+            a = list(cur.a)
+            a[l - 1] = update_a(est, target, noise, cur, budget, l)
+            cur, it_obj = step(cur, it_obj, a, cur.f1, cur.f2, l + 1)
+        f2 = update_f2(est, target, noise, cur)
+        cur, it_obj = step(cur, it_obj, cur.a, cur.f1, f2, est.num_groups + 1)
 
         trace.append(it_obj)
         if obj - it_obj <= cfg.objective_tolerance * max(obj, 1e-300):
@@ -382,7 +346,8 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
             break
         obj = it_obj
 
-    return SolveResult(params=params, objective_trace=np.asarray(trace),
+    return SolveResult(params=OtaParams(f1=cur.f1, f2=cur.f2, a=cur.a),
+                       objective_trace=np.asarray(trace),
                        iterations=len(trace) - 1, status=status)
 
 
@@ -404,17 +369,15 @@ def evaluate_true(params: OtaParams, true_ch: ChannelSet, target: TargetLayer,
     relay_power_overrun reports how far the true incident powers push any
     relay past its cap (diagnostic only, never enforced).
     """
-    heff = effective_channel(true_ch, params.a)
-    resid = params.f2 @ heff @ params.f1 - target.w
+    cas = _cascade(true_ch, noise, params)
+    resid = cas.f2 @ cas.b - target.w
     nmse = float(np.sum(np.abs(resid) ** 2) / np.sum(np.abs(target.w) ** 2))
-    obj = objective(params, true_ch, target, noise)
+    obj = objective(cas, true_ch, target, noise)
 
     overrun = 0.0
     if budget is not None:
         for l in range(1, true_ch.num_groups + 1):
-            p_in = relay_input_powers(true_ch, params.a, params.f1, noise, l)
-            used = np.abs(params.a[l - 1]) ** 2 * p_in
+            used = np.abs(cas.a[l - 1]) ** 2 * cas.incident_powers(l)
             ratio = float(np.max(used / budget.p_relay[l - 1]))
             overrun = max(overrun, ratio - 1.0)
-        overrun = max(overrun, 0.0)
     return TrueEvaluation(nmse=nmse, objective_true=obj, relay_power_overrun=overrun)

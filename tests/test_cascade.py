@@ -1,0 +1,135 @@
+"""Property tests: the Cascade's O(L) recursions against the naive chain.
+
+Instances cover L = 1..4, rectangular targets, the direct link on and off,
+and per-hop power gains from 1 down to the ~1e-13 of real pathloss. Gains
+and the combiner are scaled up by the inverse amplitude, as the solver's
+designs are, so the signal and noise terms stay comparable at every scale.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from otafc import (NoiseModel, OtaParams, TargetLayer, noise_covariance,
+                   objective, relay_input_powers, transfer_matrix)
+from otafc.channel import Cascade
+from otafc.solver import _gain_quadratic
+from otafc.utils import complex_normal
+
+from test_channel import random_channel_set
+
+RTOL = 1e-9
+
+
+@st.composite
+def instances(draw):
+    L = draw(st.integers(1, 4))
+    groups = tuple(draw(st.lists(st.integers(1, 5), min_size=L, max_size=L)))
+    n_tx, n_rx, in_dim, out_dim = (draw(st.integers(1, 4)) for _ in range(4))
+    direct = draw(st.booleans())
+    scale = 10.0 ** draw(st.floats(-13.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ch = random_channel_set(rng, n_tx, n_rx, groups, direct=direct, scale=scale)
+    params = OtaParams(f1=complex_normal(rng, (n_tx, in_dim)),
+                       f2=complex_normal(rng, (out_dim, n_rx), 1.0 / scale),
+                       a=tuple(complex_normal(rng, (k,), 1.0 / scale) for k in groups))
+    noise = NoiseModel(relay_noise_var=tuple(scale * rng.uniform(0.5, 1.5, L)),
+                       rx_noise_var=scale)
+    target = TargetLayer(w=complex_normal(rng, (out_dim, in_dim)),
+                         bias=np.zeros(out_dim))
+    return ch, params, noise, target, rng
+
+
+def naive_chain(ch, gains):
+    """H_last A_L H_L ... A_1 H_1 with dense diagonal matrices."""
+    m = ch.h_hop[0]
+    for l, a in enumerate(gains):
+        nxt = ch.h_hop[l + 1] if l + 1 < ch.num_groups else ch.h_last
+        m = nxt @ np.diag(a) @ m
+    return m
+
+
+def reference_r(ch, gains, noise):
+    r = noise.rx_noise_var * np.eye(ch.n_rx, dtype=complex)
+    for j in range(1, ch.num_groups + 1):
+        t = transfer_matrix(ch, gains, j)
+        r = r + noise.relay_noise_var[j - 1] * (t @ t.conj().T)
+    return r
+
+
+def reference_objective(ch, params, noise, target):
+    heff = ch.h_direct + naive_chain(ch, params.a)
+    resid = params.f2 @ heff @ params.f1 - target.w
+    r = reference_r(ch, params.a, noise)
+    return (np.sum(np.abs(resid) ** 2)
+            + np.trace(params.f2 @ r @ params.f2.conj().T).real)
+
+
+def assert_close(got, want):
+    assert np.linalg.norm(got - want) <= RTOL * np.linalg.norm(want) + 1e-300
+
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@SETTINGS
+@given(instances())
+def test_cascade_b_matches_naive_chain(inst):
+    ch, params, noise, target, _ = inst
+    cas = Cascade(ch, params.a, params.f1, params.f2, noise)
+    want = ch.h_direct @ params.f1 + naive_chain(ch, params.a) @ params.f1
+    assert_close(cas.b, want)
+
+
+@SETTINGS
+@given(instances())
+def test_cascade_r_matches_transfer_matrix_sum(inst):
+    ch, params, noise, target, _ = inst
+    r = noise_covariance(ch, params.a, noise)
+    assert_close(r, reference_r(ch, params.a, noise))
+    assert np.array_equal(r, r.conj().T)
+    assert np.linalg.eigvalsh(r).min() >= -RTOL * np.trace(r).real
+
+
+@SETTINGS
+@given(instances())
+def test_cascade_objective_matches_reference(inst):
+    ch, params, noise, target, _ = inst
+    got = objective(params, ch, target, noise)
+    want = reference_objective(ch, params, noise, target)
+    assert abs(got - want) <= RTOL * want
+
+
+@SETTINGS
+@given(instances())
+def test_cascade_incident_powers_match_per_group_walk(inst):
+    ch, params, noise, target, _ = inst
+    m = ch.h_hop[0] @ params.f1
+    for l in range(1, ch.num_groups + 1):
+        want = np.sum(np.abs(m) ** 2, axis=1) + noise.relay_noise_var[l - 1]
+        assert_close(relay_input_powers(ch, params.a, params.f1, noise, l), want)
+        if l < ch.num_groups:
+            m = ch.h_hop[l] @ np.diag(params.a[l - 1]) @ m
+
+
+@SETTINGS
+@given(instances())
+def test_gain_quadratic_reproduces_objective_in_each_group(inst):
+    ch, params, noise, target, rng = inst
+    cas = Cascade(ch, params.a, params.f1, params.f2, noise)
+
+    def with_gain(l, x):
+        a = list(params.a)
+        a[l - 1] = x
+        return reference_objective(ch, OtaParams(f1=params.f1, f2=params.f2, a=a),
+                                   noise, target)
+
+    for l in range(1, ch.num_groups + 1):
+        g, b = _gain_quadratic(cas, target, l)
+        a_l = params.a[l - 1]
+        const = with_gain(l, np.zeros_like(a_l))
+        for x in (a_l, a_l * complex_normal(rng, a_l.shape)):
+            quad = (x.conj() @ g @ x).real
+            model = quad - 2.0 * (b.conj() @ x).real + const
+            want = with_gain(l, x)
+            assert abs(model - want) <= RTOL * (abs(want) + abs(const) + abs(quad))

@@ -52,6 +52,17 @@ def test_config_rejects_bad_values():
         config_from_dict([1, 2])
 
 
+@pytest.mark.parametrize("value", ["false", "no", "true", 0, 1])
+def test_direct_link_must_be_boolean(tmp_path, value):
+    with pytest.raises(ConfigError, match="direct_link"):
+        config_from_dict({"topology": {"direct_link": value}})
+    path = write_cfg(tmp_path, {**TINY_CFG, "topology": {"direct_link": value}})
+    assert cli_main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out.csv")]) == 1
+    assert config_from_dict({"topology": {"direct_link": False}}).direct_link is False
+    assert config_from_dict({"topology": {"direct_link": True}}).direct_link is True
+
+
 def test_load_config_file(tmp_path):
     cfg = load_config(write_cfg(tmp_path))
     assert cfg.n_antennas == 4
@@ -112,6 +123,29 @@ def test_run_trial_deterministic():
     t1 = run_trial(cfg, pt, 12345)
     t2 = run_trial(cfg, pt, 12345)
     assert t1 == t2
+
+
+# Captured from the solver before it moved onto the Cascade; a later solver
+# change that moves these moves results the CSV would show.
+GOLDEN_TRIALS = [
+    ({"topology": {"n_antennas": 16, "direct_link": False}, "estimator": "ls",
+      "task": {"sample_noise_var": 0.5, "num_samples": 256}},
+     SweepPoint("uniform", 600, 1.0, 3, 12), 20260417,
+     ("converged", 7, 0.3176645644046355, 0.57421875)),
+    ({"topology": {"n_antennas": 16, "direct_link": True}, "estimator": "inject",
+      "task": {"num_samples": 256}},
+     SweepPoint("front_loaded", 200, 1.0, 6, 12), 977,
+     ("converged", 95, 0.2641398557717446, 0.5078125)),
+]
+
+
+@pytest.mark.parametrize("tree,point,seed,want", GOLDEN_TRIALS)
+def test_run_trial_golden(tree, point, seed, want):
+    t = run_trial(config_from_dict(tree), point, seed)
+    status, iterations, nmse, ota_acc = want
+    assert (t.status, t.iterations) == (status, iterations)
+    assert t.nmse == pytest.approx(nmse, rel=1e-10)
+    assert t.ota_acc == pytest.approx(ota_acc, rel=1e-10)
 
 
 def test_estimator_modes_run():
