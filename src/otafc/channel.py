@@ -9,7 +9,7 @@ Arguments named ``gains`` are sequences of per-group complex amplification
 vectors (a_1 ... a_L); group l applies diag(a_l) to the signal it forwards.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +36,7 @@ class PathlossParams:
     ricean_kappa_db: float = 0.0
 
     def __post_init__(self):
-        if self.carrier_ghz <= 0:
+        if not self.carrier_ghz > 0:  # NaN too
             raise ValueError("carrier frequency must be positive")
         if self.model not in ("nlos", "los", "mixed"):
             raise ValueError(f"unknown pathloss model {self.model!r}")
@@ -124,16 +124,19 @@ class ChannelSet:
     h_hop[0] is the BS-to-group-1 matrix (K_1 x N_t); h_hop[l] maps group l
     to group l+1 (K_{l+1} x K_l); h_last maps group L to the receiver
     (N_r x K_L); h_direct is the N_r x N_t direct link (all zeros when the
-    link is blocked).
+    link is blocked). has_direct is False when h_direct is exactly zero, so
+    products with it, all exact zeros, can be skipped without changing a bit.
     """
 
     h_direct: np.ndarray
     h_hop: tuple
     h_last: np.ndarray
+    has_direct: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h_hop", tuple(self.h_hop))
         self.validate()
+        object.__setattr__(self, "has_direct", bool(np.any(self.h_direct)))
 
     def validate(self):
         if not self.h_hop:
@@ -242,25 +245,50 @@ class Cascade:
     The prefixes are walked on construction, where rule(self, l), if given,
     sets a_l (1-based) from incident_powers(l); the rest is built on first
     use, so f2 and noise may be left out when not read.
+
+    base, a Cascade on the same channels and noise model, lends the products
+    that depend only on parts of the design that are the very same arrays as
+    its own: u_l and its incident powers while F1 and a_1..a_{l-1} are, b
+    while F1 and every gain are, and N_l while a_1..a_{l-1} are. Without a
+    base every product is built here. The lists are copied, so a cascade
+    keeps no reference to its base. No array of a design or of a product is
+    ever written in place, so the same array means the same values.
     """
 
     def __init__(self, ch: ChannelSet, gains, f1: np.ndarray, f2: np.ndarray = None,
-                 noise: NoiseModel = None, rule=None):
+                 noise: NoiseModel = None, rule=None, base: "Cascade" = None):
+        if base is not None and (base.ch is not ch or base.noise is not noise):
+            raise ValueError("base must be a cascade on the same channels and noise model")
         self.ch, self.f1, self.f2, self.noise = ch, f1, f2, noise
         self.a = list(gains)
-        self.u = []
-        self._noise = []
         self._chain = ch.h_hop + (ch.h_last,)
-        m = ch.h_hop[0] @ f1
-        for l in range(ch.num_groups):
+        self.u, self._p_in, same = [], [], []
+        shared = base is not None and f1 is base.f1  # u_{l+1} is base's
+        m = None if shared else ch.h_hop[0] @ f1
+        for l in range(len(self.a)):
+            if shared:
+                m = base.u[l]
             self.u.append(m)
+            self._p_in.append(base._p_in[l] if shared else None)
             if rule is not None:
                 self.a[l] = rule(self, l + 1)
-            m = self._chain[l + 1] @ (self.a[l][:, None] * m)
-        self.b = ch.h_direct @ f1 + m
+            same.append(base is not None and self.a[l] is base.a[l])
+            shared = shared and same[-1]
+            if not shared:
+                m = self._chain[l + 1] @ (self.a[l][:, None] * m)
+        if shared:
+            self.b = base.b
+        else:
+            self.b = ch.h_direct @ f1 + m if ch.has_direct else m
+        self._noise = []
+        if base is not None:  # N_{l+1} reads a_1..a_l
+            self._noise = base._noise[:(same + [False]).index(False) + 1]
 
     def incident_powers(self, l: int) -> np.ndarray:
-        return np.sum(np.abs(self.u[l - 1]) ** 2, axis=1) + self.noise.relay_noise_var[l - 1]
+        if self._p_in[l - 1] is None:
+            self._p_in[l - 1] = (np.sum(np.abs(self.u[l - 1]) ** 2, axis=1)
+                                 + self.noise.relay_noise_var[l - 1])
+        return self._p_in[l - 1]
 
     @cached_property
     def d(self) -> list:

@@ -119,7 +119,7 @@ def _per_phase(ch: ChannelSet, plan: PilotPlan, noise: NoiseModel, rng_seed,
     recv_var = _phase_noise_vars(noise)
 
     hops = [estimate(ch.h_hop[0], 0, recv_var[0], rng)]
-    if np.any(ch.h_direct):
+    if ch.has_direct:
         h_direct = estimate(ch.h_direct, 0, noise.rx_noise_var, rng)
     else:
         h_direct = np.zeros_like(ch.h_direct)

@@ -95,6 +95,25 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown heuristic {h!r}") from None
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        for name, values, low in (("n_antennas", [self.n_antennas], 1),
+                                  ("num_classes", [self.num_classes], 2),
+                                  ("num_samples", [self.num_samples], 1),
+                                  ("excess_budget", self.excess_budgets, 0),
+                                  ("num_groups", self.num_groups_list, 1),
+                                  ("group_size", self.group_sizes_list, 1)):
+            for v in values:
+                if v < low:
+                    raise ConfigError(f"{name} must be >= {low}, got {v}")
+        for name, values in (("pilot_power", self.pilot_powers),
+                             ("relay_w", [self.relay_w]),
+                             ("bs_max_w", [self.bs_max_w]),
+                             ("bandwidth_hz", [self.bandwidth_hz]),
+                             ("area_m", [self.area_m])):
+            for v in values:
+                if v is not None and not v > 0:  # also refuses NaN
+                    raise ConfigError(f"{name} must be positive, got {v}")
+        if self.sample_noise_var is not None and not self.sample_noise_var >= 0:
+            raise ConfigError(f"sample_noise_var must be >= 0, got {self.sample_noise_var}")
 
     def sweep_points(self):
         """All sweep coordinates in sorted row order."""
@@ -108,12 +127,36 @@ class ExperimentConfig:
         return pts
 
 
+# Every key a config file may hold: the sections and their keys, then the
+# scalar keys at the root.
+_SCHEMA = {
+    "topology": ("n_antennas", "direct_link", "area_m"),
+    "pathloss": ("carrier_ghz", "model"),
+    "noise": ("psd_dbm_per_hz", "bandwidth_hz"),
+    "power": ("bs_max_w", "relay_w"),
+    "solver": ("max_outer_iters", "objective_tolerance", "bisection_tolerance"),
+    "task": ("num_classes", "sample_noise_var", "num_samples"),
+    "sweep": ("heuristic", "excess_budget", "pilot_power", "num_groups", "group_size"),
+}
+_ROOT_KEYS = ("estimator", "trials", "base_seed", "workers")
+
+
+def _check_keys(tree: dict, known, where: str) -> None:
+    for key in tree:
+        if key not in known:
+            import difflib  # only on this error path: it costs set-up time and memory
+            close = difflib.get_close_matches(str(key), known, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ConfigError(f"unknown key {key!r} {where}{hint}")
+
+
 def _section(tree: dict, name: str) -> dict:
     val = tree.get(name, {})
     if val is None:
         return {}
     if not isinstance(val, dict):
         raise ConfigError(f"config section {name!r} must be a mapping")
+    _check_keys(val, _SCHEMA[name], f"in section {name!r}")
     return val
 
 
@@ -121,6 +164,7 @@ def config_from_dict(tree: dict) -> ExperimentConfig:
     """Build a validated ExperimentConfig from a parsed config tree."""
     if not isinstance(tree, dict):
         raise ConfigError("config root must be a mapping")
+    _check_keys(tree, tuple(_SCHEMA) + _ROOT_KEYS, "at the config root")
     topo = _section(tree, "topology")
     pl = _section(tree, "pathloss")
     noi = _section(tree, "noise")

@@ -87,7 +87,7 @@ class SolverConfig:
     init_mode: str = "power"  # "power" (deterministic, feasible) | "random"
 
     def __post_init__(self):
-        if self.objective_tolerance <= 0 or self.bisection_tolerance <= 0:
+        if not (self.objective_tolerance > 0 and self.bisection_tolerance > 0):  # NaN too
             raise ValueError("tolerances must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("need at least one outer iteration")
@@ -165,7 +165,9 @@ def update_f1(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     tol. The noise penalty does not involve F1.
     """
     cas = _cascade(est, noise, params)
-    c = cas.f2 @ cas.ch.h_direct + (cas.d[0] * cas.a[0][None, :]) @ cas.ch.h_hop[0]
+    c = (cas.d[0] * cas.a[0][None, :]) @ cas.ch.h_hop[0]
+    if cas.ch.has_direct:
+        c = cas.f2 @ cas.ch.h_direct + c
     cc = hermitize(c.conj().T @ c)
     lam, u = np.linalg.eigh(cc)
     lam = np.maximum(lam, 0.0)
@@ -220,11 +222,25 @@ def _check_finite(arr):
 
 
 def _project_gains(a: np.ndarray, p_in: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """Entrywise projection onto |a_k|^2 p_in_k <= cap_k."""
+    """Entrywise projection onto |a_k|^2 p_in_k <= cap_k; a itself if none clips."""
     mag = np.abs(a)
     limit = np.sqrt(cap / p_in)
-    scale = np.where(mag > limit, limit / np.where(mag > 0, mag, 1.0), 1.0)
-    return a * scale
+    clipped = mag > limit
+    if not clipped.any():
+        return a
+    return a * np.where(clipped, limit / np.where(mag > 0, mag, 1.0), 1.0)
+
+
+def _reprojection(budget: PowerBudget, start: int):
+    """The Cascade rule of a candidate move: the gains of hops >= start are
+    re-projected in walk order, so each hop sees the already-clipped
+    upstream gains. A hop that nothing clips keeps its gain array, so the
+    candidate can keep the incumbent's stage noises past that hop."""
+    def project(cas, l):
+        if l < start:
+            return cas.a[l - 1]
+        return _project_gains(cas.a[l - 1], cas.incident_powers(l), budget.p_relay[l - 1])
+    return project
 
 
 def _gain_quadratic(cas: Cascade, target: TargetLayer, l: int):
@@ -238,7 +254,9 @@ def _gain_quadratic(cas: Cascade, target: TargetLayer, l: int):
     lft, rgt = cas.d[l - 1], cas.u[l - 1]
     quad = cas.stage_noise(l) + rgt @ rgt.conj().T
     g = hermitize((lft.conj().T @ lft) * quad.T)
-    resid_const = target.w - cas.f2 @ cas.ch.h_direct @ cas.f1
+    resid_const = target.w
+    if cas.ch.has_direct:
+        resid_const = target.w - cas.f2 @ cas.ch.h_direct @ cas.f1
     b = np.sum((lft.conj().T @ resid_const) * rgt.conj(), axis=1)
     return g, b
 
@@ -284,7 +302,7 @@ def _initial_cascade(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
         return np.sqrt(budget.p_relay[l - 1] / cas.incident_powers(l)).astype(complex)
 
     cas = Cascade(est, [None] * est.num_groups, f1, noise=noise, rule=full_power)
-    return Cascade(est, cas.a, f1, update_f2(est, target, noise, cas), noise)
+    return Cascade(est, cas.a, f1, update_f2(est, target, noise, cas), noise, base=cas)
 
 
 def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
@@ -313,14 +331,8 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     status = "max_iters"
 
     def step(incumbent, incumbent_obj, gains, f1, f2, start):
-        # the candidate's gains of hops >= start are re-projected in walk
-        # order, so each hop sees the already-clipped upstream gains
-        def project(cas, l):
-            if l < start:
-                return cas.a[l - 1]
-            return _project_gains(cas.a[l - 1], cas.incident_powers(l),
-                                  budget.p_relay[l - 1])
-        cand = Cascade(est, gains, f1, f2, noise, rule=project)
+        cand = Cascade(est, gains, f1, f2, noise, rule=_reprojection(budget, start),
+                       base=incumbent)
         cand_obj = objective(cand, est, target, noise)
         if not np.isfinite(cand_obj):
             raise SolverDivergenceError("non-finite objective during iteration")

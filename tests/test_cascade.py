@@ -1,4 +1,6 @@
-"""Property tests: the Cascade's O(L) recursions against the naive chain.
+"""Property tests: the Cascade's O(L) recursions against the naive chain,
+candidates built from an incumbent against candidates built from scratch,
+and the solver's invariants.
 
 Instances cover L = 1..4, rectangular targets, the direct link on and off,
 and per-hop power gains from 1 down to the ~1e-13 of real pathloss. Gains
@@ -6,14 +8,19 @@ and the combiner are scaled up by the inverse amplitude, as the solver's
 designs are, so the signal and noise terms stay comparable at every scale.
 """
 
+import gc
+import weakref
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otafc import (NoiseModel, OtaParams, TargetLayer, noise_covariance,
-                   objective, relay_input_powers, transfer_matrix)
+from otafc import (NoiseModel, OtaParams, PowerBudget, SolverConfig,
+                   TargetLayer, noise_covariance, objective,
+                   relay_input_powers, solve, transfer_matrix)
 from otafc.channel import Cascade
-from otafc.solver import _gain_quadratic
+from otafc.solver import _gain_quadratic, _reprojection
 from otafc.utils import complex_normal
 
 from test_channel import random_channel_set
@@ -133,3 +140,100 @@ def test_gain_quadratic_reproduces_objective_in_each_group(inst):
             model = quad - 2.0 * (b.conj() @ x).real + const
             want = with_gain(l, x)
             assert abs(model - want) <= RTOL * (abs(want) + abs(const) + abs(quad))
+
+
+# ------------------------------------------- candidates built from a base
+
+def relay_caps(cas, level, rng):
+    """Per-relay caps at which the gains of a design near cas clip nowhere
+    ("none"), everywhere ("all"), or at about half of the relays ("some")."""
+    caps = []
+    for l, a in enumerate(cas.a, start=1):
+        used = np.abs(a) ** 2 * cas.incident_powers(l)
+        factor = {"none": 1e30, "all": 1e-30}.get(level)
+        caps.append(used * (factor or rng.uniform(0.5, 1.5, used.shape)))
+    return PowerBudget(p_max_bs=1.0, p_relay=tuple(caps))
+
+
+def assert_same_products(got, want):
+    L = len(want.a)
+    assert all(np.array_equal(x, y) for x, y in zip(got.a, want.a))
+    assert all(np.array_equal(x, y) for x, y in zip(got.u, want.u))
+    assert np.array_equal(got.b, want.b)
+    assert all(np.array_equal(x, y) for x, y in zip(got.d, want.d))
+    for l in range(1, L + 2):
+        assert np.array_equal(got.stage_noise(l), want.stage_noise(l))
+    for l in range(1, L + 1):
+        assert np.array_equal(got.incident_powers(l), want.incident_powers(l))
+
+
+@pytest.mark.parametrize("level", ["none", "some", "all"])
+@settings(max_examples=40, deadline=None)
+@given(inst=instances(), data=st.data())
+def test_candidate_from_base_equals_candidate_from_scratch(level, inst, data):
+    ch, params, noise, target, rng = inst
+    L = ch.num_groups
+    move = data.draw(st.sampled_from(["f1", "f2"] + [f"a{l}" for l in range(1, L + 1)]))
+    # the products the incumbent holds before the move: scored or not, and
+    # its first `built` stage noises
+    scored = data.draw(st.booleans())
+    built = data.draw(st.integers(0, L + 1))
+
+    inc = Cascade(ch, params.a, params.f1, params.f2, noise)
+    budget = relay_caps(inc, level, rng)
+    if scored:
+        objective(inc, ch, target, noise)
+    for l in range(1, built + 1):
+        inc.stage_noise(l)
+
+    gains, f1, f2 = list(inc.a), inc.f1, inc.f2
+    if move == "f1":
+        f1, start = complex_normal(rng, params.f1.shape), 1
+    elif move == "f2":
+        f2, start = complex_normal(rng, params.f2.shape), L + 1
+    else:
+        l = int(move[1:])
+        gains[l - 1] = complex_normal(rng, gains[l - 1].shape) * np.abs(gains[l - 1])
+        start = l + 1
+    cand = Cascade(ch, gains, f1, f2, noise, rule=_reprojection(budget, start), base=inc)
+    fresh = Cascade(ch, gains, f1, f2, noise, rule=_reprojection(budget, start))
+    assert_same_products(cand, fresh)
+    assert objective(cand, ch, target, noise) == objective(fresh, ch, target, noise)
+
+    # the re-projection hands back the very array when nothing clips
+    downstream = [cand.a[l] is gains[l] for l in range(start - 1, L)]
+    if level == "none":
+        assert all(downstream)
+    elif level == "all":
+        assert not any(downstream)
+    if not ch.has_direct:  # the skipped direct term is an exact zero
+        assert np.array_equal(fresh.b, ch.h_direct @ f1 + fresh.b)
+
+    # the incumbent's products are untouched, and the candidate keeps no
+    # reference to it
+    assert_same_products(inc, Cascade(ch, params.a, params.f1, params.f2, noise))
+    ref = weakref.ref(inc)
+    del inc
+    gc.collect()
+    assert ref() is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(inst=instances(), data=st.data())
+def test_solve_keeps_invariants(inst, data):
+    ch, params, noise, target, rng = inst
+    p_max = 10.0 ** data.draw(st.floats(-2.0, 2.0))
+    caps = tuple(10.0 ** rng.uniform(-2.0, 2.0, k) for k in ch.group_sizes)
+    budget = PowerBudget(p_max_bs=p_max, p_relay=caps)
+    res = solve(ch, target, noise, budget, SolverConfig(max_outer_iters=6),
+                rng_seed=data.draw(st.integers(0, 2 ** 32 - 1)))
+
+    design = (res.params.f1, res.params.f2) + res.params.a
+    assert all(np.isfinite(x).all() for x in design)
+    assert np.isfinite(res.objective_trace).all()
+    assert np.all(np.diff(res.objective_trace) <= 0)
+    assert np.sum(np.abs(res.params.f1) ** 2) <= p_max * (1 + 1e-9)
+    for l in range(1, ch.num_groups + 1):
+        p_in = relay_input_powers(ch, res.params.a, res.params.f1, noise, l)
+        used = np.abs(res.params.a[l - 1]) ** 2 * p_in
+        assert np.all(used <= caps[l - 1] * (1 + 1e-9))

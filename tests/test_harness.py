@@ -52,6 +52,41 @@ def test_config_rejects_bad_values():
         config_from_dict([1, 2])
 
 
+@pytest.mark.parametrize("tree,message", [
+    ({"trails": 2}, "did you mean 'trials'"),
+    ({"topology": {"n_antenas": 4}}, "did you mean 'n_antennas'"),
+    ({"pathloss": {"modle": "los"}}, "did you mean 'model'"),
+    ({"noise": {"bandwith_hz": 1e8}}, "did you mean 'bandwidth_hz'"),
+    ({"power": {"relay": 1.0}}, "did you mean 'relay_w'"),
+    ({"solver": {"max_iters": 5}}, "unknown key 'max_iters' in section 'solver'"),
+    ({"task": {"num_class": 3}}, "did you mean 'num_classes'"),
+    ({"sweep": {"heuristics": ["uniform"]}}, "did you mean 'heuristic'"),
+    ({"sweep": {"excess_budget": [-5]}}, "excess_budget"),
+    ({"sweep": {"pilot_power": [0.0]}}, "pilot_power"),
+    ({"power": {"relay_w": -1.0}}, "relay_w"),
+    ({"power": {"bs_max_w": 0.0}}, "bs_max_w"),
+    ({"pathloss": {"carrier_ghz": float("nan")}}, "carrier"),
+    ({"noise": {"bandwidth_hz": 0.0}}, "bandwidth_hz"),
+    ({"task": {"num_classes": 1}}, "num_classes"),
+    ({"task": {"num_samples": 0}}, "num_samples"),
+    ({"topology": {"n_antennas": 0}}, "n_antennas"),
+    ({"sweep": {"num_groups": [0]}}, "num_groups"),
+    ({"sweep": {"group_size": [0]}}, "group_size"),
+    ({"topology": {"area_m": 0.0}}, "area_m"),
+    ({"task": {"sample_noise_var": -0.5}}, "sample_noise_var"),
+    ({"solver": {"objective_tolerance": float("nan")}}, "tolerances"),
+])
+def test_strict_schema_fails_before_any_trial(tmp_path, monkeypatch, tree, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(tree)
+    ran = []
+    monkeypatch.setattr(harness, "run_trial", lambda *args: ran.append(args))
+    path = write_cfg(tmp_path, {**TINY_CFG, **tree})
+    out = tmp_path / "out.csv"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert ran == [] and not out.exists()
+
+
 @pytest.mark.parametrize("value", ["false", "no", "true", 0, 1])
 def test_direct_link_must_be_boolean(tmp_path, value):
     with pytest.raises(ConfigError, match="direct_link"):
@@ -136,6 +171,12 @@ GOLDEN_TRIALS = [
       "task": {"num_samples": 256}},
      SweepPoint("front_loaded", 200, 1.0, 6, 12), 977,
      ("converged", 95, 0.2641398557717446, 0.5078125)),
+    # reference size (N=49, three groups of 50, no direct link), captured
+    # before candidates reused the incumbent's products
+    ({"topology": {"n_antennas": 49, "direct_link": False}, "estimator": "ls",
+      "task": {"num_samples": 256}},
+     SweepPoint("uniform", 600, 1.0, 3, 50), 20260418,
+     ("converged", 57, 0.11460176393714644, 0.91796875)),
 ]
 
 
