@@ -14,10 +14,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .topology import Placement
+from .topology import BS_RX_HEIGHT_M, RELAY_HEIGHT_M, Placement
 from .utils import as_rng, complex_normal, hermitize
 
 SPEED_OF_LIGHT = 299_792_458.0
+RICEAN_KAPPA_DB = 0.0  # Ricean K-factor of the direct link
 
 
 @dataclass(frozen=True)
@@ -31,9 +32,6 @@ class PathlossParams:
 
     carrier_ghz: float = 28.0
     model: str = "nlos"
-    bs_height: float = 5.0
-    relay_height: float = 1.5
-    ricean_kappa_db: float = 0.0
 
     def __post_init__(self):
         if not self.carrier_ghz > 0:  # NaN too
@@ -74,11 +72,10 @@ def _pl_nlos_db(d, f_ghz):
     return 35.3 * np.log10(d) + 22.4 + 21.3 * np.log10(f_ghz)
 
 
-def _pl_los_db(d, f_ghz, h_bs, h_ut):
+def _pl_los_db(d, f_ghz):
+    h_bs, h_ut = BS_RX_HEIGHT_M, RELAY_HEIGHT_M  # every link uses the BS-to-relay heights
     d_bp = 4.0 * (h_bs - 1.0) * (h_ut - 1.0) * f_ghz * 1e9 / SPEED_OF_LIGHT
     pl_near = 32.4 + 21.0 * np.log10(d) + 20.0 * np.log10(f_ghz)
-    if d_bp <= 0:
-        return pl_near
     pl_far = (32.4 + 40.0 * np.log10(d) + 20.0 * np.log10(f_ghz)
               - 9.5 * np.log10(d_bp ** 2 + (h_bs - h_ut) ** 2))
     return np.where(d < d_bp, pl_near, pl_far)
@@ -95,7 +92,7 @@ def pathloss_db(distance_m, params: PathlossParams):
 
     "nlos": 35.3 log10(d) + 22.4 + 21.3 log10(f_GHz).
     "los": dual-slope UMi LoS curve with the breakpoint distance from the
-    configured antenna heights.
+    transmitter and relay antenna heights of topology.
     "mixed": -10 log10 of the LoS-probability-weighted linear gain.
     """
     d = np.maximum(np.asarray(distance_m, dtype=float), 1.0)
@@ -103,10 +100,10 @@ def pathloss_db(distance_m, params: PathlossParams):
     if params.model == "nlos":
         pl = _pl_nlos_db(d, f)
     elif params.model == "los":
-        pl = _pl_los_db(d, f, params.bs_height, params.relay_height)
+        pl = _pl_los_db(d, f)
     else:
         p = _los_probability(d)
-        g = (p * 10.0 ** (-_pl_los_db(d, f, params.bs_height, params.relay_height) / 10.0)
+        g = (p * 10.0 ** (-_pl_los_db(d, f) / 10.0)
              + (1.0 - p) * 10.0 ** (-_pl_nlos_db(d, f) / 10.0))
         pl = -10.0 * np.log10(g)
     return pl if np.ndim(distance_m) else float(pl)
@@ -189,8 +186,9 @@ def draw_channels(placement: Placement, params: PathlossParams, rng_seed) -> Cha
     """Draw one channel realization: pathloss amplitude times small-scale fading.
 
     Relay-involved links are rich scattering (i.i.d. CN(0,1) small scale);
-    the direct link, when present, is Ricean with the configured kappa and a
-    random-phase rank-one unit-modulus LoS part. Deterministic given the seed.
+    the direct link, when present, is Ricean with K-factor RICEAN_KAPPA_DB
+    and a random-phase rank-one unit-modulus LoS part. Deterministic given
+    the seed.
     """
     rng = as_rng(rng_seed)
     top = placement.topology
@@ -211,7 +209,7 @@ def draw_channels(placement: Placement, params: PathlossParams, rng_seed) -> Cha
     h_last = amp * complex_normal(rng, (top.n_rx, top.group_sizes[-1]))
 
     if top.direct_link_present:
-        kappa = 10.0 ** (params.ricean_kappa_db / 10.0)
+        kappa = 10.0 ** (RICEAN_KAPPA_DB / 10.0)
         d0 = float(np.linalg.norm(placement.rx_position - placement.bs_position))
         los = np.outer(np.exp(2j * np.pi * rng.random(top.n_rx)),
                        np.exp(-2j * np.pi * rng.random(top.n_tx)))
@@ -259,6 +257,9 @@ class Cascade:
                  noise: NoiseModel = None, rule=None, base: "Cascade" = None):
         if base is not None and (base.ch is not ch or base.noise is not noise):
             raise ValueError("base must be a cascade on the same channels and noise model")
+        if (base is None and noise is not None
+                and len(noise.relay_noise_var) != ch.num_groups):
+            raise ValueError("noise model group count must match the channel set")
         self.ch, self.f1, self.f2, self.noise = ch, f1, f2, noise
         self.a = list(gains)
         self._chain = ch.h_hop + (ch.h_last,)
@@ -333,8 +334,6 @@ def noise_covariance(ch: ChannelSet, gains, noise: NoiseModel) -> np.ndarray:
 
     R = sigma_c^2 I + sum_j sigma_{u,j}^2 T_j T_j^H; Hermitian PSD.
     """
-    if len(noise.relay_noise_var) != ch.num_groups:
-        raise ValueError("noise model group count must match the channel set")
     gains = check_gains(ch, gains)
     no_signal = np.zeros((ch.n_tx, 0), dtype=complex)  # R does not depend on F1
     return hermitize(Cascade(ch, gains, no_signal, noise=noise).stage_noise(ch.num_groups + 1))

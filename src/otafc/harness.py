@@ -127,102 +127,97 @@ class ExperimentConfig:
         return pts
 
 
-# Every key a config file may hold: the sections and their keys, then the
-# scalar keys at the root.
-_SCHEMA = {
-    "topology": ("n_antennas", "direct_link", "area_m"),
-    "pathloss": ("carrier_ghz", "model"),
-    "noise": ("psd_dbm_per_hz", "bandwidth_hz"),
-    "power": ("bs_max_w", "relay_w"),
-    "solver": ("max_outer_iters", "objective_tolerance", "bisection_tolerance"),
-    "task": ("num_classes", "sample_noise_var", "num_samples"),
-    "sweep": ("heuristic", "excess_budget", "pilot_power", "num_groups", "group_size"),
+def _integer(v):
+    if isinstance(v, bool) or not (isinstance(v, (int, np.integer))
+                                   or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"must be an integer, got {v!r}")
+    return int(v)
+
+
+def _boolean(v):
+    if not isinstance(v, bool):  # bool("false") is True
+        raise ValueError(f"must be true or false, got {v!r}")
+    return v
+
+
+def _axis(read):
+    """A sweep axis: a scalar or a list, each value read by read."""
+    return lambda v: tuple(read(x) for x in (v if isinstance(v, (list, tuple)) else [v]))
+
+
+# Every key a config file may hold, as section -> key -> (field, reader); ""
+# is the root. A section in _NESTED fills the fields of its own dataclass,
+# every other one those of ExperimentConfig. Floats are read with float,
+# which also takes the strings YAML leaves for numbers such as 3.0e8.
+_KEYS = {
+    "": {"estimator": ("estimator", str), "trials": ("trials", _integer),
+         "base_seed": ("base_seed", _integer), "workers": ("workers", _integer)},
+    "topology": {"n_antennas": ("n_antennas", _integer),
+                 "direct_link": ("direct_link", _boolean),
+                 "area_m": ("area_m", float)},
+    "pathloss": {"carrier_ghz": ("carrier_ghz", float), "model": ("model", str)},
+    "noise": {"psd_dbm_per_hz": ("psd_dbm_per_hz", float),
+              "bandwidth_hz": ("bandwidth_hz", float)},
+    "power": {"bs_max_w": ("bs_max_w", float), "relay_w": ("relay_w", float)},
+    "solver": {"max_outer_iters": ("max_outer_iters", _integer),
+               "objective_tolerance": ("objective_tolerance", float)},
+    "task": {"num_classes": ("num_classes", _integer),
+             "sample_noise_var": ("sample_noise_var", float),
+             "num_samples": ("num_samples", _integer)},
+    "sweep": {"heuristic": ("heuristics", _axis(str)),
+              "excess_budget": ("excess_budgets", _axis(_integer)),
+              "pilot_power": ("pilot_powers", _axis(float)),
+              "num_groups": ("num_groups_list", _axis(_integer)),
+              "group_size": ("group_sizes_list", _axis(_integer))},
 }
-_ROOT_KEYS = ("estimator", "trials", "base_seed", "workers")
+_NESTED = {"pathloss": PathlossParams, "solver": SolverConfig}
 
 
-def _check_keys(tree: dict, known, where: str) -> None:
+def _read_section(tree: dict, section: str) -> dict:
+    """The keys of one section that are given and not null, read into fields."""
+    keys = _KEYS[section]
+    known = list(keys) + ([] if section else [s for s in _KEYS if s])
     for key in tree:
         if key not in known:
             import difflib  # only on this error path: it costs set-up time and memory
             close = difflib.get_close_matches(str(key), known, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
+            where = f"in section {section!r}" if section else "at the config root"
             raise ConfigError(f"unknown key {key!r} {where}{hint}")
-
-
-def _section(tree: dict, name: str) -> dict:
-    val = tree.get(name, {})
-    if val is None:
-        return {}
-    if not isinstance(val, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    _check_keys(val, _SCHEMA[name], f"in section {name!r}")
-    return val
+    given = {}
+    for key, (name, read) in keys.items():
+        if tree.get(key) is not None:
+            try:
+                given[name] = read(tree[key])
+            except (TypeError, ValueError) as exc:
+                label = f"{section}.{key}" if section else key
+                raise ConfigError(f"{label}: {exc}") from exc
+    return given
 
 
 def config_from_dict(tree: dict) -> ExperimentConfig:
-    """Build a validated ExperimentConfig from a parsed config tree."""
+    """Build a validated ExperimentConfig from a parsed config tree.
+
+    A missing or null key, or a null section, keeps the default.
+    """
     if not isinstance(tree, dict):
         raise ConfigError("config root must be a mapping")
-    _check_keys(tree, tuple(_SCHEMA) + _ROOT_KEYS, "at the config root")
-    topo = _section(tree, "topology")
-    pl = _section(tree, "pathloss")
-    noi = _section(tree, "noise")
-    pw = _section(tree, "power")
-    sol = _section(tree, "solver")
-    task = _section(tree, "task")
-    sweep = _section(tree, "sweep")
-
     kw = {}
-
-    def put(section, key, target, conv):
-        if key in section and section[key] is not None:
-            kw[target] = conv(section[key])
-
-    def axis(name, target, conv):
-        if name in sweep and sweep[name] is not None:
-            v = sweep[name]
-            if not isinstance(v, (list, tuple)):
-                v = [v]
-            kw[target] = tuple(conv(x) for x in v)
-
-    try:
-        put(topo, "n_antennas", "n_antennas", int)
-        direct = topo.get("direct_link")
-        if direct is not None and not isinstance(direct, bool):  # bool("false") is True
-            raise ConfigError(f"topology.direct_link must be true or false, got {direct!r}")
-        put(topo, "direct_link", "direct_link", bool)
-        put(topo, "area_m", "area_m", float)
-        if pl:
-            kw["pathloss"] = PathlossParams(
-                carrier_ghz=float(pl.get("carrier_ghz", 28.0)),
-                model=str(pl.get("model", "nlos")),
-            )
-        put(noi, "psd_dbm_per_hz", "psd_dbm_per_hz", float)
-        put(noi, "bandwidth_hz", "bandwidth_hz", float)
-        put(pw, "bs_max_w", "bs_max_w", float)
-        put(pw, "relay_w", "relay_w", float)
-        if sol:
-            kw["solver"] = SolverConfig(
-                max_outer_iters=int(sol.get("max_outer_iters", 100)),
-                objective_tolerance=float(sol.get("objective_tolerance", 1e-6)),
-                bisection_tolerance=float(sol.get("bisection_tolerance", 1e-9)),
-            )
-        put(tree, "estimator", "estimator", str)
-        put(task, "num_classes", "num_classes", int)
-        put(task, "sample_noise_var", "sample_noise_var", float)
-        put(task, "num_samples", "num_samples", int)
-        axis("heuristic", "heuristics", str)
-        axis("excess_budget", "excess_budgets", int)
-        axis("pilot_power", "pilot_powers", float)
-        axis("num_groups", "num_groups_list", int)
-        axis("group_size", "group_sizes_list", int)
-        put(tree, "trials", "trials", int)
-        put(tree, "base_seed", "base_seed", int)
-        put(tree, "workers", "workers", int)
-        return ExperimentConfig(**kw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    for section in _KEYS:
+        part = tree.get(section) if section else tree
+        if part is None:
+            part = {}
+        if not isinstance(part, dict):
+            raise ConfigError(f"config section {section!r} must be a mapping")
+        given = _read_section(part, section)
+        if section in _NESTED:
+            try:
+                kw[section] = _NESTED[section](**given)
+            except ValueError as exc:
+                raise ConfigError(f"{section}: {exc}") from exc
+        else:
+            kw.update(given)
+    return ExperimentConfig(**kw)
 
 
 def load_config(path) -> ExperimentConfig:

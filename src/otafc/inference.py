@@ -39,7 +39,7 @@ def ota_forward(x: np.ndarray, params: OtaParams, true_ch: ChannelSet,
         v = params.a[l][:, None] * v
         nxt = true_ch.h_hop[l + 1] if l + 1 < true_ch.num_groups else true_ch.h_last
         v = nxt @ v
-    y_in = v + true_ch.h_direct @ s
+    y_in = v + true_ch.h_direct @ s if true_ch.has_direct else v
     y_in = y_in + complex_normal(rng, y_in.shape, noise.rx_noise_var)
     y = params.f2 @ y_in
     if bias is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Cascade, ChannelSet, NoiseModel, check_gains
-from .utils import as_rng, complex_normal, hermitize
+from .utils import hermitize
 
 
 class SolverDivergenceError(RuntimeError):
@@ -83,16 +83,12 @@ class PowerBudget:
 class SolverConfig:
     max_outer_iters: int = 100
     objective_tolerance: float = 1e-6
-    bisection_tolerance: float = 1e-9
-    init_mode: str = "power"  # "power" (deterministic, feasible) | "random"
 
     def __post_init__(self):
-        if not (self.objective_tolerance > 0 and self.bisection_tolerance > 0):  # NaN too
+        if not self.objective_tolerance > 0:  # NaN too
             raise ValueError("tolerances must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("need at least one outer iteration")
-        if self.init_mode not in ("power", "random"):
-            raise ValueError(f"unknown init mode {self.init_mode!r}")
 
 
 @dataclass
@@ -289,14 +285,18 @@ def update_a(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     return incumbent
 
 
+def _check_budget(ch: ChannelSet, budget: PowerBudget) -> None:
+    if len(budget.p_relay) != ch.num_groups:
+        raise ValueError("budget group count must match the channel set")
+    for p, k in zip(budget.p_relay, ch.group_sizes):
+        if p.shape != (k,):
+            raise ValueError("per-relay budget lengths must match group sizes")
+
+
 def _initial_cascade(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
-                     budget: PowerBudget, cfg: SolverConfig, rng) -> Cascade:
+                     budget: PowerBudget) -> Cascade:
     n_tx, n_in = est.n_tx, target.in_dim
-    if cfg.init_mode == "random":
-        f1 = complex_normal(rng, (n_tx, n_in))
-        f1 *= np.sqrt(budget.p_max_bs) / np.linalg.norm(f1)
-    else:
-        f1 = np.sqrt(budget.p_max_bs / n_tx) * np.eye(n_tx, n_in, dtype=complex)
+    f1 = np.sqrt(budget.p_max_bs / n_tx) * np.eye(n_tx, n_in, dtype=complex)
 
     def full_power(cas, l):
         return np.sqrt(budget.p_relay[l - 1] / cas.incident_powers(l)).astype(complex)
@@ -306,8 +306,7 @@ def _initial_cascade(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
 
 
 def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
-          budget: PowerBudget, cfg: SolverConfig = SolverConfig(),
-          rng_seed=None) -> SolveResult:
+          budget: PowerBudget, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Run the alternating optimization from a feasible starting point.
 
     Cycles F1 -> a_1..a_L -> F2. A precoder or gain block move shifts the
@@ -317,13 +316,8 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     untouched. Every iterate therefore satisfies all power constraints and
     the recorded per-iteration trace is non-increasing by construction.
     """
-    if len(budget.p_relay) != est.num_groups:
-        raise ValueError("budget group count must match the channel set")
-    for p, k in zip(budget.p_relay, est.group_sizes):
-        if p.shape != (k,):
-            raise ValueError("per-relay budget lengths must match group sizes")
-    rng = as_rng(rng_seed)
-    cur = _initial_cascade(est, target, noise, budget, cfg, rng)
+    _check_budget(est, budget)
+    cur = _initial_cascade(est, target, noise, budget)
     obj = objective(cur, est, target, noise)
     if not np.isfinite(obj):
         raise SolverDivergenceError("non-finite objective at initialization")
@@ -342,7 +336,7 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
 
     for _ in range(cfg.max_outer_iters):
         it_obj = obj
-        f1 = update_f1(est, target, noise, cur, budget, cfg.bisection_tolerance)
+        f1 = update_f1(est, target, noise, cur, budget)
         cur, it_obj = step(cur, it_obj, cur.a, f1, cur.f2, 1)
         for l in range(1, est.num_groups + 1):
             a = list(cur.a)
@@ -381,6 +375,8 @@ def evaluate_true(params: OtaParams, true_ch: ChannelSet, target: TargetLayer,
     relay_power_overrun reports how far the true incident powers push any
     relay past its cap (diagnostic only, never enforced).
     """
+    if budget is not None:
+        _check_budget(true_ch, budget)
     cas = _cascade(true_ch, noise, params)
     resid = cas.f2 @ cas.b - target.w
     nmse = float(np.sum(np.abs(resid) ** 2) / np.sum(np.abs(target.w) ** 2))

@@ -31,6 +31,9 @@ def write_cfg(tmp_path, tree=TINY_CFG, name="cfg.yaml"):
 
 def test_config_defaults_and_axes():
     cfg = config_from_dict({})
+    # a null key, like a missing one, keeps the default in every section
+    assert config_from_dict({"pathloss": {"carrier_ghz": None}}) == cfg
+    assert config_from_dict({"solver": {"max_outer_iters": None}}) == cfg
     assert cfg.n_antennas == 49
     assert cfg.group_sizes_list == (50,)
     assert cfg.estimator == "ls"
@@ -75,6 +78,12 @@ def test_config_rejects_bad_values():
     ({"topology": {"area_m": 0.0}}, "area_m"),
     ({"task": {"sample_noise_var": -0.5}}, "sample_noise_var"),
     ({"solver": {"objective_tolerance": float("nan")}}, "tolerances"),
+    ({"trials": 2.5}, "trials: must be an integer"),
+    ({"trials": True}, "trials: must be an integer"),
+    ({"topology": {"n_antennas": 49.9}}, "topology.n_antennas: must be an integer"),
+    ({"solver": {"max_outer_iters": 3.9}}, "solver.max_outer_iters: must be an integer"),
+    ({"sweep": {"excess_budget": [1.5]}}, "sweep.excess_budget: must be an integer"),
+    ({"sweep": {"num_groups": [2.7]}}, "sweep.num_groups: must be an integer"),
 ])
 def test_strict_schema_fails_before_any_trial(tmp_path, monkeypatch, tree, message):
     with pytest.raises(ConfigError, match=message):
@@ -113,6 +122,20 @@ def test_shipped_configs_parse():
     ref = load_config(root / "reference.yaml")
     assert ref.n_antennas == 49 and len(ref.heuristics) == 5
     assert ref.sample_noise_var is None  # dimension-scaled default
+
+
+def test_readme_schema_matches_parser():
+    """The README's schema block lists exactly the parsed keys, at their defaults."""
+    import pathlib
+    import yaml
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").split("## Config schema", 1)[1]
+    doc = yaml.safe_load(text.split("```yaml\n", 1)[1].split("```", 1)[0])
+    sections = [s for s in harness._KEYS if s]
+    assert set(doc) == set(harness._KEYS[""]) | set(sections)
+    for section in sections:
+        assert set(doc[section]) == set(harness._KEYS[section]), section
+    assert config_from_dict(doc) == config_from_dict({})
 
 
 def test_sweep_points_sorted():

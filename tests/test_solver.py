@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from otafc import (ChannelSet, NoiseModel, OtaParams, PowerBudget,
-                   SolverConfig, TargetLayer, effective_channel, evaluate_true,
+                   TargetLayer, effective_channel, evaluate_true,
                    inject_error, noise_covariance, objective,
                    relay_input_powers, solve, update_a, update_f1, update_f2)
 from otafc.estimation import PilotPlan
@@ -268,15 +268,6 @@ def test_solve_constraints_at_solution():
             assert np.all(used <= budget.p_relay[l - 1] * (1 + 1e-9))
 
 
-def test_solve_random_init_feasible_and_monotone():
-    rng, ch, noise, target, budget, _ = random_instance(300)
-    res = solve(ch, target, noise, budget,
-                SolverConfig(init_mode="random"), rng_seed=5)
-    tr = res.objective_trace
-    assert np.all(np.diff(tr) <= 1e-9 * tr[0])
-    assert np.linalg.norm(res.params.f1) ** 2 <= budget.p_max_bs * (1 + 1e-9)
-
-
 def test_perfect_csi_consistency():
     rng, ch, noise, target, budget, _ = random_instance(9)
     res = solve(ch, target, noise, budget)
@@ -353,7 +344,24 @@ def test_solve_rectangular_dimensions():
 
 
 def test_solver_rejects_mismatched_budget():
-    rng, ch, noise, target, budget, _ = random_instance(12)
+    rng, ch, noise, target, budget, params = random_instance(12)
     bad = PowerBudget(p_max_bs=1.0, p_relay=(np.ones(5),))
     with pytest.raises(ValueError):
         solve(ch, target, noise, bad)
+    # a budget with a group the channels lack must not score as overrun 0.0
+    extra = PowerBudget.uniform((5, 4, 6, 3), 4.0, 2.0)
+    with pytest.raises(ValueError, match="budget group count"):
+        evaluate_true(params, ch, target, noise, extra)
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_solver_rejects_mismatched_noise_model(extra):
+    # one variance too many would design against the wrong R, one too few
+    # would index past the tuple
+    rng, ch, noise, target, budget, params = random_instance(12)
+    bad = NoiseModel(relay_noise_var=(0.05,) * (ch.num_groups + extra), rx_noise_var=0.05)
+    for call in (lambda: solve(ch, target, bad, budget),
+                 lambda: evaluate_true(params, ch, target, bad, budget),
+                 lambda: noise_covariance(ch, params.a, bad)):
+        with pytest.raises(ValueError, match="noise model group count"):
+            call()
