@@ -51,7 +51,8 @@ class NoiseModel:
         object.__setattr__(
             self, "relay_noise_var", tuple(float(v) for v in self.relay_noise_var)
         )
-        if self.rx_noise_var <= 0 or any(v <= 0 for v in self.relay_noise_var):
+        # `not v > 0` also refuses NaN
+        if not self.rx_noise_var > 0 or any(not v > 0 for v in self.relay_noise_var):
             raise ValueError("noise variances must be positive")
 
 

@@ -112,6 +112,8 @@ class ExperimentConfig:
             for v in values:
                 if v is not None and not v > 0:  # also refuses NaN
                     raise ConfigError(f"{name} must be positive, got {v}")
+        if not np.isfinite(self.psd_dbm_per_hz):
+            raise ConfigError(f"psd_dbm_per_hz must be finite, got {self.psd_dbm_per_hz}")
         if self.sample_noise_var is not None and not self.sample_noise_var >= 0:
             raise ConfigError(f"sample_noise_var must be >= 0, got {self.sample_noise_var}")
 
@@ -134,6 +136,12 @@ def _integer(v):
     return int(v)
 
 
+def _real(v):
+    if isinstance(v, bool):  # float(True) is 1.0
+        raise ValueError(f"must be a number, got {v!r}")
+    return float(v)
+
+
 def _boolean(v):
     if not isinstance(v, bool):  # bool("false") is True
         raise ValueError(f"must be true or false, got {v!r}")
@@ -147,26 +155,27 @@ def _axis(read):
 
 # Every key a config file may hold, as section -> key -> (field, reader); ""
 # is the root. A section in _NESTED fills the fields of its own dataclass,
-# every other one those of ExperimentConfig. Floats are read with float,
-# which also takes the strings YAML leaves for numbers such as 3.0e8.
+# every other one those of ExperimentConfig. Floats are read with _real,
+# which refuses booleans but takes the strings YAML leaves for numbers such
+# as 3.0e8.
 _KEYS = {
     "": {"estimator": ("estimator", str), "trials": ("trials", _integer),
          "base_seed": ("base_seed", _integer), "workers": ("workers", _integer)},
     "topology": {"n_antennas": ("n_antennas", _integer),
                  "direct_link": ("direct_link", _boolean),
-                 "area_m": ("area_m", float)},
-    "pathloss": {"carrier_ghz": ("carrier_ghz", float), "model": ("model", str)},
-    "noise": {"psd_dbm_per_hz": ("psd_dbm_per_hz", float),
-              "bandwidth_hz": ("bandwidth_hz", float)},
-    "power": {"bs_max_w": ("bs_max_w", float), "relay_w": ("relay_w", float)},
+                 "area_m": ("area_m", _real)},
+    "pathloss": {"carrier_ghz": ("carrier_ghz", _real), "model": ("model", str)},
+    "noise": {"psd_dbm_per_hz": ("psd_dbm_per_hz", _real),
+              "bandwidth_hz": ("bandwidth_hz", _real)},
+    "power": {"bs_max_w": ("bs_max_w", _real), "relay_w": ("relay_w", _real)},
     "solver": {"max_outer_iters": ("max_outer_iters", _integer),
-               "objective_tolerance": ("objective_tolerance", float)},
+               "objective_tolerance": ("objective_tolerance", _real)},
     "task": {"num_classes": ("num_classes", _integer),
-             "sample_noise_var": ("sample_noise_var", float),
+             "sample_noise_var": ("sample_noise_var", _real),
              "num_samples": ("num_samples", _integer)},
     "sweep": {"heuristic": ("heuristics", _axis(str)),
               "excess_budget": ("excess_budgets", _axis(_integer)),
-              "pilot_power": ("pilot_powers", _axis(float)),
+              "pilot_power": ("pilot_powers", _axis(_real)),
               "num_groups": ("num_groups_list", _axis(_integer)),
               "group_size": ("group_sizes_list", _axis(_integer))},
 }

@@ -9,6 +9,7 @@ by the OTA link.
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -168,6 +169,15 @@ class ImportedPipeline:
         if self.fc_out_bias.shape != (self.fc_out_weight.shape[0],):
             raise ValueError("output FC bias length mismatch")
 
+    @cached_property
+    def _wide(self) -> dict:
+        """Every tensor as float64 or complex128, converted once per pipeline."""
+        wide = {}
+        for name, code in _TENSOR_SPECS:
+            wide[name] = getattr(self, name).astype(complex if code == _C64 else float)
+            wide[name].flags.writeable = False
+        return wide
+
     @property
     def target_layer(self) -> TargetLayer:
         """The OTA-replaceable complex FC layer."""
@@ -215,20 +225,47 @@ def load_pipeline(path) -> ImportedPipeline:
     return ImportedPipeline(**{k: v for k, v in tensors.items() if k in expected})
 
 
+@lru_cache(maxsize=32)
+def _window_index(height: int, width: int, kh: int, kw: int, stride: int,
+                  padding: int) -> np.ndarray:
+    """Flat pixel index of every (kernel tap, output row, output column).
+
+    The result has shape (kh * kw, out_h, out_w), tap (i, j) at i * kw + j.
+    Entries index one channel of the image flattened row-major; a tap that
+    falls in the zero padding points at height * width, the zero appended
+    after the last pixel.
+    """
+    out_h = (height + 2 * padding - kh) // stride + 1
+    out_w = (width + 2 * padding - kw) // stride + 1
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"{kh}x{kw} kernel does not fit a {height}x{width} "
+                         f"image padded by {padding}")
+    rows = np.arange(kh)[:, None] + stride * np.arange(out_h) - padding
+    cols = np.arange(kw)[:, None] + stride * np.arange(out_w) - padding
+    r = rows[:, None, :, None]
+    c = cols[None, :, None, :]
+    inside = (r >= 0) & (r < height) & (c >= 0) & (c < width)
+    idx = np.where(inside, r * width + c, height * width)
+    idx = idx.reshape(kh * kw, out_h, out_w)
+    idx.flags.writeable = False
+    return idx
+
+
 def _conv2d(image: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
             stride: int, padding: int) -> np.ndarray:
     """Strided valid convolution (cross-correlation) after zero padding."""
     if image.ndim == 2:
         image = image[None, :, :]
-    in_ch = kernel.shape[1]
+    out_ch, in_ch, kh, kw = kernel.shape
     if image.shape[0] != in_ch:
         raise ValueError(f"expected {in_ch} input channels, got {image.shape[0]}")
-    padded = np.pad(image, ((0, 0), (padding, padding), (padding, padding)))
-    kh, kw = kernel.shape[2], kernel.shape[3]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    out = np.einsum("cijhw,ochw->oij", windows, kernel)
-    return out + bias[:, None, None]
+    height, width = image.shape[1], image.shape[2]
+    idx = _window_index(height, width, kh, kw, stride, padding)
+    flat = np.zeros((in_ch, height * width + 1), dtype=image.dtype)
+    flat[:, :-1] = image.reshape(in_ch, -1)
+    taps = flat[:, idx].reshape(in_ch * kh * kw, -1)
+    out = kernel.reshape(out_ch, -1) @ taps + bias[:, None]
+    return out.reshape(out_ch, *idx.shape[1:])
 
 
 def _complex_relu(z: np.ndarray) -> np.ndarray:
@@ -237,7 +274,7 @@ def _complex_relu(z: np.ndarray) -> np.ndarray:
 
 def _power_normalize(z: np.ndarray) -> np.ndarray:
     """Scale one feature vector to unit average per-feature power."""
-    mean_power = np.mean(np.abs(z) ** 2)
+    mean_power = np.vdot(z, z).real / z.size
     if mean_power == 0:
         return z
     return z / np.sqrt(mean_power)
@@ -245,22 +282,23 @@ def _power_normalize(z: np.ndarray) -> np.ndarray:
 
 def _pre_layers(pipeline: ImportedPipeline, image: np.ndarray) -> np.ndarray:
     """Conv + R2C + batch norm + power normalization -> complex features."""
-    conv = _conv2d(image, pipeline.conv_kernel.astype(float),
-                   pipeline.conv_bias.astype(float), CONV_STRIDE, CONV_PADDING)
+    w = pipeline._wide
+    conv = _conv2d(image, w["conv_kernel"], w["conv_bias"], CONV_STRIDE, CONV_PADDING)
     z = (conv[0] + 1j * conv[1]).ravel()
     if z.size != pipeline.fc_mid_weight.shape[1]:
         raise ValueError(
             f"conv produced {z.size} complex features, pipeline expects "
             f"{pipeline.fc_mid_weight.shape[1]}"
         )
-    z = pipeline.bn_scale * z + pipeline.bn_shift
+    z = w["bn_scale"] * z + w["bn_shift"]
     return _power_normalize(z)
 
 
 def _post_layers(pipeline: ImportedPipeline, y: np.ndarray) -> np.ndarray:
     y = _complex_relu(y)
     real = np.concatenate([y.real, y.imag])
-    return pipeline.fc_out_weight.astype(float) @ real + pipeline.fc_out_bias.astype(float)
+    w = pipeline._wide
+    return w["fc_out_weight"] @ real + w["fc_out_bias"]
 
 
 def imported_forward(pipeline: ImportedPipeline, image: np.ndarray,
@@ -269,12 +307,13 @@ def imported_forward(pipeline: ImportedPipeline, image: np.ndarray,
     """Class scores with the middle complex FC layer realized over the air."""
     z = _pre_layers(pipeline, np.asarray(image, dtype=float))
     mid = ota_forward(z, params, true_ch, noise, rng_seed,
-                      bias=pipeline.fc_mid_bias.astype(complex))
+                      bias=pipeline._wide["fc_mid_bias"])
     return _post_layers(pipeline, mid)
 
 
 def digital_forward(pipeline: ImportedPipeline, image: np.ndarray) -> np.ndarray:
     """Fully digital reference: the same pipeline with the FC layer in math."""
     z = _pre_layers(pipeline, np.asarray(image, dtype=float))
-    mid = pipeline.fc_mid_weight.astype(complex) @ z + pipeline.fc_mid_bias.astype(complex)
+    w = pipeline._wide
+    mid = w["fc_mid_weight"] @ z + w["fc_mid_bias"]
     return _post_layers(pipeline, mid)

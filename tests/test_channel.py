@@ -335,3 +335,8 @@ def test_default_noise_model():
     assert nm.rx_noise_var == pytest.approx(noise_power_watts())
     with pytest.raises(ValueError):
         NoiseModel(relay_noise_var=(0.0,), rx_noise_var=1.0)
+    for bad in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError):
+            NoiseModel(relay_noise_var=(1.0, bad), rx_noise_var=1.0)
+        with pytest.raises(ValueError):
+            NoiseModel(relay_noise_var=(1.0,), rx_noise_var=bad)

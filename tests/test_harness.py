@@ -84,6 +84,12 @@ def test_config_rejects_bad_values():
     ({"solver": {"max_outer_iters": 3.9}}, "solver.max_outer_iters: must be an integer"),
     ({"sweep": {"excess_budget": [1.5]}}, "sweep.excess_budget: must be an integer"),
     ({"sweep": {"num_groups": [2.7]}}, "sweep.num_groups: must be an integer"),
+    ({"noise": {"psd_dbm_per_hz": float("nan")}}, "psd_dbm_per_hz must be finite"),
+    ({"noise": {"psd_dbm_per_hz": float("inf")}}, "psd_dbm_per_hz must be finite"),
+    ({"noise": {"bandwidth_hz": True}}, "noise.bandwidth_hz: must be a number"),
+    ({"power": {"relay_w": True}}, "power.relay_w: must be a number"),
+    ({"sweep": {"pilot_power": [True]}}, "sweep.pilot_power: must be a number"),
+    ({"task": {"sample_noise_var": False}}, "task.sample_noise_var: must be a number"),
 ])
 def test_strict_schema_fails_before_any_trial(tmp_path, monkeypatch, tree, message):
     with pytest.raises(ConfigError, match=message):
@@ -94,6 +100,20 @@ def test_strict_schema_fails_before_any_trial(tmp_path, monkeypatch, tree, messa
     out = tmp_path / "out.csv"
     assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
     assert ran == [] and not out.exists()
+
+
+def test_float_keys_take_numeric_strings(tmp_path):
+    # YAML 1.1 leaves 3.0e8 (no exponent sign) as the string '3.0e8'
+    import yaml
+    tree = yaml.safe_load("noise: {bandwidth_hz: 3.0e8}\npower: {relay_w: 2}\n"
+                          "sweep: {pilot_power: [1e-2, 0.5]}\n")
+    assert tree["noise"]["bandwidth_hz"] == "3.0e8"
+    cfg = config_from_dict(tree)
+    assert cfg.bandwidth_hz == 3.0e8
+    assert cfg.relay_w == 2.0
+    assert cfg.pilot_powers == (0.01, 0.5)
+    with pytest.raises(ConfigError, match="noise.bandwidth_hz"):
+        config_from_dict({"noise": {"bandwidth_hz": "wide"}})
 
 
 @pytest.mark.parametrize("value", ["false", "no", "true", 0, 1])
@@ -360,10 +380,17 @@ def test_cli_overrides(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+
+    import otafc
+    # the child must import the same otafc as this test, installed or not
+    src = os.path.dirname(os.path.dirname(otafc.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run([sys.executable, "-m", "otafc", "--list-heuristics"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert out.stdout.split()[0] == "uniform"
 

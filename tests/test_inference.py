@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otafc import (ChannelSet, NoiseModel, OtaParams, TargetLayer, accuracy,
                    digital_forward, imported_forward, load_pipeline,
@@ -205,6 +207,51 @@ def test_conv_matches_naive_loops():
                 assert out[c, i, j] == pytest.approx(want, rel=1e-12)
 
 
+def _naive_conv(img, kernel, bias, stride, padding):
+    """Padded loops: the conv and, per output, the sum of absolute terms."""
+    padded = np.pad(img, ((0, 0), (padding, padding), (padding, padding)))
+    kh, kw = kernel.shape[2:]
+    out_h = (padded.shape[1] - kh) // stride + 1
+    out_w = (padded.shape[2] - kw) // stride + 1
+    want = np.empty((kernel.shape[0], out_h, out_w))
+    mag = np.empty_like(want)
+    for o in range(kernel.shape[0]):
+        for i in range(out_h):
+            for j in range(out_w):
+                win = padded[:, stride * i:stride * i + kh, stride * j:stride * j + kw]
+                want[o, i, j] = np.sum(win * kernel[o]) + bias[o]
+                mag[o, i, j] = np.sum(np.abs(win * kernel[o])) + abs(bias[o])
+    return want, mag
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_conv_matches_naive_padded_loops_property(data):
+    # non-square images, 1-3 channels in and out, kernels 1-4 that may
+    # exceed the unpadded image, stride 1-4, padding 0-2
+    in_ch = data.draw(st.integers(1, 3))
+    out_ch = data.draw(st.integers(1, 3))
+    kh, kw = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    stride, padding = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2))
+    height = data.draw(st.integers(max(1, kh - 2 * padding), 11))
+    width = data.draw(st.integers(max(1, kw - 2 * padding), 11))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    img = rng.standard_normal((in_ch, height, width))
+    kernel = rng.standard_normal((out_ch, in_ch, kh, kw))
+    bias = rng.standard_normal(out_ch)
+    want, mag = _naive_conv(img, kernel, bias, stride, padding)
+    out = _conv2d(img[0] if in_ch == 1 else img, kernel, bias, stride, padding)
+    assert out.shape == want.shape
+    assert np.all(np.abs(out - want) <= 1e-12 * mag)
+    wrong = data.draw(st.sampled_from([c for c in (1, 2, 3, 4) if c != in_ch]))
+    with pytest.raises(ValueError, match="input channels"):
+        _conv2d(rng.standard_normal((wrong, height, width)), kernel, bias,
+                stride, padding)
+    too_tall = np.zeros((out_ch, in_ch, height + 2 * padding + 1, kw))
+    with pytest.raises(ValueError, match="does not fit"):
+        _conv2d(img, too_tall, bias, stride, padding)
+
+
 def test_pipeline_round_trip(tmp_path):
     pipe = _random_pipeline(1)
     path = tmp_path / "weights.otaw"
@@ -264,6 +311,43 @@ def test_imported_forward_deterministic_batch():
     s2 = [imported_forward(pipe, im, params, ch, noise, 1000 + i)
           for i, im in enumerate(imgs)]
     assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
+
+
+# Captured from the pad-and-window conv this gather replaced, on the pipeline,
+# channel draw, image and noise seed below.
+_GOLDEN_OTA = [7.576953418779425, 10.044963814398209, -194.51211545913674,
+               -115.20354724901388, 160.720873981041, -93.73362365089882,
+               24.040592313647693, 56.56858092536275, -165.7106932789738,
+               29.62353010688767]
+_GOLDEN_DIG = [1.8792261864774886, 6.550888476994173, -10.74805293746922,
+               -4.832379998374707, 3.207858741233764, -5.159087355734547,
+               7.982695779285343, -2.991460278107647, 1.79042366926876,
+               8.997709672876947]
+_GOLDEN_STATE = {"bit_generator": "PCG64",
+                 "state": {"state": 177978365802926675529744772261316495709,
+                           "inc": 336983293413220778415499640756163231851},
+                 "has_uint32": 0, "uinteger": 0}
+
+
+def test_image_path_golden():
+    pipe = _random_pipeline(7)
+    n = 49
+    rng = np.random.default_rng(20261018)
+    ch = ChannelSet(h_direct=np.zeros((n, n), dtype=complex),
+                    h_hop=(cn(rng, (6, n)), cn(rng, (5, 6))), h_last=cn(rng, (n, 5)))
+    params = OtaParams(f1=cn(rng, (n, n)) / 7, f2=cn(rng, (n, n)) / 7,
+                       a=(cn(rng, (6,)), cn(rng, (5,))))
+    noise = NoiseModel(relay_noise_var=(0.05, 0.02), rx_noise_var=0.03)
+    img = rng.standard_normal((28, 28))
+    gen = np.random.default_rng(77)
+    ota = imported_forward(pipe, img, params, ch, noise, gen)
+    dig = digital_forward(pipe, img)
+    assert np.allclose(ota, _GOLDEN_OTA, rtol=1e-12, atol=0)
+    assert np.allclose(dig, _GOLDEN_DIG, rtol=1e-12, atol=0)
+    assert np.argmax(ota) == np.argmax(_GOLDEN_OTA)
+    assert np.argmax(dig) == np.argmax(_GOLDEN_DIG)
+    # the noise stream: imported_forward draws exactly what it drew before
+    assert gen.bit_generator.state == _GOLDEN_STATE
 
 
 def test_imported_forward_rejects_wrong_image_size():
