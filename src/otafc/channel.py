@@ -34,8 +34,8 @@ class PathlossParams:
     model: str = "nlos"
 
     def __post_init__(self):
-        if not self.carrier_ghz > 0:  # NaN too
-            raise ValueError("carrier frequency must be positive")
+        if not 0 < self.carrier_ghz < np.inf:  # NaN too
+            raise ValueError("carrier frequency must be positive and finite")
         if self.model not in ("nlos", "los", "mixed"):
             raise ValueError(f"unknown pathloss model {self.model!r}")
 
@@ -51,9 +51,9 @@ class NoiseModel:
         object.__setattr__(
             self, "relay_noise_var", tuple(float(v) for v in self.relay_noise_var)
         )
-        # `not v > 0` also refuses NaN
-        if not self.rx_noise_var > 0 or any(not v > 0 for v in self.relay_noise_var):
-            raise ValueError("noise variances must be positive")
+        # `not 0 < v < inf` also refuses NaN
+        if not all(0 < v < np.inf for v in self.relay_noise_var + (self.rx_noise_var,)):
+            raise ValueError("noise variances must be positive and finite")
 
 
 def noise_power_watts(psd_dbm_per_hz: float = -174.0, bandwidth_hz: float = 300e6) -> float:
@@ -248,8 +248,9 @@ class Cascade:
     base, a Cascade on the same channels and noise model, lends the products
     that depend only on parts of the design that are the very same arrays as
     its own: u_l and its incident powers while F1 and a_1..a_{l-1} are, b
-    while F1 and every gain are, and N_l while a_1..a_{l-1} are. Without a
-    base every product is built here. The lists are copied, so a cascade
+    while F1 and every gain are, N_l while a_1..a_{l-1} are, and, once the
+    base has built d, d[l-1] while F2 and a_{l+1}..a_L are. Without a base
+    every product is built here. The lists are copied, so a cascade
     keeps no reference to its base. No array of a design or of a product is
     ever written in place, so the same array means the same values.
     """
@@ -282,20 +283,25 @@ class Cascade:
             self.b = base.b
         else:
             self.b = ch.h_direct @ f1 + m if ch.has_direct else m
-        self._noise = []
+        self._noise, self._d = [], []
         if base is not None:  # N_{l+1} reads a_1..a_l
             self._noise = base._noise[:(same + [False]).index(False) + 1]
+        if base is not None and f2 is base.f2 and "d" in base.__dict__:
+            # d[j] reads F2 and a_{j+2}..a_L: n kept trailing gains keep the
+            # last n + 1 suffixes
+            n = (same[::-1] + [False]).index(False)
+            self._d = base.d[max(len(same) - 1 - n, 0):]
 
     def incident_powers(self, l: int) -> np.ndarray:
         if self._p_in[l - 1] is None:
-            self._p_in[l - 1] = (np.sum(np.abs(self.u[l - 1]) ** 2, axis=1)
+            self._p_in[l - 1] = ((np.abs(self.u[l - 1]) ** 2).sum(axis=1)
                                  + self.noise.relay_noise_var[l - 1])
         return self._p_in[l - 1]
 
     @cached_property
     def d(self) -> list:
-        d = [self.f2 @ self.ch.h_last]
-        for l in range(len(self.a) - 1, 0, -1):
+        d = self._d or [self.f2 @ self.ch.h_last]
+        for l in range(len(self.a) - len(d), 0, -1):
             d.insert(0, (d[0] * self.a[l][None, :]) @ self._chain[l])
         return d
 

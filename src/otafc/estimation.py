@@ -32,7 +32,7 @@ class PilotPlan:
         object.__setattr__(self, "tau", tuple(int(t) for t in self.tau))
         object.__setattr__(self, "rep", tuple(int(m) for m in self.rep))
         object.__setattr__(self, "tau_min", tuple(int(t) for t in self.tau_min))
-        if self.pilot_power <= 0:
+        if not self.pilot_power > 0:  # NaN too; +inf is perfect training
             raise ValueError("pilot power must be positive")
         if not len(self.tau) == len(self.rep) == len(self.tau_min):
             raise ValueError("tau, rep, tau_min must have equal length")

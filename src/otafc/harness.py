@@ -110,12 +110,13 @@ class ExperimentConfig:
                              ("bandwidth_hz", [self.bandwidth_hz]),
                              ("area_m", [self.area_m])):
             for v in values:
-                if v is not None and not v > 0:  # also refuses NaN
-                    raise ConfigError(f"{name} must be positive, got {v}")
+                if v is not None and not 0 < v < np.inf:  # also refuses NaN
+                    raise ConfigError(f"{name} must be positive and finite, got {v}")
         if not np.isfinite(self.psd_dbm_per_hz):
             raise ConfigError(f"psd_dbm_per_hz must be finite, got {self.psd_dbm_per_hz}")
-        if self.sample_noise_var is not None and not self.sample_noise_var >= 0:
-            raise ConfigError(f"sample_noise_var must be >= 0, got {self.sample_noise_var}")
+        if self.sample_noise_var is not None and not 0 <= self.sample_noise_var < np.inf:
+            raise ConfigError(
+                f"sample_noise_var must be finite and >= 0, got {self.sample_noise_var}")
 
     def sweep_points(self):
         """All sweep coordinates in sorted row order."""

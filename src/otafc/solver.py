@@ -70,8 +70,9 @@ class PowerBudget:
         object.__setattr__(
             self, "p_relay", tuple(np.asarray(p, dtype=float) for p in self.p_relay)
         )
-        if self.p_max_bs <= 0 or any(np.any(p <= 0) for p in self.p_relay):
-            raise ValueError("power budgets must be positive")
+        caps = (self.p_max_bs,) + self.p_relay
+        if not all(np.all((0 < p) & (p < np.inf)) for p in caps):  # NaN too
+            raise ValueError("power budgets must be positive and finite")
 
     @classmethod
     def uniform(cls, group_sizes, p_max_bs: float, relay_w: float) -> "PowerBudget":
@@ -85,8 +86,8 @@ class SolverConfig:
     objective_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not self.objective_tolerance > 0:  # NaN too
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.objective_tolerance < np.inf:  # NaN too
+            raise ValueError("tolerances must be positive and finite")
         if self.max_outer_iters < 1:
             raise ValueError("need at least one outer iteration")
 
@@ -156,9 +157,12 @@ def update_f1(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     """Transmit-power-constrained minimizer of the objective in F1.
 
     With C = F2 Heff: F1(mu) = (C^H C + mu I)^{-1} C^H W. mu = 0 when the
-    unconstrained (minimum-norm) solution already fits the power budget,
-    otherwise mu is found by bisection so ||F1||_F^2 hits the budget within
-    tol. The noise penalty does not involve F1.
+    unconstrained (minimum-norm) solution already fits the power budget.
+    Otherwise mu solves the secular equation power(mu)^-1/2 = P^-1/2, which
+    is nearly linear in mu, by Newton's method (More & Sorensen 1983) with a
+    bisection step whenever a Newton step leaves the bracket. The target P
+    sits tol/2 below the budget, so the search lands one-sided, with
+    P_max - tol <= ||F1||_F^2 <= P_max. The noise penalty does not involve F1.
     """
     cas = _cascade(est, noise, params)
     c = (cas.d[0] * cas.a[0][None, :]) @ cas.ch.h_hop[0]
@@ -168,7 +172,7 @@ def update_f1(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     lam, u = np.linalg.eigh(cc)
     lam = np.maximum(lam, 0.0)
     gt = u.conj().T @ (c.conj().T @ target.w)
-    row_energy = np.sum(np.abs(gt) ** 2, axis=1)
+    row_energy = (np.abs(gt) ** 2).sum(axis=1)
     p_max = budget.p_max_bs
 
     def f1_of(coef):
@@ -177,37 +181,42 @@ def update_f1(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     # minimum-norm least-squares solution (mu = 0)
     lam_floor = lam.max() * 1e-12 if lam.size else 0.0
     coef0 = np.where(lam > lam_floor, 1.0 / np.where(lam > lam_floor, lam, 1.0), 0.0)
-    if np.sum(row_energy * coef0 ** 2) <= p_max * (1.0 + 1e-12):
+    if (row_energy * coef0 ** 2).sum() <= p_max * (1.0 + 1e-12):
         f1 = f1_of(coef0)
         _check_finite(f1)
         return f1
 
     def power(mu):
-        return float(np.sum(row_energy / (lam + mu) ** 2))
+        """power(mu) and the Newton step on power^-1/2 towards target."""
+        x = 1.0 / (lam + mu)
+        w = row_energy * x * x
+        p = float(w.sum())
+        return p, p * (np.sqrt(p / target) - 1.0) / float((w * x).sum())
 
-    total = float(np.sum(row_energy))
+    # aim at the middle of the one-sided window [p_max - tol, p_max], so the
+    # returned precoder never exceeds the budget
+    target = p_max - 0.5 * min(tol, p_max)
+    total = float(row_energy.sum())
     lo, hi = 0.0, np.sqrt(total / p_max)  # power(hi) <= p_max by construction
-    while power(hi) > p_max:  # defensive: expand on rounding pathologies
+    p, step = power(hi)
+    while p > p_max:  # defensive: expand on rounding pathologies
         hi *= 2.0
         if not np.isfinite(hi):
             raise SolverDivergenceError("precoder bisection bracket diverged")
-    # one-sided window: land inside [p_max - tol, p_max] so the returned
-    # precoder never exceeds the budget
-    mu = hi
-    p = power(mu)
+        p, step = power(hi)
+    mu, p_hi = hi, p
     for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        p_mid = power(mid)
-        if p_mid > p_max:
-            lo = mid
-        else:
-            hi = mid
-            mu, p = mid, p_mid
-            if p >= p_max - tol:
-                break
-        if hi - lo <= 1e-16 * max(hi, 1.0):
+        if p_hi >= p_max - tol or hi - lo <= 4e-16 * hi:  # or mu is resolved
             break
-    f1 = f1_of(1.0 / (lam + mu))
+        mu += step
+        if not lo < mu < hi:  # also catches a NaN step
+            mu = 0.5 * (lo + hi)
+        p, step = power(mu)
+        if p > p_max:
+            lo = mu
+        else:
+            hi, p_hi = mu, p
+    f1 = f1_of(1.0 / (lam + hi))
     _check_finite(f1)
     return f1
 
@@ -253,7 +262,7 @@ def _gain_quadratic(cas: Cascade, target: TargetLayer, l: int):
     resid_const = target.w
     if cas.ch.has_direct:
         resid_const = target.w - cas.f2 @ cas.ch.h_direct @ cas.f1
-    b = np.sum((lft.conj().T @ resid_const) * rgt.conj(), axis=1)
+    b = ((lft.conj().T @ resid_const) * rgt.conj()).sum(axis=1)
     return g, b
 
 

@@ -16,8 +16,10 @@ def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndar
     """
     if var < 0:
         raise ValueError(f"variance must be nonnegative, got {var}")
-    scale = np.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if isinstance(shape, (int, np.integer)):
+        shape = (shape,)
+    z = rng.standard_normal((2, *shape))  # real parts first, as two draws of `shape`
+    return np.sqrt(var / 2.0) * (z[0] + 1j * z[1])
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

@@ -329,13 +329,27 @@ def test_hop_statistics_matches_per_link_recompute():
     assert stats.beta[3] == pytest.approx(b3, rel=1e-12)
 
 
+def test_complex_normal_is_the_two_draw_form_in_one_draw():
+    """One (2, *shape) draw gives the values, and leaves the generator state,
+    of the real-then-imaginary pair of draws."""
+    for shape, var in (((49, 1), 1.0), ((50, 512), 0.3), ((7,), 2.0), (7, 2.0),
+                       ((3, 4, 5), 1e-12), ((0, 3), 1.0), ((4, 2), 0.0)):
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = complex_normal(got_rng, shape, var)
+        re, im = want_rng.standard_normal(shape), want_rng.standard_normal(shape)
+        want = np.sqrt(var / 2.0) * (re + 1j * im)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_default_noise_model():
     nm = default_noise_model(3)
     assert len(nm.relay_noise_var) == 3
     assert nm.rx_noise_var == pytest.approx(noise_power_watts())
     with pytest.raises(ValueError):
         NoiseModel(relay_noise_var=(0.0,), rx_noise_var=1.0)
-    for bad in (float("nan"), 0.0, -1.0):
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
         with pytest.raises(ValueError):
             NoiseModel(relay_noise_var=(1.0, bad), rx_noise_var=1.0)
         with pytest.raises(ValueError):

@@ -35,6 +35,9 @@ def test_plan_validation():
         PilotPlan(pilot_power=1.0, tau=(4,), rep=(0,), tau_min=(4,))
     with pytest.raises(ValueError):
         PilotPlan(pilot_power=0.0, tau=(4,), rep=(1,), tau_min=(4,))
+    with pytest.raises(ValueError, match="pilot power"):
+        PilotPlan(pilot_power=float("nan"), tau=(4,), rep=(1,), tau_min=(4,))
+    assert PilotPlan(pilot_power=np.inf, tau=(4,), rep=(1,), tau_min=(4,)).pilot_power == np.inf
     plan = _plan((3, 5), rep=(2, 1))
     assert plan.tau == (6, 5)
     assert plan.tau_total == 11

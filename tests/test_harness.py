@@ -90,6 +90,14 @@ def test_config_rejects_bad_values():
     ({"power": {"relay_w": True}}, "power.relay_w: must be a number"),
     ({"sweep": {"pilot_power": [True]}}, "sweep.pilot_power: must be a number"),
     ({"task": {"sample_noise_var": False}}, "task.sample_noise_var: must be a number"),
+    ({"power": {"bs_max_w": float("inf")}}, "bs_max_w must be positive and finite"),
+    ({"power": {"relay_w": float("inf")}}, "relay_w must be positive and finite"),
+    ({"sweep": {"pilot_power": [1.0, float("inf")]}}, "pilot_power must be positive and finite"),
+    ({"topology": {"area_m": float("inf")}}, "area_m must be positive and finite"),
+    ({"noise": {"bandwidth_hz": float("inf")}}, "bandwidth_hz must be positive and finite"),
+    ({"task": {"sample_noise_var": float("inf")}}, "sample_noise_var must be finite"),
+    ({"pathloss": {"carrier_ghz": float("inf")}}, "carrier frequency must be positive and finite"),
+    ({"solver": {"objective_tolerance": float("inf")}}, "tolerances must be positive and finite"),
 ])
 def test_strict_schema_fails_before_any_trial(tmp_path, monkeypatch, tree, message):
     with pytest.raises(ConfigError, match=message):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otafc import (ChannelSet, NoiseModel, OtaParams, PowerBudget,
                    TargetLayer, effective_channel, evaluate_true,
@@ -191,6 +193,95 @@ def test_update_f1_kkt_stationarity_via_lagrangian():
     assert np.max(np.abs(grad)) <= 1e-6 * scale
 
 
+def bisection_f1(c, w, p_max, tol):
+    """The bisection update_f1 used before the Newton search, as an oracle.
+
+    F1(mu) = (C^H C + mu I)^{-1} C^H W with mu = 0 when the minimum-norm
+    solution fits p_max, otherwise mu bisected until ||F1||^2 lands in
+    [p_max - tol, p_max]. Unlike the original, the bracket stops relative
+    to mu, so mu is resolved to the last bits when the window is narrower
+    than that. Returns F1 and whether the cap binds.
+    """
+    cc = c.conj().T @ c
+    lam, u = np.linalg.eigh(0.5 * (cc + cc.conj().T))
+    lam = np.maximum(lam, 0.0)
+    gt = u.conj().T @ (c.conj().T @ w)
+    row_energy = np.sum(np.abs(gt) ** 2, axis=1)
+    lam_floor = lam.max() * 1e-12 if lam.size else 0.0
+    coef0 = np.where(lam > lam_floor, 1.0 / np.where(lam > lam_floor, lam, 1.0), 0.0)
+    if np.sum(row_energy * coef0 ** 2) <= p_max * (1.0 + 1e-12):
+        return u @ (coef0[:, None] * gt), False
+
+    def power(mu):
+        return float(np.sum(row_energy / (lam + mu) ** 2))
+
+    lo, hi = 0.0, np.sqrt(float(np.sum(row_energy)) / p_max)
+    while power(hi) > p_max:
+        hi *= 2.0
+    mu = hi
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if power(mid) > p_max:
+            lo = mid
+        else:
+            hi = mu = mid
+            if power(mu) >= p_max - tol:
+                break
+        if hi - lo <= 4e-16 * hi:
+            break
+    return u @ ((1.0 / (lam + mu))[:, None] * gt), True
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(cn(rng, (n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6), n=st.integers(1, 6),
+       k=st.integers(1, 4), rank_cut=st.integers(0, 2),
+       log_s_min=st.floats(-8.5, 0.0), log_w=st.floats(-3.0, 3.0),
+       log_p=st.floats(-6.0, 6.0), tol=st.sampled_from([1e-9, 1e-12]))
+def test_update_f1_matches_bisection_oracle(seed, m, n, k, rank_cut, log_s_min,
+                                            log_w, log_p, tol):
+    """Newton lands in the one-sided window and on the bisection's precoder.
+
+    C = F2 (the chain is the identity direct link) has singular values from
+    10**log_s_min up to about 1.4, so C^H C spans the 2.7e-17..2.0 seen in
+    solver runs, and up to rank_cut of them are zero. The two searches may land
+    anywhere in the same window, so F1 may differ from the oracle's by the
+    spread of the window as well.
+    """
+    rng = np.random.default_rng(seed)
+    r = min(m, n)
+    s = np.sqrt(2.0) * 10.0 ** rng.uniform(log_s_min, 0.0, r)
+    s[:min(rank_cut, r - 1)] = 0.0
+    c = _unitary(rng, m)[:, :r] @ (s[:, None] * _unitary(rng, n)[:r, :])
+    w = 10.0 ** log_w * cn(rng, (m, k))
+    p_max = 10.0 ** log_p
+
+    ch = identity_channel(n)
+    noise = NoiseModel(relay_noise_var=(1.0,), rx_noise_var=1.0)
+    params = OtaParams(f1=np.zeros((n, k), dtype=complex), f2=c,
+                       a=(np.zeros(1, dtype=complex),))
+    budget = PowerBudget(p_max_bs=p_max, p_relay=(np.ones(1),))
+    f1 = update_f1(ch, TargetLayer(w=w, bias=np.zeros(m)), noise, params, budget, tol=tol)
+    want, binding = bisection_f1(c, w, p_max, tol)
+
+    assert np.isfinite(f1).all()
+    power = float(np.sum(np.abs(f1) ** 2))
+    rounding = 1e-13 * p_max  # ||F1||^2 against the secular sum, and mu's last bit
+    if binding:
+        assert p_max - tol - rounding <= power <= p_max + rounding
+        edge = bisection_f1(c, w, p_max, 0.0)[0]
+        spread = np.linalg.norm(edge - bisection_f1(c, w, p_max - tol, 0.0)[0])
+        spread /= np.linalg.norm(edge)
+    else:
+        assert power <= p_max * (1.0 + 1e-12) + rounding
+        spread = 0.0
+    assert np.linalg.norm(f1 - want) <= (1e-8 + spread) * np.linalg.norm(want)
+
+
 # ---------------------------------------------------------------- update_a
 
 def test_update_a_scalar_least_squares():
@@ -341,6 +432,14 @@ def test_solve_rectangular_dimensions():
     assert res.params.f2.shape == (3, 3)
     tr = res.objective_trace
     assert np.all(np.diff(tr) <= 1e-9 * tr[0])
+
+
+@pytest.mark.parametrize("p_max,relay", [
+    (float("inf"), 1.0), (float("nan"), 1.0), (0.0, 1.0),
+    (1.0, float("inf")), (1.0, float("nan")), (1.0, -1.0)])
+def test_power_budget_refuses_non_finite_or_non_positive_caps(p_max, relay):
+    with pytest.raises(ValueError, match="positive and finite"):
+        PowerBudget(p_max_bs=p_max, p_relay=(np.array([1.0, relay]),))
 
 
 def test_solver_rejects_mismatched_budget():
