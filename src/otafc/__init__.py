@@ -1,13 +1,11 @@
 """OTA emulation of a fully connected layer over multi-hop AF relays."""
 
-from .allocation import (AllocationState, Heuristic, allocate,
-                         heuristic_weights, pilot_dictionary_size,
-                         tau_min_total, tau_minimums)
-from .channel import (ChannelSet, HopStatistics, NoiseModel, PathlossParams,
-                      default_noise_model, draw_channels, effective_channel,
-                      hop_statistics, linear_gain, noise_covariance,
-                      noise_power_watts, pathloss_db, relay_input_power,
-                      relay_input_powers, transfer_matrix)
+from .allocation import (Heuristic, allocate, heuristic_weights,
+                         pilot_dictionary_size, tau_min_total, tau_minimums)
+from .channel import (Cascade, ChannelSet, HopStatistics, NoiseModel,
+                      PathlossParams, default_noise_model, draw_channels,
+                      hop_statistics, linear_gain, noise_power_watts,
+                      pathloss_db, relay_input_powers)
 from .estimation import (PilotPlan, estimate_all, estimate_hop, inject_error,
                          make_pilots)
 from .harness import (ConfigError, ExperimentConfig, ResultRow, SweepPoint,

@@ -6,7 +6,6 @@ still fits gets one more repetition of its minimum-length block. Ties break
 toward the earliest hop; zero-weight hops are never selected.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,23 +25,6 @@ class Heuristic(str, Enum):
     CHANNEL_AWARE = "channel_aware"
 
 
-@dataclass
-class AllocationState:
-    """Mutable greedy-loop state: current repetitions and what is left to spend."""
-
-    rep: np.ndarray
-    tau_min: np.ndarray
-    budget_remaining: int
-
-    def __post_init__(self):
-        self.rep = np.asarray(self.rep, dtype=int)
-        self.tau_min = np.asarray(self.tau_min, dtype=int)
-        if np.any(self.rep < 1):
-            raise ValueError("repetition factors must be >= 1")
-        if self.budget_remaining < 0:
-            raise ValueError("remaining budget cannot be negative")
-
-
 def tau_minimums(topology: Topology) -> np.ndarray:
     """Minimum per-phase pilot lengths (N_t, K_1, ..., K_L)."""
     return np.array([topology.n_tx, *topology.group_sizes], dtype=int)
@@ -58,12 +40,13 @@ def pilot_dictionary_size(topology: Topology) -> int:
     return int(tau_minimums(topology).max())
 
 
-def heuristic_weights(heuristic: Heuristic, state: AllocationState,
+def heuristic_weights(heuristic: Heuristic, rep, tau_min,
                       stats: HopStatistics = None) -> np.ndarray:
-    """Selection weight of each hop at the current greedy step."""
+    """Selection weight of each hop, given its current repetitions rep and
+    minimum block length tau_min."""
     heuristic = Heuristic(heuristic)
-    m = state.rep.astype(float)
-    tau_min = state.tau_min.astype(float)
+    m = np.asarray(rep, dtype=float)
+    tau_min = np.asarray(tau_min, dtype=float)
     if heuristic is Heuristic.UNIFORM:
         return 1.0 / m
     if heuristic is Heuristic.PROPORTIONAL_TO_MIN:
@@ -95,18 +78,18 @@ def allocate(heuristic: Heuristic, topology: Topology, excess_budget: int,
     if excess_budget < 0:
         raise ValueError("excess budget cannot be negative")
     tau_min = tau_minimums(topology)
-    state = AllocationState(rep=np.ones(tau_min.size, dtype=int),
-                            tau_min=tau_min, budget_remaining=int(excess_budget))
+    rep = np.ones(tau_min.size, dtype=int)
+    remaining = int(excess_budget)
     while True:
-        w = heuristic_weights(heuristic, state, stats)
+        w = heuristic_weights(heuristic, rep, tau_min, stats)
         order = np.lexsort((np.arange(w.size), -w))
         chosen = -1
         for idx in order:
-            if w[idx] > 0 and tau_min[idx] <= state.budget_remaining:
+            if w[idx] > 0 and tau_min[idx] <= remaining:
                 chosen = idx
                 break
         if chosen < 0:
             break
-        state.rep[chosen] += 1
-        state.budget_remaining -= int(tau_min[chosen])
-    return PilotPlan.from_reps(tau_min, tuple(state.rep), pilot_power)
+        rep[chosen] += 1
+        remaining -= int(tau_min[chosen])
+    return PilotPlan.from_reps(tau_min, tuple(rep), pilot_power)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .topology import BS_RX_HEIGHT_M, RELAY_HEIGHT_M, Placement
-from .utils import as_rng, complex_normal, hermitize
+from .utils import complex_normal
 
 SPEED_OF_LIGHT = 299_792_458.0
 RICEAN_KAPPA_DB = 0.0  # Ricean K-factor of the direct link
@@ -191,7 +191,7 @@ def draw_channels(placement: Placement, params: PathlossParams, rng_seed) -> Cha
     and a random-phase rank-one unit-modulus LoS part. Deterministic given
     the seed.
     """
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     top = placement.topology
     groups = placement.relay_positions
     L = len(groups)
@@ -292,6 +292,11 @@ class Cascade:
             n = (same[::-1] + [False]).index(False)
             self._d = base.d[max(len(same) - 1 - n, 0):]
 
+    @classmethod
+    def of(cls, ch: ChannelSet, params, noise: NoiseModel) -> "Cascade":
+        """The cascade of a design (f1, f2 and gains a, as in OtaParams) on ch."""
+        return cls(ch, check_gains(ch, params.a), params.f1, params.f2, noise)
+
     def incident_powers(self, l: int) -> np.ndarray:
         if self._p_in[l - 1] is None:
             self._p_in[l - 1] = ((np.abs(self.u[l - 1]) ** 2).sum(axis=1)
@@ -316,36 +321,7 @@ class Cascade:
         return self._noise[l - 1]
 
 
-def effective_channel(ch: ChannelSet, gains) -> np.ndarray:
-    """End-to-end matrix H_direct + H_last A_L H_L ... A_2 H_2 A_1 H_1."""
-    return Cascade(ch, check_gains(ch, gains), np.eye(ch.n_tx, dtype=complex)).b
-
-
-def transfer_matrix(ch: ChannelSet, gains, j: int) -> np.ndarray:
-    """Map from group j's input noise to the receiver front end (1-based j).
-
-    T_j = H_last A_L H_L ... H_{j+1} A_j, shape N_r x K_j.
-    """
-    check_gains(ch, gains)
-    if not 1 <= j <= ch.num_groups:
-        raise ValueError(f"hop index {j} out of range 1..{ch.num_groups}")
-    m = np.diag(np.asarray(gains[j - 1], dtype=complex))
-    for l in range(j, ch.num_groups):
-        m = ch.h_hop[l] @ m
-        m = np.asarray(gains[l])[:, None] * m
-    return ch.h_last @ m
-
-
-def noise_covariance(ch: ChannelSet, gains, noise: NoiseModel) -> np.ndarray:
-    """Aggregate noise covariance at the receiver input.
-
-    R = sigma_c^2 I + sum_j sigma_{u,j}^2 T_j T_j^H; Hermitian PSD.
-    """
-    gains = check_gains(ch, gains)
-    no_signal = np.zeros((ch.n_tx, 0), dtype=complex)  # R does not depend on F1
-    return hermitize(Cascade(ch, gains, no_signal, noise=noise).stage_noise(ch.num_groups + 1))
-
-
+# perfbench/workloads.py imports this at module level for its design check
 def relay_input_powers(ch: ChannelSet, gains, f1: np.ndarray,
                        noise: NoiseModel, l: int) -> np.ndarray:
     """Incident-signal power surrogate for every relay of group l (1-based).
@@ -357,15 +333,6 @@ def relay_input_powers(ch: ChannelSet, gains, f1: np.ndarray,
     if not 1 <= l <= ch.num_groups:
         raise ValueError(f"hop index {l} out of range 1..{ch.num_groups}")
     return Cascade(ch, check_gains(ch, gains), f1, noise=noise).incident_powers(l)
-
-
-def relay_input_power(ch: ChannelSet, gains, f1: np.ndarray,
-                      noise: NoiseModel, l: int, k: int) -> float:
-    """Incident power surrogate for relay k of group l (both indices 1-based)."""
-    powers = relay_input_powers(ch, gains, f1, noise, l)
-    if not 1 <= k <= powers.size:
-        raise ValueError(f"relay index {k} out of range 1..{powers.size}")
-    return float(powers[k - 1])
 
 
 def hop_statistics(placement: Placement, params: PathlossParams) -> HopStatistics:

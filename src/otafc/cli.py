@@ -22,8 +22,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="override base_seed")
     run_p.add_argument("--trials", type=int, help="override trial count")
     run_p.add_argument("--heuristic", help="restrict the sweep to one heuristic")
-    run_p.add_argument("--list-heuristics", action="store_true",
-                       help="print the heuristic names and exit")
     return parser
 
 

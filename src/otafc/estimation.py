@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, NoiseModel
-from .utils import as_rng, complex_normal
+from .utils import complex_normal
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def estimate_hop(h_true: np.ndarray, plan: PilotPlan, hop: int,
         raise ValueError(
             f"phase {hop}: pilot length {tau} shorter than {n_tx} transmitters"
         )
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     phi = make_pilots(tau, n_tx)
     y = np.sqrt(plan.pilot_power) * (h_true @ phi.T)
     if noise_var > 0:
@@ -115,7 +115,7 @@ def _per_phase(ch: ChannelSet, plan: PilotPlan, noise: NoiseModel, rng_seed,
     L = ch.num_groups
     if plan.num_phases != L + 1:
         raise ValueError(f"plan has {plan.num_phases} phases, channel needs {L + 1}")
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     recv_var = _phase_noise_vars(noise)
 
     hops = [estimate(ch.h_hop[0], 0, recv_var[0], rng)]

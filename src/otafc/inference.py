@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import ChannelSet, NoiseModel
 from .solver import OtaParams, TargetLayer
-from .utils import as_rng, complex_normal
+from .utils import complex_normal
 
 
 def ota_forward(x: np.ndarray, params: OtaParams, true_ch: ChannelSet,
@@ -28,7 +28,7 @@ def ota_forward(x: np.ndarray, params: OtaParams, true_ch: ChannelSet,
     digitally after combining. With all-zero noise draws the output equals
     F2 Heff F1 x + bias exactly.
     """
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     x = np.asarray(x, dtype=complex)
     single = x.ndim == 1
     xs = x[:, None] if single else x
@@ -79,7 +79,7 @@ def make_synthetic_task(target: TargetLayer, num_classes: int = 10,
     The head is the pseudo-inverse of the digital class templates
     W mu_c + b, so noiseless digital samples score as one-hot vectors.
     """
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     means = complex_normal(rng, (num_classes, target.in_dim))
     templates = target.w @ means.T + target.bias[:, None]
     head = np.linalg.pinv(templates)
@@ -97,7 +97,7 @@ def accuracy(task: SyntheticTask, target: TargetLayer, params: OtaParams,
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     labels = rng.integers(0, task.num_classes, size=num_samples)
     xs = task.class_means[labels].T
     if task.sample_noise_var > 0:

@@ -6,14 +6,15 @@ on the gains (via the incident-power surrogate). Block order per outer
 iteration: F1, then the gain vectors a_1..a_L, then F2.
 
 F2 is stored as the (out_dim x N_r) map applied to the received vector, so
-the emulated layer is F2 @ Heff @ F1.
+the emulated layer is F2 @ Heff @ F1. The objective and the block updates
+read a design, its channels and its noise model from one channel.Cascade.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Cascade, ChannelSet, NoiseModel, check_gains
+from .channel import Cascade, ChannelSet, NoiseModel
 from .utils import hermitize
 
 
@@ -104,18 +105,9 @@ class SolveResult:
         return float(self.objective_trace[-1])
 
 
-def _cascade(est: ChannelSet, noise: NoiseModel, params) -> Cascade:
-    """The Cascade of a design. solve passes its iterate's Cascade wherever a
-    public function takes params, so the updates share its products."""
-    if isinstance(params, Cascade):
-        return params
-    return Cascade(est, check_gains(est, params.a), params.f1, params.f2, noise)
-
-
-def objective(params: OtaParams, est: ChannelSet, target: TargetLayer,
-              noise: NoiseModel) -> float:
-    """Imitation error plus propagated-noise penalty on the given channels."""
-    cas = _cascade(est, noise, params)
+def objective(cas: Cascade, target: TargetLayer) -> float:
+    """Imitation error plus propagated-noise penalty on the cascade's channels."""
+    noise = cas.noise
     resid = cas.f2 @ cas.b - target.w
     # tr(F2 R F2^H) = s_c ||F2||^2 + sum_l s_l ||d_l diag(a_l)||^2
     value = np.vdot(resid, resid).real + noise.rx_noise_var * np.vdot(cas.f2, cas.f2).real
@@ -139,20 +131,17 @@ def _solve_hermitian(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(g + eps * np.eye(g.shape[0]), rhs)
 
 
-def update_f2(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
-              params: OtaParams) -> np.ndarray:
+def update_f2(cas: Cascade, target: TargetLayer) -> np.ndarray:
     """Unconstrained minimizer of the objective in F2 (closed form).
 
     With B = Heff F1: F2 = W B^H (B B^H + R)^{-1}.
     """
-    cas = _cascade(est, noise, params)
-    g = hermitize(cas.b @ cas.b.conj().T + cas.stage_noise(est.num_groups + 1))
+    g = hermitize(cas.b @ cas.b.conj().T + cas.stage_noise(cas.ch.num_groups + 1))
     rhs = target.w @ cas.b.conj().T
     return _solve_hermitian(g, rhs.conj().T).conj().T
 
 
-def update_f1(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
-              params: OtaParams, budget: PowerBudget,
+def update_f1(cas: Cascade, target: TargetLayer, budget: PowerBudget,
               tol: float = 1e-9) -> np.ndarray:
     """Transmit-power-constrained minimizer of the objective in F1.
 
@@ -164,7 +153,6 @@ def update_f1(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     sits tol/2 below the budget, so the search lands one-sided, with
     P_max - tol <= ||F1||_F^2 <= P_max. The noise penalty does not involve F1.
     """
-    cas = _cascade(est, noise, params)
     c = (cas.d[0] * cas.a[0][None, :]) @ cas.ch.h_hop[0]
     if cas.ch.has_direct:
         c = cas.f2 @ cas.ch.h_direct + c
@@ -270,17 +258,15 @@ def _quad_value(g, b, a):
     return float((a.conj() @ g @ a).real - 2.0 * (b.conj() @ a).real)
 
 
-def update_a(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
-             params: OtaParams, budget: PowerBudget, l: int) -> np.ndarray:
+def update_a(cas: Cascade, target: TargetLayer, budget: PowerBudget, l: int) -> np.ndarray:
     """One gain-vector block update (1-based hop l).
 
     Solves the normal equations of the quadratic subproblem, projects each
     entry onto its relay power cap, and falls back to the (re-projected)
     current gains if the projected candidate would worsen the subproblem.
     """
-    if not 1 <= l <= est.num_groups:
-        raise ValueError(f"hop index {l} out of range 1..{est.num_groups}")
-    cas = _cascade(est, noise, params)
+    if not 1 <= l <= cas.ch.num_groups:
+        raise ValueError(f"hop index {l} out of range 1..{cas.ch.num_groups}")
     g, b = _gain_quadratic(cas, target, l)
     cand = _solve_hermitian(g, b)
     _check_finite(cand)
@@ -311,7 +297,7 @@ def _initial_cascade(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
         return np.sqrt(budget.p_relay[l - 1] / cas.incident_powers(l)).astype(complex)
 
     cas = Cascade(est, [None] * est.num_groups, f1, noise=noise, rule=full_power)
-    return Cascade(est, cas.a, f1, update_f2(est, target, noise, cas), noise, base=cas)
+    return Cascade(est, cas.a, f1, update_f2(cas, target), noise, base=cas)
 
 
 def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
@@ -327,7 +313,7 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     """
     _check_budget(est, budget)
     cur = _initial_cascade(est, target, noise, budget)
-    obj = objective(cur, est, target, noise)
+    obj = objective(cur, target)
     if not np.isfinite(obj):
         raise SolverDivergenceError("non-finite objective at initialization")
     trace = [obj]
@@ -336,7 +322,7 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     def step(incumbent, incumbent_obj, gains, f1, f2, start):
         cand = Cascade(est, gains, f1, f2, noise, rule=_reprojection(budget, start),
                        base=incumbent)
-        cand_obj = objective(cand, est, target, noise)
+        cand_obj = objective(cand, target)
         if not np.isfinite(cand_obj):
             raise SolverDivergenceError("non-finite objective during iteration")
         if cand_obj <= incumbent_obj:
@@ -345,13 +331,13 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
 
     for _ in range(cfg.max_outer_iters):
         it_obj = obj
-        f1 = update_f1(est, target, noise, cur, budget)
+        f1 = update_f1(cur, target, budget)
         cur, it_obj = step(cur, it_obj, cur.a, f1, cur.f2, 1)
         for l in range(1, est.num_groups + 1):
             a = list(cur.a)
-            a[l - 1] = update_a(est, target, noise, cur, budget, l)
+            a[l - 1] = update_a(cur, target, budget, l)
             cur, it_obj = step(cur, it_obj, a, cur.f1, cur.f2, l + 1)
-        f2 = update_f2(est, target, noise, cur)
+        f2 = update_f2(cur, target)
         cur, it_obj = step(cur, it_obj, cur.a, cur.f1, f2, est.num_groups + 1)
 
         trace.append(it_obj)
@@ -386,10 +372,10 @@ def evaluate_true(params: OtaParams, true_ch: ChannelSet, target: TargetLayer,
     """
     if budget is not None:
         _check_budget(true_ch, budget)
-    cas = _cascade(true_ch, noise, params)
+    cas = Cascade.of(true_ch, params, noise)
     resid = cas.f2 @ cas.b - target.w
     nmse = float(np.sum(np.abs(resid) ** 2) / np.sum(np.abs(target.w) ** 2))
-    obj = objective(cas, true_ch, target, noise)
+    obj = objective(cas, target)
 
     overrun = 0.0
     if budget is not None:

@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .utils import as_rng
-
 BS_RX_HEIGHT_M = 5.0
 RELAY_HEIGHT_M = 1.5
 
@@ -50,8 +48,8 @@ class Topology:
             )
         if any(k < 1 for k in self.group_sizes):
             raise ValueError(f"every group needs >= 1 relay, got {self.group_sizes}")
-        if self.area_width <= 0 or self.area_depth <= 0:
-            raise ValueError("area dimensions must be positive")
+        if not (0 < self.area_width < np.inf and 0 < self.area_depth < np.inf):  # NaN too
+            raise ValueError("area dimensions must be positive and finite")
 
     @property
     def total_relays(self) -> int:
@@ -86,8 +84,7 @@ def generate_placement(topology: Topology, rng_seed) -> Placement:
     Group l occupies x in [l*W/L, (l+1)*W/L), y in [0, area_depth], at relay
     height. BS and Rx sit at mid-depth on the two opposite faces.
     """
-    topology.validate()
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
 
     w, d, L = topology.area_width, topology.area_depth, topology.num_groups
     bs = np.array([0.0, d / 2.0, BS_RX_HEIGHT_M])

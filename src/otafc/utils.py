@@ -1,11 +1,6 @@
-"""Shared numeric helpers: seeded RNG handling and complex Gaussian draws."""
+"""Shared numeric helpers: complex Gaussian draws and Hermitian symmetrization."""
 
 import numpy as np
-
-
-def as_rng(seed) -> np.random.Generator:
-    """Normalize an integer seed / SeedSequence / Generator into a Generator."""
-    return np.random.default_rng(seed)
 
 
 def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:

@@ -9,17 +9,17 @@ import time
 import numpy as np
 from scipy.stats import ks_2samp
 
-from otafc import (ChannelSet, Heuristic, NoiseModel, OtaParams, PilotPlan,
-                   PowerBudget, TargetLayer, allocate, config_from_dict,
-                   effective_channel, emit_csv, estimate_all, evaluate_true,
-                   inject_error, noise_covariance, objective,
-                   pilot_dictionary_size, relay_input_powers, run_trial, solve,
-                   tau_min_total, tau_minimums, update_f1, update_f2)
+from otafc import (Cascade, ChannelSet, Heuristic, NoiseModel, OtaParams,
+                   PilotPlan, PowerBudget, TargetLayer, allocate,
+                   config_from_dict, emit_csv, estimate_all, evaluate_true,
+                   inject_error, objective, pilot_dictionary_size,
+                   relay_input_powers, run_trial, solve, tau_min_total,
+                   tau_minimums, update_f1, update_f2)
 from otafc.cli import main as cli_main
 from otafc.topology import Topology
 from otafc.utils import complex_normal
 
-from test_channel import random_channel_set
+from test_channel import effective_channel, noise_covariance, random_channel_set
 from test_solver import fd_gradient
 
 
@@ -132,25 +132,24 @@ def test_c03_ao_contract():
         scale = max(1.0, res.terminal_objective)
 
         # F2 block: unconstrained minimum of the full objective
-        f2 = update_f2(ch, target, noise, params)
+        f2 = update_f2(Cascade.of(ch, params, noise), target)
         at_f2 = OtaParams(f1=params.f1, f2=f2, a=params.a)
 
         def obj_f2(m):
-            return objective(OtaParams(f1=params.f1, f2=m, a=params.a),
-                             ch, target, noise)
+            return objective(Cascade.of(ch, OtaParams(f1=params.f1, f2=m, a=params.a), noise),
+                             target)
         g2 = np.max(np.abs(fd_gradient(obj_f2, f2, h=1e-4)))
         worst_grad = max(worst_grad, g2 / scale)
 
         # F1 block: KKT stationarity of the power-constrained LS solution
-        f1 = update_f1(ch, target, noise, at_f2, budget, tol=1e-12)
+        f1 = update_f1(Cascade.of(ch, at_f2, noise), target, budget, tol=1e-12)
         c = at_f2.f2 @ effective_channel(ch, at_f2.a)
         resid = c.conj().T @ target.w - c.conj().T @ (c @ f1)
         mu = float((np.vdot(f1, resid) / np.vdot(f1, f1)).real)
         mu = max(mu, 0.0)
 
         def lagr_f1(m):
-            o = objective(OtaParams(f1=m, f2=at_f2.f2, a=at_f2.a),
-                          ch, target, noise)
+            o = objective(Cascade.of(ch, OtaParams(f1=m, f2=at_f2.f2, a=at_f2.a), noise), target)
             return o + mu * (np.linalg.norm(m) ** 2 - budget.p_max_bs)
         g1 = np.max(np.abs(fd_gradient(lagr_f1, f1, h=1e-6)))
         worst_grad = max(worst_grad, g1 / scale)

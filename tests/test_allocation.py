@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from otafc import (AllocationState, Heuristic, HopStatistics, Topology,
-                   allocate, heuristic_weights, pilot_dictionary_size,
-                   tau_min_total, tau_minimums)
+from otafc import (Heuristic, HopStatistics, Topology, allocate,
+                   heuristic_weights, pilot_dictionary_size, tau_min_total,
+                   tau_minimums)
 
 
 def _top(n_tx, group_sizes):
@@ -15,10 +15,10 @@ TOP_3HOP = _top(49, (40, 40, 40))
 TOP_1HOP = _top(49, (120,))
 
 
-def _state(tau_min, rep=None, budget=0):
+def _state(tau_min, rep=None):
+    """(rep, tau_min) arrays of one greedy step; every rep is 1 by default."""
     rep = rep if rep is not None else np.ones(len(tau_min), dtype=int)
-    return AllocationState(rep=np.asarray(rep), tau_min=np.asarray(tau_min),
-                           budget_remaining=budget)
+    return np.asarray(rep), np.asarray(tau_min)
 
 
 # ---------------------------------------------------------------- tau_min
@@ -44,20 +44,20 @@ def test_degenerate_single_antenna():
 # ---------------------------------------------------------------- weights
 
 def test_uniform_weights_equal_at_start():
-    w = heuristic_weights(Heuristic.UNIFORM, _state((49, 40, 40, 40)))
+    w = heuristic_weights(Heuristic.UNIFORM, *_state((49, 40, 40, 40)))
     assert np.allclose(w, 1.0)
-    w2 = heuristic_weights(Heuristic.UNIFORM, _state((49, 40), rep=(2, 1)))
+    w2 = heuristic_weights(Heuristic.UNIFORM, *_state((49, 40), rep=(2, 1)))
     assert w2.tolist() == [0.5, 1.0]
 
 
 def test_proportional_weights():
     w = heuristic_weights(Heuristic.PROPORTIONAL_TO_MIN,
-                          _state((49, 40, 40, 40), rep=(1, 2, 1, 1)))
+                          *_state((49, 40, 40, 40), rep=(1, 2, 1, 1)))
     assert w.tolist() == [49.0, 20.0, 40.0, 40.0]
 
 
 def test_front_loaded_weights_formula():
-    w = heuristic_weights(Heuristic.FRONT_LOADED, _state((49, 40, 40, 40)))
+    w = heuristic_weights(Heuristic.FRONT_LOADED, *_state((49, 40, 40, 40)))
     want = [1 / 49, 1 / 80, 1 / 120, 1 / 160]
     assert np.allclose(w, want, rtol=1e-12)
     assert np.argmax(w) == 0
@@ -66,14 +66,14 @@ def test_front_loaded_weights_formula():
 def test_channel_aware_weights_favor_weak_hops():
     state = _state((49, 40, 40, 40))
     beta = np.array([1e-14, 1e-11, 1e-11, 1e-11])  # hop 0 much weaker
-    w = heuristic_weights(Heuristic.CHANNEL_AWARE, state, HopStatistics(beta))
+    w = heuristic_weights(Heuristic.CHANNEL_AWARE, *state, HopStatistics(beta))
     assert np.argmax(w) == 0
     with pytest.raises(ValueError):
-        heuristic_weights(Heuristic.CHANNEL_AWARE, state, None)
+        heuristic_weights(Heuristic.CHANNEL_AWARE, *state, None)
 
 
 def test_all_first_weights_one_hot():
-    w = heuristic_weights(Heuristic.ALL_TO_FIRST_HOP, _state((49, 40, 40)))
+    w = heuristic_weights(Heuristic.ALL_TO_FIRST_HOP, *_state((49, 40, 40)))
     assert w.tolist() == [1.0, 0.0, 0.0]
 
 

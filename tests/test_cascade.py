@@ -16,14 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otafc import (NoiseModel, OtaParams, PowerBudget, SolverConfig,
-                   TargetLayer, noise_covariance, objective,
-                   relay_input_powers, solve, transfer_matrix)
-from otafc.channel import Cascade
+from otafc import (Cascade, NoiseModel, OtaParams, PowerBudget, SolverConfig,
+                   TargetLayer, objective, relay_input_powers, solve)
 from otafc.solver import _gain_quadratic, _reprojection
 from otafc.utils import complex_normal
 
-from test_channel import random_channel_set
+from test_channel import noise_covariance, random_channel_set, transfer_matrix
 
 RTOL = 1e-9
 
@@ -102,7 +100,7 @@ def test_cascade_r_matches_transfer_matrix_sum(inst):
 @given(instances())
 def test_cascade_objective_matches_reference(inst):
     ch, params, noise, target, _ = inst
-    got = objective(params, ch, target, noise)
+    got = objective(Cascade.of(ch, params, noise), target)
     want = reference_objective(ch, params, noise, target)
     assert abs(got - want) <= RTOL * want
 
@@ -182,7 +180,7 @@ def test_candidate_from_base_equals_candidate_from_scratch(level, inst, data):
     inc = Cascade(ch, params.a, params.f1, params.f2, noise)
     budget = relay_caps(inc, level, rng)
     if scored:
-        objective(inc, ch, target, noise)
+        objective(inc, target)
     for l in range(1, built + 1):
         inc.stage_noise(l)
 
@@ -198,7 +196,7 @@ def test_candidate_from_base_equals_candidate_from_scratch(level, inst, data):
     cand = Cascade(ch, gains, f1, f2, noise, rule=_reprojection(budget, start), base=inc)
     fresh = Cascade(ch, gains, f1, f2, noise, rule=_reprojection(budget, start))
     assert_same_products(cand, fresh)
-    assert objective(cand, ch, target, noise) == objective(fresh, ch, target, noise)
+    assert objective(cand, target) == objective(fresh, target)
 
     # the re-projection hands back the very array when nothing clips
     downstream = [cand.a[l] is gains[l] for l in range(start - 1, L)]

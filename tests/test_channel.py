@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from otafc import (ChannelSet, NoiseModel, PathlossParams, Topology,
-                   default_noise_model, draw_channels, effective_channel,
-                   generate_placement, hop_statistics, linear_gain,
-                   noise_covariance, noise_power_watts, pathloss_db,
-                   relay_input_power, relay_input_powers, transfer_matrix)
-from otafc.utils import complex_normal
+from otafc import (Cascade, ChannelSet, NoiseModel, PathlossParams, Topology,
+                   default_noise_model, draw_channels, generate_placement,
+                   hop_statistics, linear_gain, noise_power_watts, pathloss_db,
+                   relay_input_powers)
+from otafc.channel import check_gains
+from otafc.utils import complex_normal, hermitize
 
 PL28 = PathlossParams(carrier_ghz=28.0)
 
@@ -25,6 +25,30 @@ def random_channel_set(rng, n_tx, n_rx, group_sizes, direct=False, scale=1.0):
     h_direct = cn(rng, (n_rx, n_tx), scale) if direct \
         else np.zeros((n_rx, n_tx), dtype=complex)
     return ChannelSet(h_direct=h_direct, h_hop=tuple(hops), h_last=h_last)
+
+
+def effective_channel(ch, gains):
+    """H_direct + H_last A_L H_L ... A_1 H_1: the cascade's b for F1 = I."""
+    return Cascade(ch, gains, np.eye(ch.n_tx, dtype=complex)).b
+
+
+def noise_covariance(ch, gains, noise):
+    """Receiver noise covariance R, the cascade's last stage noise (F1 plays no part)."""
+    no_signal = np.zeros((ch.n_tx, 0), dtype=complex)
+    return hermitize(Cascade(ch, gains, no_signal, noise=noise).stage_noise(ch.num_groups + 1))
+
+
+def transfer_matrix(ch, gains, j):
+    """Naive O(L^2) oracle for the map from group j's input noise to the
+    receiver front end (1-based j): T_j = H_last A_L H_L ... H_{j+1} A_j."""
+    check_gains(ch, gains)
+    if not 1 <= j <= ch.num_groups:
+        raise ValueError(f"hop index {j} out of range 1..{ch.num_groups}")
+    m = np.diag(np.asarray(gains[j - 1], dtype=complex))
+    for l in range(j, ch.num_groups):
+        m = ch.h_hop[l] @ m
+        m = np.asarray(gains[l])[:, None] * m
+    return ch.h_last @ m
 
 
 # ---------------------------------------------------------------- pathloss
@@ -253,7 +277,7 @@ def test_relay_input_power_unit_row():
                     h_last=np.eye(2, dtype=complex))
     noise = NoiseModel(relay_noise_var=(0.25,), rx_noise_var=1.0)
     f1 = np.eye(2, dtype=complex)
-    got = relay_input_power(ch, [np.ones(2, dtype=complex)], f1, noise, 1, 1)
+    got = relay_input_powers(ch, [np.ones(2, dtype=complex)], f1, noise, 1)[0]
     assert got == pytest.approx(1.0 + 0.25, rel=1e-12)
 
 
@@ -291,8 +315,6 @@ def test_relay_input_power_index_errors():
     f1 = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
         relay_input_powers(ch, [np.ones(3)], f1, noise, 2)
-    with pytest.raises(ValueError):
-        relay_input_power(ch, [np.ones(3)], f1, noise, 1, 4)
 
 
 # ---------------------------------------------------------------- hop stats

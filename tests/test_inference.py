@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from otafc import (ChannelSet, NoiseModel, OtaParams, TargetLayer, accuracy,
                    digital_forward, imported_forward, load_pipeline,
-                   make_synthetic_task, noise_covariance, ota_forward,
-                   save_pipeline)
+                   make_synthetic_task, ota_forward, save_pipeline)
 from otafc.inference import ImportedPipeline, SyntheticTask, _conv2d
 from otafc.utils import complex_normal
 
-from test_channel import random_channel_set
+from test_channel import noise_covariance, random_channel_set
 
 TINY = 1e-30
 

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otafc import (ChannelSet, NoiseModel, OtaParams, PowerBudget,
-                   TargetLayer, effective_channel, evaluate_true,
-                   inject_error, noise_covariance, objective,
+from otafc import (Cascade, ChannelSet, NoiseModel, OtaParams, PowerBudget,
+                   TargetLayer, evaluate_true, inject_error, objective,
                    relay_input_powers, solve, update_a, update_f1, update_f2)
 from otafc.estimation import PilotPlan
 from otafc.utils import complex_normal
 
-from test_channel import random_channel_set
+from test_channel import effective_channel, noise_covariance, random_channel_set
 
 TINY_NOISE = 1e-30
 
@@ -58,7 +57,7 @@ def fd_gradient(fun, mat, h=1e-5):
 def test_objective_zero_combiner_gives_target_energy():
     rng, ch, noise, target, budget, params = random_instance(0)
     params = OtaParams(f1=params.f1, f2=np.zeros_like(params.f2), a=params.a)
-    assert objective(params, ch, target, noise) == pytest.approx(
+    assert objective(Cascade.of(ch, params, noise), target) == pytest.approx(
         np.sum(np.abs(target.w) ** 2), rel=1e-12)
 
 
@@ -71,7 +70,7 @@ def test_objective_exact_emulation_zero_noise():
     target = TargetLayer(w=w, bias=np.zeros(n))
     params = OtaParams(f1=np.eye(n, dtype=complex), f2=w.copy(),
                        a=(np.zeros(1, dtype=complex),))
-    assert objective(params, ch, target, noise) <= 1e-20
+    assert objective(Cascade.of(ch, params, noise), target) <= 1e-20
 
 
 def test_objective_scalar_chain_formula():
@@ -86,7 +85,7 @@ def test_objective_scalar_chain_formula():
                        a=(np.array([a]),))
     want = (abs(f2 * h2 * a * h1 * f1 - w) ** 2
             + abs(f2) ** 2 * (sc + abs(h2 * a) ** 2 * su))
-    assert objective(params, ch, target, noise) == pytest.approx(want, rel=1e-14)
+    assert objective(Cascade.of(ch, params, noise), target) == pytest.approx(want, rel=1e-14)
 
 
 # ---------------------------------------------------------------- update_f2
@@ -100,32 +99,32 @@ def test_update_f2_identity_case():
     target = TargetLayer(w=w, bias=np.zeros(n))
     params = OtaParams(f1=np.eye(n, dtype=complex), f2=np.zeros((n, n), dtype=complex),
                        a=(np.zeros(1, dtype=complex),))
-    f2 = update_f2(ch, target, noise, params)
+    f2 = update_f2(Cascade.of(ch, params, noise), target)
     assert np.allclose(f2, w / 2.0, rtol=1e-12)
 
 
 def test_update_f2_noiseless_limit_inverts():
     rng, ch, noise, target, budget, params = random_instance(3)
     noise = NoiseModel(relay_noise_var=(TINY_NOISE,) * 3, rx_noise_var=TINY_NOISE)
-    f2 = update_f2(ch, target, noise, params)
+    f2 = update_f2(Cascade.of(ch, params, noise), target)
     b = effective_channel(ch, params.a) @ params.f1
     assert np.allclose(f2, target.w @ np.linalg.inv(b), rtol=1e-6)
     new = OtaParams(f1=params.f1, f2=f2, a=params.a)
-    assert objective(new, ch, target, noise) <= 1e-12
+    assert objective(Cascade.of(ch, new, noise), target) <= 1e-12
 
 
 def test_update_f2_beats_random_combiners_and_is_stationary():
     rng, ch, noise, target, budget, params = random_instance(4)
-    f2 = update_f2(ch, target, noise, params)
+    f2 = update_f2(Cascade.of(ch, params, noise), target)
     best = OtaParams(f1=params.f1, f2=f2, a=params.a)
-    val = objective(best, ch, target, noise)
+    val = objective(Cascade.of(ch, best, noise), target)
     for _ in range(1000):
         alt = OtaParams(f1=params.f1, f2=f2 + cn(rng, f2.shape, 0.3), a=params.a)
-        assert objective(alt, ch, target, noise) >= val - 1e-12
+        assert objective(Cascade.of(ch, alt, noise), target) >= val - 1e-12
 
     def fun(m):
-        return objective(OtaParams(f1=params.f1, f2=m, a=params.a),
-                         ch, target, noise)
+        return objective(Cascade.of(ch, OtaParams(f1=params.f1, f2=m, a=params.a), noise),
+                         target)
     grad = fd_gradient(fun, f2)
     assert np.max(np.abs(grad)) <= 1e-8 * max(1.0, val)
 
@@ -140,7 +139,7 @@ def test_update_f1_identity_unconstrained():
     params = OtaParams(f1=np.zeros((n, n), dtype=complex),
                        f2=np.eye(n, dtype=complex), a=(np.zeros(1, dtype=complex),))
     budget = PowerBudget(p_max_bs=float(2 * n), p_relay=(np.ones(1),))
-    f1 = update_f1(ch, target, noise, params, budget)
+    f1 = update_f1(Cascade.of(ch, params, noise), target, budget)
     assert np.allclose(f1, np.eye(n), atol=1e-9)
 
 
@@ -152,7 +151,7 @@ def test_update_f1_scalar_binding_kkt():
     params = OtaParams(f1=np.zeros((1, 1), dtype=complex),
                        f2=np.eye(1, dtype=complex), a=(np.zeros(1, dtype=complex),))
     budget = PowerBudget(p_max_bs=1.0, p_relay=(np.ones(1),))
-    f1 = update_f1(ch, target, noise, params, budget, tol=1e-12)
+    f1 = update_f1(Cascade.of(ch, params, noise), target, budget, tol=1e-12)
     assert abs(f1[0, 0] - 1.0) <= 1e-6
 
 
@@ -160,24 +159,24 @@ def test_update_f1_binding_norm_and_sampling_optimality():
     rng, ch, noise, target, budget, params = random_instance(5)
     # big target forces the power constraint to bind
     target = TargetLayer(w=10.0 * target.w, bias=target.bias)
-    f1 = update_f1(ch, target, noise, params, budget, tol=1e-9)
+    f1 = update_f1(Cascade.of(ch, params, noise), target, budget, tol=1e-9)
     p = np.linalg.norm(f1) ** 2
     assert p == pytest.approx(budget.p_max_bs, abs=1e-6)
-    best = objective(OtaParams(f1=f1, f2=params.f2, a=params.a), ch, target, noise)
+    best = objective(Cascade.of(ch, OtaParams(f1=f1, f2=params.f2, a=params.a), noise), target)
     for _ in range(1000):
         alt = f1 + cn(rng, f1.shape, 0.2)
         nrm = np.linalg.norm(alt)
         if nrm ** 2 > budget.p_max_bs:
             alt = alt * np.sqrt(budget.p_max_bs) / nrm
-        val = objective(OtaParams(f1=alt, f2=params.f2, a=params.a),
-                        ch, target, noise)
+        val = objective(Cascade.of(ch, OtaParams(f1=alt, f2=params.f2, a=params.a), noise),
+                        target)
         assert val >= best - 1e-12
 
 
 def test_update_f1_kkt_stationarity_via_lagrangian():
     rng, ch, noise, target, budget, params = random_instance(6)
     target = TargetLayer(w=10.0 * target.w, bias=target.bias)
-    f1 = update_f1(ch, target, noise, params, budget, tol=1e-12)
+    f1 = update_f1(Cascade.of(ch, params, noise), target, budget, tol=1e-12)
     c = params.f2 @ effective_channel(ch, params.a)
     # recover the multiplier from the normal equations residual
     resid = c.conj().T @ target.w - c.conj().T @ (c @ f1)
@@ -185,11 +184,11 @@ def test_update_f1_kkt_stationarity_via_lagrangian():
     assert mu > 0
 
     def lagrangian(m):
-        o = objective(OtaParams(f1=m, f2=params.f2, a=params.a), ch, target, noise)
+        o = objective(Cascade.of(ch, OtaParams(f1=m, f2=params.f2, a=params.a), noise), target)
         return o + mu * (np.linalg.norm(m) ** 2 - budget.p_max_bs)
     grad = fd_gradient(lagrangian, f1)
-    scale = max(1.0, objective(OtaParams(f1=f1, f2=params.f2, a=params.a),
-                               ch, target, noise))
+    at_f1 = OtaParams(f1=f1, f2=params.f2, a=params.a)
+    scale = max(1.0, objective(Cascade.of(ch, at_f1, noise), target))
     assert np.max(np.abs(grad)) <= 1e-6 * scale
 
 
@@ -265,7 +264,8 @@ def test_update_f1_matches_bisection_oracle(seed, m, n, k, rank_cut, log_s_min,
     params = OtaParams(f1=np.zeros((n, k), dtype=complex), f2=c,
                        a=(np.zeros(1, dtype=complex),))
     budget = PowerBudget(p_max_bs=p_max, p_relay=(np.ones(1),))
-    f1 = update_f1(ch, TargetLayer(w=w, bias=np.zeros(m)), noise, params, budget, tol=tol)
+    target = TargetLayer(w=w, bias=np.zeros(m))
+    f1 = update_f1(Cascade.of(ch, params, noise), target, budget, tol=tol)
     want, binding = bisection_f1(c, w, p_max, tol)
 
     assert np.isfinite(f1).all()
@@ -294,7 +294,7 @@ def test_update_a_scalar_least_squares():
     params = OtaParams(f1=np.array([[f1]]), f2=np.array([[f2]]),
                        a=(np.zeros(1, dtype=complex),))
     budget = PowerBudget(p_max_bs=1.0, p_relay=(np.array([1e30]),))
-    got = update_a(ch, target, noise, params, budget, 1)[0]
+    got = update_a(Cascade.of(ch, params, noise), target, budget, 1)[0]
     lft, rgt = f2 * h2, h1 * f1
     want = np.conj(lft * rgt) * w / abs(lft * rgt) ** 2
     assert got == pytest.approx(want, rel=1e-10)
@@ -304,14 +304,14 @@ def test_update_a_projection_inactive_when_capped_loosely():
     rng, ch, noise, target, budget, params = random_instance(7)
     loose = PowerBudget(p_max_bs=budget.p_max_bs,
                         p_relay=tuple(np.full_like(p, 1e12) for p in budget.p_relay))
-    a2 = update_a(ch, target, noise, params, loose, 2)
+    a2 = update_a(Cascade.of(ch, params, noise), target, loose, 2)
     p_in = relay_input_powers(ch, params.a, params.f1, noise, 2)
     assert np.all(np.abs(a2) ** 2 * p_in <= 1e12)
     # with a loose cap the normal-equation solution is returned unclipped:
     # re-running with an even looser cap changes nothing
     looser = PowerBudget(p_max_bs=budget.p_max_bs,
                          p_relay=tuple(np.full_like(p, 1e15) for p in budget.p_relay))
-    a2b = update_a(ch, target, noise, params, looser, 2)
+    a2b = update_a(Cascade.of(ch, params, noise), target, looser, 2)
     assert np.allclose(a2, a2b)
 
 
@@ -321,7 +321,7 @@ def test_update_a_respects_caps():
                         p_relay=tuple(0.01 * np.abs(cn(rng, p.shape)) ** 2 + 0.005
                                       for p in budget.p_relay))
     for l in (1, 2, 3):
-        a_l = update_a(ch, target, noise, params, tight, l)
+        a_l = update_a(Cascade.of(ch, params, noise), target, tight, l)
         p_in = relay_input_powers(ch, params.a, params.f1, noise, l)
         assert np.all(np.abs(a_l) ** 2 * p_in <= tight.p_relay[l - 1] * (1 + 1e-9))
 
@@ -451,6 +451,15 @@ def test_solver_rejects_mismatched_budget():
     extra = PowerBudget.uniform((5, 4, 6, 3), 4.0, 2.0)
     with pytest.raises(ValueError, match="budget group count"):
         evaluate_true(params, ch, target, noise, extra)
+    # a design whose gains do not fit the channel set is refused, not broadcast
+    short = OtaParams(f1=params.f1, f2=params.f2, a=params.a[:-1])
+    misshapen = OtaParams(f1=params.f1, f2=params.f2, a=params.a[:-1] + (np.ones(2),))
+    for bad_design, message in ((short, "expected 3 gain vectors"),
+                                (misshapen, r"gain vector 2 must have shape \(6,\)")):
+        for call in (lambda: evaluate_true(bad_design, ch, target, noise, budget),
+                     lambda: Cascade.of(ch, bad_design, noise)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 @pytest.mark.parametrize("extra", [1, -1])

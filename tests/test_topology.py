@@ -54,6 +54,10 @@ def test_same_seed_identical_placement():
     dict(num_groups=2, group_sizes=(3,)),
     dict(num_groups=2, group_sizes=(3, 0)),
     dict(num_groups=1, group_sizes=(1,), area_width=-5.0),
+    dict(num_groups=1, group_sizes=(1,), area_width=float("nan")),
+    dict(num_groups=1, group_sizes=(1,), area_depth=float("inf")),
+    dict(num_groups=1, group_sizes=(1,), area_width=float("inf")),
+    dict(num_groups=1, group_sizes=(1,), area_depth=float("nan")),
 ])
 def test_invalid_topology_rejected(kwargs):
     base = dict(n_tx=2, n_rx=2, n_stream=2)
