@@ -10,7 +10,6 @@ vectors (a_1 ... a_L); group l applies diag(a_l) to the signal it forwards.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -243,13 +242,14 @@ class Cascade:
     N_{l+1} = s_{l+1} I + H_{l+1} A_l N_l A_l^H H_{l+1}^H, and N_{L+1} = R.
     The prefixes are walked on construction, where rule(self, l), if given,
     sets a_l (1-based) from incident_powers(l); the rest is built on first
-    use, so f2 and noise may be left out when not read.
+    use, so f2 and noise may be left out when not read. suffix(l) builds
+    d[l-1] and the suffixes downstream of it only; d builds them all.
 
     base, a Cascade on the same channels and noise model, lends the products
     that depend only on parts of the design that are the very same arrays as
     its own: u_l and its incident powers while F1 and a_1..a_{l-1} are, b
-    while F1 and every gain are, N_l while a_1..a_{l-1} are, and, once the
-    base has built d, d[l-1] while F2 and a_{l+1}..a_L are. Without a base
+    while F1 and every gain are, N_l while a_1..a_{l-1} are, and d[l-1], if
+    the base has built it, while F2 and a_{l+1}..a_L are. Without a base
     every product is built here. The lists are copied, so a cascade
     keeps no reference to its base. No array of a design or of a product is
     ever written in place, so the same array means the same values.
@@ -257,12 +257,12 @@ class Cascade:
 
     def __init__(self, ch: ChannelSet, gains, f1: np.ndarray, f2: np.ndarray = None,
                  noise: NoiseModel = None, rule=None, base: "Cascade" = None):
-        if base is not None and (base.ch is not ch or base.noise is not noise):
+        if base is not None and (base.ch is not ch or base._noise_model is not noise):
             raise ValueError("base must be a cascade on the same channels and noise model")
         if (base is None and noise is not None
                 and len(noise.relay_noise_var) != ch.num_groups):
             raise ValueError("noise model group count must match the channel set")
-        self.ch, self.f1, self.f2, self.noise = ch, f1, f2, noise
+        self.ch, self.f1, self.f2, self._noise_model = ch, f1, f2, noise
         self.a = list(gains)
         self._chain = ch.h_hop + (ch.h_last,)
         self.u, self._p_in, same = [], [], []
@@ -286,16 +286,23 @@ class Cascade:
         self._noise, self._d = [], []
         if base is not None:  # N_{l+1} reads a_1..a_l
             self._noise = base._noise[:(same + [False]).index(False) + 1]
-        if base is not None and f2 is base.f2 and "d" in base.__dict__:
+        if base is not None and f2 is base.f2:
             # d[j] reads F2 and a_{j+2}..a_L: n kept trailing gains keep the
-            # last n + 1 suffixes
+            # last n + 1 suffixes, of those the base has built
             n = (same[::-1] + [False]).index(False)
-            self._d = base.d[max(len(same) - 1 - n, 0):]
+            self._d = base._d[max(len(base._d) - 1 - n, 0):]
 
     @classmethod
     def of(cls, ch: ChannelSet, params, noise: NoiseModel) -> "Cascade":
         """The cascade of a design (f1, f2 and gains a, as in OtaParams) on ch."""
         return cls(ch, check_gains(ch, params.a), params.f1, params.f2, noise)
+
+    @property
+    def noise(self) -> NoiseModel:
+        """The noise model; ValueError when the cascade was built without one."""
+        if self._noise_model is None:
+            raise ValueError("the cascade has no noise model; pass noise= when building it")
+        return self._noise_model
 
     def incident_powers(self, l: int) -> np.ndarray:
         if self._p_in[l - 1] is None:
@@ -303,12 +310,19 @@ class Cascade:
                                  + self.noise.relay_noise_var[l - 1])
         return self._p_in[l - 1]
 
-    @cached_property
+    def suffix(self, l: int) -> np.ndarray:
+        """d[l-1], building only the suffixes from it to d[L-1]."""
+        d, L = self._d, len(self.a)
+        if not d:
+            d.append(self.f2 @ self.ch.h_last)
+        for j in range(L - len(d), l - 1, -1):  # _d holds d[L - len(_d):]
+            d.insert(0, (d[0] * self.a[j][None, :]) @ self._chain[j])
+        return d[l - 1 - L + len(d)]
+
+    @property
     def d(self) -> list:
-        d = self._d or [self.f2 @ self.ch.h_last]
-        for l in range(len(self.a) - len(d), 0, -1):
-            d.insert(0, (d[0] * self.a[l][None, :]) @ self._chain[l])
-        return d
+        self.suffix(1)
+        return self._d
 
     def stage_noise(self, l: int) -> np.ndarray:
         variances = self.noise.relay_noise_var + (self.noise.rx_noise_var,)

@@ -18,6 +18,11 @@ from .channel import Cascade, ChannelSet, NoiseModel
 from .utils import hermitize
 
 
+# A gain within 8 ulps of its cap sits at the cap: one rounding of the
+# clip a * limit / |a| can leave |a| an ulp or two above the limit.
+_CLIP_SLACK = 1.0 + 8.0 * np.finfo(float).eps
+
+
 class SolverDivergenceError(RuntimeError):
     """Raised when an update produces non-finite values."""
 
@@ -190,7 +195,7 @@ def update_f1(cas: Cascade, target: TargetLayer, budget: PowerBudget,
     while p > p_max:  # defensive: expand on rounding pathologies
         hi *= 2.0
         if not np.isfinite(hi):
-            raise SolverDivergenceError("precoder bisection bracket diverged")
+            raise SolverDivergenceError("precoder multiplier bracket diverged")
         p, step = power(hi)
     mu, p_hi = hi, p
     for _ in range(300):
@@ -215,10 +220,14 @@ def _check_finite(arr):
 
 
 def _project_gains(a: np.ndarray, p_in: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """Entrywise projection onto |a_k|^2 p_in_k <= cap_k; a itself if none clips."""
+    """Entrywise projection onto |a_k|^2 p_in_k <= cap_k; a itself if none clips.
+
+    An entry within _CLIP_SLACK of its limit counts as on it, so projecting
+    a projected vector hands back that very array.
+    """
     mag = np.abs(a)
     limit = np.sqrt(cap / p_in)
-    clipped = mag > limit
+    clipped = mag > limit * _CLIP_SLACK
     if not clipped.any():
         return a
     return a * np.where(clipped, limit / np.where(mag > 0, mag, 1.0), 1.0)
@@ -244,7 +253,7 @@ def _gain_quadratic(cas: Cascade, target: TargetLayer, l: int):
     upstream part summing to N_l. Hadamard identities turn all of it into
     a K_l x K_l normal system.
     """
-    lft, rgt = cas.d[l - 1], cas.u[l - 1]
+    lft, rgt = cas.suffix(l), cas.u[l - 1]
     quad = cas.stage_noise(l) + rgt @ rgt.conj().T
     g = hermitize((lft.conj().T @ lft) * quad.T)
     resid_const = target.w
@@ -258,12 +267,15 @@ def _quad_value(g, b, a):
     return float((a.conj() @ g @ a).real - 2.0 * (b.conj() @ a).real)
 
 
-def update_a(cas: Cascade, target: TargetLayer, budget: PowerBudget, l: int) -> np.ndarray:
-    """One gain-vector block update (1-based hop l).
+def update_a(cas: Cascade, target: TargetLayer, budget: PowerBudget, l: int) -> tuple:
+    """One gain-vector block update (1-based hop l): (gains, change).
 
     Solves the normal equations of the quadratic subproblem, projects each
     entry onto its relay power cap, and falls back to the (re-projected)
-    current gains if the projected candidate would worsen the subproblem.
+    current gains if the projected candidate would worsen the subproblem;
+    those are cas.a[l-1] itself when it fits its cap. change is
+    q(gains) - q(cas.a[l-1]) for the subproblem q, the exact change of the
+    objective when a_l alone moves to gains.
     """
     if not 1 <= l <= cas.ch.num_groups:
         raise ValueError(f"hop index {l} out of range 1..{cas.ch.num_groups}")
@@ -275,9 +287,11 @@ def update_a(cas: Cascade, target: TargetLayer, budget: PowerBudget, l: int) -> 
     cap = budget.p_relay[l - 1]
     cand = _project_gains(cand, p_in, cap)
     incumbent = _project_gains(cas.a[l - 1], p_in, cap)
-    if _quad_value(g, b, cand) <= _quad_value(g, b, incumbent):
-        return cand
-    return incumbent
+    q_cand, q_inc = _quad_value(g, b, cand), _quad_value(g, b, incumbent)
+    q_cur = q_inc if incumbent is cas.a[l - 1] else _quad_value(g, b, cas.a[l - 1])
+    if q_cand <= q_inc:
+        return cand, q_cand - q_cur
+    return incumbent, q_inc - q_cur
 
 
 def _check_budget(ch: ChannelSet, budget: PowerBudget) -> None:
@@ -310,6 +324,11 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     full objective does not increase; rejected moves leave the iterate
     untouched. Every iterate therefore satisfies all power constraints and
     the recorded per-iteration trace is non-increasing by construction.
+
+    A gain move that keeps the incumbent's own gain array is skipped. When
+    its re-projection keeps every downstream gain array too, only a_l has
+    moved, so the candidate is scored from update_a's change of the gain
+    quadratic, exact in a_l, rather than by a full objective.
     """
     _check_budget(est, budget)
     cur = _initial_cascade(est, target, noise, budget)
@@ -319,10 +338,14 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     trace = [obj]
     status = "max_iters"
 
-    def step(incumbent, incumbent_obj, gains, f1, f2, start):
+    def step(incumbent, incumbent_obj, gains, f1, f2, start, change=None):
         cand = Cascade(est, gains, f1, f2, noise, rule=_reprojection(budget, start),
                        base=incumbent)
-        cand_obj = objective(cand, target)
+        if change is not None and all(
+                x is y for x, y in zip(cand.a[start - 1:], incumbent.a[start - 1:])):
+            cand_obj = incumbent_obj + change
+        else:
+            cand_obj = objective(cand, target)
         if not np.isfinite(cand_obj):
             raise SolverDivergenceError("non-finite objective during iteration")
         if cand_obj <= incumbent_obj:
@@ -334,9 +357,12 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
         f1 = update_f1(cur, target, budget)
         cur, it_obj = step(cur, it_obj, cur.a, f1, cur.f2, 1)
         for l in range(1, est.num_groups + 1):
+            a_l, change = update_a(cur, target, budget, l)
+            if a_l is cur.a[l - 1]:
+                continue
             a = list(cur.a)
-            a[l - 1] = update_a(cur, target, budget, l)
-            cur, it_obj = step(cur, it_obj, a, cur.f1, cur.f2, l + 1)
+            a[l - 1] = a_l
+            cur, it_obj = step(cur, it_obj, a, cur.f1, cur.f2, l + 1, change)
         f2 = update_f2(cur, target)
         cur, it_obj = step(cur, it_obj, cur.a, cur.f1, f2, est.num_groups + 1)
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otafc import (Cascade, NoiseModel, OtaParams, PowerBudget, SolverConfig,
-                   TargetLayer, objective, relay_input_powers, solve)
+                   TargetLayer, objective, relay_input_powers, solve, update_a)
 from otafc.solver import _gain_quadratic, _reprojection
 from otafc.utils import complex_normal
 
@@ -214,6 +214,27 @@ def test_candidate_from_base_equals_candidate_from_scratch(level, inst, data):
     del inc
     gc.collect()
     assert ref() is None
+
+
+@SETTINGS
+@given(instances())
+def test_gain_move_scored_from_its_quadratic(inst):
+    # a gain move whose re-projection keeps every downstream gain changes
+    # a_l alone, so update_a's change of the quadratic is the change of the
+    # objective. The rounding scales with the incumbent's objective, which
+    # on a random incumbent can sit far above the candidate's.
+    ch, params, noise, target, rng = inst
+    inc = Cascade(ch, params.a, params.f1, params.f2, noise)
+    budget = relay_caps(inc, "none", rng)
+    for l in range(1, ch.num_groups + 1):
+        a_l, change = update_a(inc, target, budget, l)
+        gains = list(inc.a)
+        gains[l - 1] = a_l
+        cand = Cascade(ch, gains, inc.f1, inc.f2, noise,
+                       rule=_reprojection(budget, l + 1), base=inc)
+        assert all(x is y for x, y in zip(cand.a[l:], inc.a[l:]))
+        before = objective(inc, target)
+        assert abs(before + change - objective(cand, target)) <= 1e-12 * before
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,6 +7,7 @@ from otafc import (Cascade, ChannelSet, NoiseModel, OtaParams, PowerBudget,
                    TargetLayer, evaluate_true, inject_error, objective,
                    relay_input_powers, solve, update_a, update_f1, update_f2)
 from otafc.estimation import PilotPlan
+from otafc.solver import _project_gains
 from otafc.utils import complex_normal
 
 from test_channel import effective_channel, noise_covariance, random_channel_set
@@ -294,7 +295,7 @@ def test_update_a_scalar_least_squares():
     params = OtaParams(f1=np.array([[f1]]), f2=np.array([[f2]]),
                        a=(np.zeros(1, dtype=complex),))
     budget = PowerBudget(p_max_bs=1.0, p_relay=(np.array([1e30]),))
-    got = update_a(Cascade.of(ch, params, noise), target, budget, 1)[0]
+    got = update_a(Cascade.of(ch, params, noise), target, budget, 1)[0][0]
     lft, rgt = f2 * h2, h1 * f1
     want = np.conj(lft * rgt) * w / abs(lft * rgt) ** 2
     assert got == pytest.approx(want, rel=1e-10)
@@ -304,15 +305,30 @@ def test_update_a_projection_inactive_when_capped_loosely():
     rng, ch, noise, target, budget, params = random_instance(7)
     loose = PowerBudget(p_max_bs=budget.p_max_bs,
                         p_relay=tuple(np.full_like(p, 1e12) for p in budget.p_relay))
-    a2 = update_a(Cascade.of(ch, params, noise), target, loose, 2)
+    a2 = update_a(Cascade.of(ch, params, noise), target, loose, 2)[0]
     p_in = relay_input_powers(ch, params.a, params.f1, noise, 2)
     assert np.all(np.abs(a2) ** 2 * p_in <= 1e12)
     # with a loose cap the normal-equation solution is returned unclipped:
     # re-running with an even looser cap changes nothing
     looser = PowerBudget(p_max_bs=budget.p_max_bs,
                          p_relay=tuple(np.full_like(p, 1e15) for p in budget.p_relay))
-    a2b = update_a(Cascade.of(ch, params, noise), target, looser, 2)
+    a2b = update_a(Cascade.of(ch, params, noise), target, looser, 2)[0]
     assert np.allclose(a2, a2b)
+
+
+def test_projection_is_idempotent_and_meets_caps():
+    # a projected vector sits on or inside every cap, so projecting it again
+    # hands back that very array; rounding may leave a clipped gain's power
+    # a few ulps above its cap, never more
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        k = int(rng.integers(1, 60))
+        a = cn(rng, (k,), 10.0 ** rng.uniform(-6.0, 14.0))
+        p_in = 10.0 ** rng.uniform(-14.0, 2.0, k)
+        cap = 10.0 ** rng.uniform(-3.0, 1.0, k)
+        once = _project_gains(a, p_in, cap)
+        assert _project_gains(once, p_in, cap) is once
+        assert np.all(np.abs(once) ** 2 * p_in <= cap * (1 + 1e-14))
 
 
 def test_update_a_respects_caps():
@@ -321,9 +337,19 @@ def test_update_a_respects_caps():
                         p_relay=tuple(0.01 * np.abs(cn(rng, p.shape)) ** 2 + 0.005
                                       for p in budget.p_relay))
     for l in (1, 2, 3):
-        a_l = update_a(Cascade.of(ch, params, noise), target, tight, l)
+        a_l = update_a(Cascade.of(ch, params, noise), target, tight, l)[0]
         p_in = relay_input_powers(ch, params.a, params.f1, noise, l)
         assert np.all(np.abs(a_l) ** 2 * p_in <= tight.p_relay[l - 1] * (1 + 1e-9))
+
+
+def test_cascade_without_noise_model_refuses_scoring():
+    rng, ch, noise, target, budget, params = random_instance(13)
+    cas = Cascade(ch, params.a, params.f1, params.f2)
+    assert np.isfinite(cas.b).all()  # the noise-free products still build
+    for call in (lambda: objective(cas, target), lambda: update_f2(cas, target),
+                 lambda: update_a(cas, target, budget, 1), lambda: cas.incident_powers(1)):
+        with pytest.raises(ValueError, match="no noise model"):
+            call()
 
 
 # ---------------------------------------------------------------- solve
