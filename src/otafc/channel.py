@@ -123,19 +123,18 @@ class ChannelSet:
     (N_r x K_L); h_direct is the N_r x N_t direct link (all zeros when the
     link is blocked). has_direct is False when h_direct is exactly zero, so
     products with it, all exact zeros, can be skipped without changing a bit.
+    chain is h_hop followed by h_last, so chain[l] maps group l to the next
+    stage.
     """
 
     h_direct: np.ndarray
     h_hop: tuple
     h_last: np.ndarray
     has_direct: bool = field(init=False, repr=False, compare=False)
+    chain: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h_hop", tuple(self.h_hop))
-        self.validate()
-        object.__setattr__(self, "has_direct", bool(np.any(self.h_direct)))
-
-    def validate(self):
         if not self.h_hop:
             raise ValueError("need at least one hop matrix")
         for l in range(len(self.h_hop) - 1):
@@ -148,6 +147,8 @@ class ChannelSet:
             raise ValueError("last-hop column count must match final group size")
         if self.h_direct.shape != (self.h_last.shape[0], self.h_hop[0].shape[1]):
             raise ValueError("direct-link matrix must be N_r x N_t")
+        object.__setattr__(self, "has_direct", bool(np.any(self.h_direct)))
+        object.__setattr__(self, "chain", self.h_hop + (self.h_last,))
 
     @property
     def num_groups(self) -> int:
@@ -233,6 +234,24 @@ def check_gains(ch: ChannelSet, gains) -> tuple:
     return tuple(np.asarray(a) for a in gains)
 
 
+# A gain within 8 ulps of its limit sits at the limit: one rounding of the
+# clip a * limit / |a| can leave |a| an ulp or two above the limit.
+_CLIP_SLACK = 1.0 + 8.0 * np.finfo(float).eps
+
+
+def project_gains(a: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Entrywise projection onto |a_k| <= limit_k; a itself if none clips.
+
+    An entry within _CLIP_SLACK of its limit counts as on it, so projecting
+    a projected vector hands back that very array.
+    """
+    mag = np.abs(a)
+    clipped = mag > limit * _CLIP_SLACK
+    if not clipped.any():
+        return a
+    return a * np.where(clipped, limit / np.where(mag > 0, mag, 1.0), 1.0)
+
+
 class Cascade:
     """The products of one design (gains a, F1, F2), each from O(L) matmuls.
 
@@ -240,6 +259,9 @@ class Cascade:
     d[l-1] = F2 H_last A_L ... H_{l+1}, so F2 T_l = d[l-1] diag(a_l).
     stage_noise(l) is the noise covariance entering group l: N_1 = s_1 I,
     N_{l+1} = s_{l+1} I + H_{l+1} A_l N_l A_l^H H_{l+1}^H, and N_{L+1} = R.
+    f2_direct is F2 H_direct, and direct_residual(W) is W - F2 H_direct F1.
+    limit(l, cap) = sqrt(cap / incident_powers(l)) is the largest |a_l| the
+    relay caps cap allow, and project(l, a, cap) clips a to it.
     The prefixes are walked on construction, where rule(self, l), if given,
     sets a_l (1-based) from incident_powers(l); the rest is built on first
     use, so f2 and noise may be left out when not read. suffix(l) builds
@@ -247,10 +269,11 @@ class Cascade:
 
     base, a Cascade on the same channels and noise model, lends the products
     that depend only on parts of the design that are the very same arrays as
-    its own: u_l and its incident powers while F1 and a_1..a_{l-1} are, b
-    while F1 and every gain are, N_l while a_1..a_{l-1} are, and d[l-1], if
-    the base has built it, while F2 and a_{l+1}..a_L are. Without a base
-    every product is built here. The lists are copied, so a cascade
+    its own: u_l, its incident powers, limits and projections while F1 and
+    a_1..a_{l-1} are, b while F1 and every gain are, N_l while a_1..a_{l-1}
+    are, F2 H_direct while F2 is, the direct residual while F1 and F2 are,
+    and d[l-1] while F2 and a_{l+1}..a_L are. A product the base has not
+    built yet is built here on first use. The lists are copied, so a cascade
     keeps no reference to its base. No array of a design or of a product is
     ever written in place, so the same array means the same values.
     """
@@ -264,8 +287,7 @@ class Cascade:
             raise ValueError("noise model group count must match the channel set")
         self.ch, self.f1, self.f2, self._noise_model = ch, f1, f2, noise
         self.a = list(gains)
-        self._chain = ch.h_hop + (ch.h_last,)
-        self.u, self._p_in, same = [], [], []
+        self.u, self._p_in, self._limits, same = [], [], [], []
         shared = base is not None and f1 is base.f1  # u_{l+1} is base's
         m = None if shared else ch.h_hop[0] @ f1
         for l in range(len(self.a)):
@@ -273,17 +295,19 @@ class Cascade:
                 m = base.u[l]
             self.u.append(m)
             self._p_in.append(base._p_in[l] if shared else None)
+            self._limits.append(base._limits[l] if shared else None)
             if rule is not None:
                 self.a[l] = rule(self, l + 1)
             same.append(base is not None and self.a[l] is base.a[l])
             shared = shared and same[-1]
             if not shared:
-                m = self._chain[l + 1] @ (self.a[l][:, None] * m)
+                m = ch.chain[l + 1] @ (self.a[l][:, None] * m)
         if shared:
             self.b = base.b
         else:
             self.b = ch.h_direct @ f1 + m if ch.has_direct else m
         self._noise, self._d = [], []
+        self._f2_direct = self._residual = None
         if base is not None:  # N_{l+1} reads a_1..a_l
             self._noise = base._noise[:(same + [False]).index(False) + 1]
         if base is not None and f2 is base.f2:
@@ -291,6 +315,9 @@ class Cascade:
             # last n + 1 suffixes, of those the base has built
             n = (same[::-1] + [False]).index(False)
             self._d = base._d[max(len(base._d) - 1 - n, 0):]
+            self._f2_direct = base._f2_direct
+            if f1 is base.f1:
+                self._residual = base._residual
 
     @classmethod
     def of(cls, ch: ChannelSet, params, noise: NoiseModel) -> "Cascade":
@@ -310,13 +337,58 @@ class Cascade:
                                  + self.noise.relay_noise_var[l - 1])
         return self._p_in[l - 1]
 
+    def limit(self, l: int, cap: np.ndarray) -> np.ndarray:
+        """sqrt(cap / incident_powers(l)): the largest |a_k| of group l under
+        its relay caps, built once for the cap array given."""
+        return self._held(l, cap)[1]
+
+    def project(self, l: int, a: np.ndarray, cap: np.ndarray) -> np.ndarray:
+        """project_gains(a, limit(l, cap)): a gain vector for group l that
+        meets its relay caps at these incident powers.
+
+        The cascade remembers the last array it handed back, and its own
+        a_l if it handed that back before, so projecting either again
+        returns it without a second look.
+        """
+        cap, limit, last, own = self._held(l, cap)
+        if a is last or a is own:
+            return a
+        out = project_gains(a, limit)
+        a_l = self.a[l - 1]
+        self._limits[l - 1] = (cap, limit, out, a_l if a_l is last or a_l is own else None)
+        return out
+
+    def _held(self, l, cap):
+        # (cap, limit, last, own) of group l, as project describes them
+        held = self._limits[l - 1]
+        if held is None or held[0] is not cap:
+            held = self._limits[l - 1] = (cap, np.sqrt(cap / self.incident_powers(l)),
+                                          None, None)
+        return held
+
+    @property
+    def f2_direct(self) -> np.ndarray:
+        """F2 H_direct."""
+        if self._f2_direct is None:
+            self._f2_direct = self.f2 @ self.ch.h_direct
+        return self._f2_direct
+
+    def direct_residual(self, w: np.ndarray) -> np.ndarray:
+        """W - F2 H_direct F1, built once for the array w given; w itself
+        when the direct link is blocked."""
+        if not self.ch.has_direct:
+            return w
+        if self._residual is None or self._residual[0] is not w:
+            self._residual = (w, w - self.f2_direct @ self.f1)
+        return self._residual[1]
+
     def suffix(self, l: int) -> np.ndarray:
         """d[l-1], building only the suffixes from it to d[L-1]."""
         d, L = self._d, len(self.a)
         if not d:
             d.append(self.f2 @ self.ch.h_last)
         for j in range(L - len(d), l - 1, -1):  # _d holds d[L - len(_d):]
-            d.insert(0, (d[0] * self.a[j][None, :]) @ self._chain[j])
+            d.insert(0, (d[0] * self.a[j][None, :]) @ self.ch.chain[j])
         return d[l - 1 - L + len(d)]
 
     @property
@@ -329,9 +401,11 @@ class Cascade:
         if not self._noise:
             self._noise.append(variances[0] * np.eye(self.ch.group_sizes[0], dtype=complex))
         for j in range(len(self._noise), l):  # only the hops upstream of group l
-            h, a = self._chain[j], self.a[j - 1]
+            h, a = self.ch.chain[j], self.a[j - 1]
             x = (a[:, None] * self._noise[-1]) * a.conj()[None, :]
-            self._noise.append(h @ x @ h.conj().T + variances[j] * np.eye(h.shape[0]))
+            n = h @ x @ h.conj().T  # a new C-ordered array, so reshape is a view
+            n.reshape(-1)[::n.shape[0] + 1] += variances[j]  # the noise floor
+            self._noise.append(n)
         return self._noise[l - 1]
 
 

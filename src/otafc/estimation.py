@@ -86,7 +86,9 @@ def estimate_hop(h_true: np.ndarray, plan: PilotPlan, hop: int,
     Transmitters are the columns of h_true. The received block is
     Y = sqrt(p_p) H Phi^T + N with i.i.d. CN(0, noise_var) noise, and the
     estimate is Y Phi^* / (sqrt(p_p) tau), which equals H plus an i.i.d.
-    CN(0, noise_var / (p_p tau)) error.
+    CN(0, noise_var / (p_p tau)) error. At infinite pilot power (perfect
+    training) the error vanishes: the estimate is H itself, and no noise is
+    drawn.
     """
     if not 0 <= hop < plan.num_phases:
         raise ValueError(f"phase index {hop} out of range")
@@ -96,6 +98,8 @@ def estimate_hop(h_true: np.ndarray, plan: PilotPlan, hop: int,
         raise ValueError(
             f"phase {hop}: pilot length {tau} shorter than {n_tx} transmitters"
         )
+    if plan.pilot_power == np.inf:
+        return h_true.copy()
     rng = np.random.default_rng(rng_seed)
     phi = make_pilots(tau, n_tx)
     y = np.sqrt(plan.pilot_power) * (h_true @ phi.T)

@@ -18,11 +18,6 @@ from .channel import Cascade, ChannelSet, NoiseModel
 from .utils import hermitize
 
 
-# A gain within 8 ulps of its cap sits at the cap: one rounding of the
-# clip a * limit / |a| can leave |a| an ulp or two above the limit.
-_CLIP_SLACK = 1.0 + 8.0 * np.finfo(float).eps
-
-
 class SolverDivergenceError(RuntimeError):
     """Raised when an update produces non-finite values."""
 
@@ -123,7 +118,10 @@ def objective(cas: Cascade, target: TargetLayer) -> float:
 
 
 def _solve_hermitian(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve g x = rhs for Hermitian g, with a trace-scaled ridge fallback."""
+    """Solve g x = rhs for Hermitian g, with a trace-scaled ridge fallback.
+
+    SolverDivergenceError when the fallback is not finite either.
+    """
     try:
         x = np.linalg.solve(g, rhs)
         if np.isfinite(x).all():
@@ -133,7 +131,9 @@ def _solve_hermitian(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     eps = 1e-12 * np.trace(g).real
     if eps <= 0:
         eps = 1e-30
-    return np.linalg.solve(g + eps * np.eye(g.shape[0]), rhs)
+    x = np.linalg.solve(g + eps * np.eye(g.shape[0]), rhs)
+    _check_finite(x)
+    return x
 
 
 def update_f2(cas: Cascade, target: TargetLayer) -> np.ndarray:
@@ -160,7 +160,7 @@ def update_f1(cas: Cascade, target: TargetLayer, budget: PowerBudget,
     """
     c = (cas.d[0] * cas.a[0][None, :]) @ cas.ch.h_hop[0]
     if cas.ch.has_direct:
-        c = cas.f2 @ cas.ch.h_direct + c
+        c = cas.f2_direct + c
     cc = hermitize(c.conj().T @ c)
     lam, u = np.linalg.eigh(cc)
     lam = np.maximum(lam, 0.0)
@@ -219,20 +219,6 @@ def _check_finite(arr):
         raise SolverDivergenceError("update produced non-finite values")
 
 
-def _project_gains(a: np.ndarray, p_in: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """Entrywise projection onto |a_k|^2 p_in_k <= cap_k; a itself if none clips.
-
-    An entry within _CLIP_SLACK of its limit counts as on it, so projecting
-    a projected vector hands back that very array.
-    """
-    mag = np.abs(a)
-    limit = np.sqrt(cap / p_in)
-    clipped = mag > limit * _CLIP_SLACK
-    if not clipped.any():
-        return a
-    return a * np.where(clipped, limit / np.where(mag > 0, mag, 1.0), 1.0)
-
-
 def _reprojection(budget: PowerBudget, start: int):
     """The Cascade rule of a candidate move: the gains of hops >= start are
     re-projected in walk order, so each hop sees the already-clipped
@@ -241,7 +227,7 @@ def _reprojection(budget: PowerBudget, start: int):
     def project(cas, l):
         if l < start:
             return cas.a[l - 1]
-        return _project_gains(cas.a[l - 1], cas.incident_powers(l), budget.p_relay[l - 1])
+        return cas.project(l, cas.a[l - 1], budget.p_relay[l - 1])
     return project
 
 
@@ -254,12 +240,10 @@ def _gain_quadratic(cas: Cascade, target: TargetLayer, l: int):
     a K_l x K_l normal system.
     """
     lft, rgt = cas.suffix(l), cas.u[l - 1]
-    quad = cas.stage_noise(l) + rgt @ rgt.conj().T
-    g = hermitize((lft.conj().T @ lft) * quad.T)
-    resid_const = target.w
-    if cas.ch.has_direct:
-        resid_const = target.w - cas.f2 @ cas.ch.h_direct @ cas.f1
-    b = ((lft.conj().T @ resid_const) * rgt.conj()).sum(axis=1)
+    lft_h, rgt_c = lft.conj().T, rgt.conj()
+    quad = cas.stage_noise(l) + rgt @ rgt_c.T
+    g = hermitize((lft_h @ lft) * quad.T)
+    b = ((lft_h @ cas.direct_residual(target.w)) * rgt_c).sum(axis=1)
     return g, b
 
 
@@ -273,20 +257,17 @@ def update_a(cas: Cascade, target: TargetLayer, budget: PowerBudget, l: int) -> 
     Solves the normal equations of the quadratic subproblem, projects each
     entry onto its relay power cap, and falls back to the (re-projected)
     current gains if the projected candidate would worsen the subproblem;
-    those are cas.a[l-1] itself when it fits its cap. change is
+    those are cas.a[l-1] itself when it fits its cap, and cas knows that
+    without a second look when it handed cas.a[l-1] back before. change is
     q(gains) - q(cas.a[l-1]) for the subproblem q, the exact change of the
     objective when a_l alone moves to gains.
     """
     if not 1 <= l <= cas.ch.num_groups:
         raise ValueError(f"hop index {l} out of range 1..{cas.ch.num_groups}")
     g, b = _gain_quadratic(cas, target, l)
-    cand = _solve_hermitian(g, b)
-    _check_finite(cand)
-
-    p_in = cas.incident_powers(l)
     cap = budget.p_relay[l - 1]
-    cand = _project_gains(cand, p_in, cap)
-    incumbent = _project_gains(cas.a[l - 1], p_in, cap)
+    incumbent = cas.project(l, cas.a[l - 1], cap)
+    cand = cas.project(l, _solve_hermitian(g, b), cap)
     q_cand, q_inc = _quad_value(g, b, cand), _quad_value(g, b, incumbent)
     q_cur = q_inc if incumbent is cas.a[l - 1] else _quad_value(g, b, cas.a[l - 1])
     if q_cand <= q_inc:
@@ -308,7 +289,8 @@ def _initial_cascade(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     f1 = np.sqrt(budget.p_max_bs / n_tx) * np.eye(n_tx, n_in, dtype=complex)
 
     def full_power(cas, l):
-        return np.sqrt(budget.p_relay[l - 1] / cas.incident_powers(l)).astype(complex)
+        cap = budget.p_relay[l - 1]
+        return cas.project(l, cas.limit(l, cap).astype(complex), cap)
 
     cas = Cascade(est, [None] * est.num_groups, f1, noise=noise, rule=full_power)
     return Cascade(est, cas.a, f1, update_f2(cas, target), noise, base=cas)

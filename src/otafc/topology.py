@@ -35,9 +35,6 @@ class Topology:
 
     def __post_init__(self):
         object.__setattr__(self, "group_sizes", tuple(int(k) for k in self.group_sizes))
-        self.validate()
-
-    def validate(self):
         if min(self.n_tx, self.n_rx, self.n_stream) < 1:
             raise ValueError("antenna and stream counts must be >= 1")
         if self.num_groups < 1:
@@ -86,14 +83,13 @@ def generate_placement(topology: Topology, rng_seed) -> Placement:
     """
     rng = np.random.default_rng(rng_seed)
 
-    w, d, L = topology.area_width, topology.area_depth, topology.num_groups
+    w, d = topology.area_width, topology.area_depth
     bs = np.array([0.0, d / 2.0, BS_RX_HEIGHT_M])
     rx = np.array([w, d / 2.0, BS_RX_HEIGHT_M])
 
     groups = []
-    slab = w / L
     for l, k in enumerate(topology.group_sizes):
-        xs = rng.uniform(l * slab, (l + 1) * slab, size=k)
+        xs = rng.uniform(*region_bounds(topology, l), size=k)
         ys = rng.uniform(0.0, d, size=k)
         zs = np.full(k, RELAY_HEIGHT_M)
         groups.append(np.column_stack([xs, ys, zs]))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from otafc import (Cascade, NoiseModel, OtaParams, PowerBudget, SolverConfig,
                    TargetLayer, objective, relay_input_powers, solve, update_a)
+from otafc.channel import project_gains
 from otafc.solver import _gain_quadratic, _reprojection
 from otafc.utils import complex_normal
 
@@ -153,7 +154,7 @@ def relay_caps(cas, level, rng):
     return PowerBudget(p_max_bs=1.0, p_relay=tuple(caps))
 
 
-def assert_same_products(got, want):
+def assert_same_products(got, want, target, budget):
     L = len(want.a)
     assert all(np.array_equal(x, y) for x, y in zip(got.a, want.a))
     assert all(np.array_equal(x, y) for x, y in zip(got.u, want.u))
@@ -161,8 +162,17 @@ def assert_same_products(got, want):
     assert all(np.array_equal(x, y) for x, y in zip(got.d, want.d))
     for l in range(1, L + 2):
         assert np.array_equal(got.stage_noise(l), want.stage_noise(l))
-    for l in range(1, L + 1):
+    assert np.array_equal(got.f2_direct, want.f2_direct)
+    assert np.array_equal(got.direct_residual(target.w), want.direct_residual(target.w))
+    for l, cap in enumerate(budget.p_relay, start=1):
         assert np.array_equal(got.incident_powers(l), want.incident_powers(l))
+        assert np.array_equal(got.limit(l, cap), want.limit(l, cap))
+        # a gain array the cascade knows to fit, it hands back unlooked at:
+        # a projection from scratch must hand back that array too
+        a = got.a[l - 1]
+        fresh = project_gains(a, want.limit(l, cap))
+        projected = got.project(l, a, cap)
+        assert np.array_equal(projected, fresh) and (projected is a) == (fresh is a)
 
 
 @pytest.mark.parametrize("level", ["none", "some", "all"])
@@ -172,10 +182,14 @@ def test_candidate_from_base_equals_candidate_from_scratch(level, inst, data):
     ch, params, noise, target, rng = inst
     L = ch.num_groups
     move = data.draw(st.sampled_from(["f1", "f2"] + [f"a{l}" for l in range(1, L + 1)]))
-    # the products the incumbent holds before the move: scored or not, and
-    # its first `built` stage noises
+    # the products the incumbent holds before the move: scored or not, its
+    # first `built` stage noises, and the gain updates of its first
+    # `updated` groups (limits, projections, the direct residual)
     scored = data.draw(st.booleans())
     built = data.draw(st.integers(0, L + 1))
+    updated = data.draw(st.integers(0, L))
+    # a gain move to update_a's gains, as in solve, or to a random vector
+    solved = data.draw(st.booleans())
 
     inc = Cascade(ch, params.a, params.f1, params.f2, noise)
     budget = relay_caps(inc, level, rng)
@@ -183,6 +197,8 @@ def test_candidate_from_base_equals_candidate_from_scratch(level, inst, data):
         objective(inc, target)
     for l in range(1, built + 1):
         inc.stage_noise(l)
+    for l in range(1, updated + 1):
+        update_a(inc, target, budget, l)
 
     gains, f1, f2 = list(inc.a), inc.f1, inc.f2
     if move == "f1":
@@ -191,11 +207,14 @@ def test_candidate_from_base_equals_candidate_from_scratch(level, inst, data):
         f2, start = complex_normal(rng, params.f2.shape), L + 1
     else:
         l = int(move[1:])
-        gains[l - 1] = complex_normal(rng, gains[l - 1].shape) * np.abs(gains[l - 1])
+        if solved:
+            gains[l - 1] = update_a(inc, target, budget, l)[0]
+        else:
+            gains[l - 1] = complex_normal(rng, gains[l - 1].shape) * np.abs(gains[l - 1])
         start = l + 1
     cand = Cascade(ch, gains, f1, f2, noise, rule=_reprojection(budget, start), base=inc)
     fresh = Cascade(ch, gains, f1, f2, noise, rule=_reprojection(budget, start))
-    assert_same_products(cand, fresh)
+    assert_same_products(cand, fresh, target, budget)
     assert objective(cand, target) == objective(fresh, target)
 
     # the re-projection hands back the very array when nothing clips
@@ -204,12 +223,15 @@ def test_candidate_from_base_equals_candidate_from_scratch(level, inst, data):
         assert all(downstream)
     elif level == "all":
         assert not any(downstream)
-    if not ch.has_direct:  # the skipped direct term is an exact zero
+    if not ch.has_direct:  # the skipped direct terms are exact zeros
         assert np.array_equal(fresh.b, ch.h_direct @ f1 + fresh.b)
+        assert np.array_equal(fresh.direct_residual(target.w),
+                              target.w - fresh.f2_direct @ f1)
 
     # the incumbent's products are untouched, and the candidate keeps no
     # reference to it
-    assert_same_products(inc, Cascade(ch, params.a, params.f1, params.f2, noise))
+    assert_same_products(inc, Cascade(ch, params.a, params.f1, params.f2, noise),
+                         target, budget)
     ref = weakref.ref(inc)
     del inc
     gc.collect()

@@ -156,6 +156,24 @@ def test_inject_error_zero_variance_copies():
     assert np.array_equal(est.h_direct, ch.h_direct)
 
 
+def test_estimate_at_infinite_pilot_power_is_exact():
+    # perfect training: the LS estimate is the channel itself, as with
+    # inject_error, and the pilot exchange draws no noise
+    got = estimate_hop(np.ones((2, 2), complex), _plan((2, 2), pilot_power=np.inf), 0, 1e-3, 1)
+    assert np.array_equal(got, np.ones((2, 2)))
+    rng = np.random.default_rng(8)
+    ch = random_channel_set(rng, 3, 3, (4,), direct=True)
+    noise = NoiseModel(relay_noise_var=(0.5,), rx_noise_var=0.5)
+    plan = _plan((3, 4), pilot_power=np.inf)
+    est = estimate_all(ch, plan, noise, 3)
+    for got, want in zip([*est.h_hop, est.h_last, est.h_direct],
+                         [*ch.h_hop, ch.h_last, ch.h_direct]):
+        assert np.array_equal(got, want) and got is not want
+    state = rng.bit_generator.state
+    estimate_hop(ch.h_hop[0], plan, 0, 0.5, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_inject_error_variance_by_construction():
     rng = np.random.default_rng(9)
     ch = random_channel_set(rng, 4, 4, (6, 6))

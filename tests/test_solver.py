@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from otafc import (Cascade, ChannelSet, NoiseModel, OtaParams, PowerBudget,
                    TargetLayer, evaluate_true, inject_error, objective,
                    relay_input_powers, solve, update_a, update_f1, update_f2)
+from otafc import channel, solver
+from otafc.channel import project_gains
 from otafc.estimation import PilotPlan
-from otafc.solver import _project_gains
 from otafc.utils import complex_normal
 
 from test_channel import effective_channel, noise_covariance, random_channel_set
@@ -326,8 +327,8 @@ def test_projection_is_idempotent_and_meets_caps():
         a = cn(rng, (k,), 10.0 ** rng.uniform(-6.0, 14.0))
         p_in = 10.0 ** rng.uniform(-14.0, 2.0, k)
         cap = 10.0 ** rng.uniform(-3.0, 1.0, k)
-        once = _project_gains(a, p_in, cap)
-        assert _project_gains(once, p_in, cap) is once
+        once = project_gains(a, np.sqrt(cap / p_in))
+        assert project_gains(once, np.sqrt(cap / p_in)) is once
         assert np.all(np.abs(once) ** 2 * p_in <= cap * (1 + 1e-14))
 
 
@@ -444,6 +445,60 @@ def test_solve_with_direct_link_monotone_and_feasible():
     # the direct link gives the solver a second path: it must not hurt
     ev = evaluate_true(res.params, ch, target, noise, budget)
     assert ev.nmse < 1.0
+
+
+def counting(calls, name, fn):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+@pytest.mark.parametrize("direct", [False, True])
+def test_solve_calls_each_block_through_the_module(monkeypatch, direct):
+    # perfbench --trace 1 times the block updates by swapping these module
+    # attributes, so solve must look them up there
+    rng, ch, noise, target, budget, _ = random_instance(15, direct=direct)
+    calls = dict.fromkeys(("update_f1", "update_a", "update_f2", "objective"), 0)
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(calls, name, getattr(solver, name)))
+    res = solve(ch, target, noise, budget)
+    assert all(calls.values()), calls
+    assert calls["update_f1"] == res.iterations
+
+
+@pytest.mark.parametrize("direct", [False, True])
+def test_solve_never_reprojects_an_incumbent_it_produced(monkeypatch, direct):
+    # every gain a solve iterate holds was handed back by a projection
+    # against that iterate's incident powers, or its upstream part is
+    # unchanged since one was: update_a projects its own candidate only
+    rng, ch, noise, target, budget, _ = random_instance(16, direct=direct)
+    tight = PowerBudget(p_max_bs=budget.p_max_bs,
+                        p_relay=tuple(0.2 * p for p in budget.p_relay))
+    handed = []
+    calls = {"update_a": 0, "active": 0, "inside": 0, "clipped": 0}
+
+    def project(a, limit):
+        assert not any(a is out and limit is lim for out, lim in handed)
+        out = project_gains(a, limit)
+        handed.append((out, limit))
+        calls["inside"] += calls["active"]
+        calls["clipped"] += out is not a
+        return out
+
+    def update_a(cas, *args):
+        calls["update_a"] += 1
+        calls["active"], before = 1, calls["inside"]
+        result = real_update_a(cas, *args)
+        calls["active"] = 0
+        assert calls["inside"] == before + 1  # the candidate's projection
+        return result
+
+    real_update_a = solver.update_a
+    monkeypatch.setattr(channel, "project_gains", project)
+    monkeypatch.setattr(solver, "update_a", update_a)
+    solve(ch, target, noise, tight)
+    assert calls["update_a"] and calls["clipped"]
 
 
 def test_solve_rectangular_dimensions():
