@@ -447,21 +447,21 @@ def test_solve_with_direct_link_monotone_and_feasible():
     assert ev.nmse < 1.0
 
 
-def counting(calls, name, fn):
-    def wrapped(*args, **kwargs):
-        calls[name] += 1
-        return fn(*args, **kwargs)
-    return wrapped
-
-
 @pytest.mark.parametrize("direct", [False, True])
 def test_solve_calls_each_block_through_the_module(monkeypatch, direct):
     # perfbench --trace 1 times the block updates by swapping these module
     # attributes, so solve must look them up there
     rng, ch, noise, target, budget, _ = random_instance(15, direct=direct)
     calls = dict.fromkeys(("update_f1", "update_a", "update_f2", "objective"), 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
     for name in calls:
-        monkeypatch.setattr(solver, name, counting(calls, name, getattr(solver, name)))
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
     res = solve(ch, target, noise, budget)
     assert all(calls.values()), calls
     assert calls["update_f1"] == res.iterations
