@@ -175,12 +175,19 @@ class HopStatistics:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        if np.any(self.beta <= 0):
-            raise ValueError("average hop gains must be positive")
+        if not np.all((0 < self.beta) & (self.beta < np.inf)):  # NaN too
+            raise ValueError("average hop gains must be positive and finite")
 
 
-def _pairwise_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
+def _hop_gains(placement: Placement, params: PathlossParams) -> list:
+    """Linear large-scale gain of every link, per hop: (K_1,) from the BS,
+    (K_{l+1}, K_l) from group l to group l+1, and (K_L,) to the receiver."""
+    groups = placement.relay_positions
+    stations = ([placement.bs_position[None, :]] + list(groups)
+                + [placement.rx_position[None, :]])
+    gains = [linear_gain(np.linalg.norm(q[:, None, :] - p[None, :, :], axis=2), params)
+             for p, q in zip(stations[:-1], stations[1:])]
+    return [gains[0][:, 0]] + gains[1:-1] + [gains[-1][0, :]]
 
 
 def draw_channels(placement: Placement, params: PathlossParams, rng_seed) -> ChannelSet:
@@ -193,21 +200,10 @@ def draw_channels(placement: Placement, params: PathlossParams, rng_seed) -> Cha
     """
     rng = np.random.default_rng(rng_seed)
     top = placement.topology
-    groups = placement.relay_positions
-    L = len(groups)
-    bs = placement.bs_position[None, :]
-    rx = placement.rx_position[None, :]
-
-    hops = []
-    d_bs = _pairwise_distances(groups[0], bs)[:, 0]
-    amp = np.sqrt(linear_gain(d_bs, params))[:, None]
-    hops.append(amp * complex_normal(rng, (top.group_sizes[0], top.n_tx)))
-    for l in range(L - 1):
-        d = _pairwise_distances(groups[l + 1], groups[l])
-        hops.append(np.sqrt(linear_gain(d, params)) * complex_normal(rng, d.shape))
-    d_rx = _pairwise_distances(rx, groups[-1])[0, :]
-    amp = np.sqrt(linear_gain(d_rx, params))[None, :]
-    h_last = amp * complex_normal(rng, (top.n_rx, top.group_sizes[-1]))
+    amp = [np.sqrt(g) for g in _hop_gains(placement, params)]
+    hops = [amp[0][:, None] * complex_normal(rng, (top.group_sizes[0], top.n_tx))]
+    hops += [a * complex_normal(rng, a.shape) for a in amp[1:-1]]
+    h_last = amp[-1][None, :] * complex_normal(rng, (top.n_rx, top.group_sizes[-1]))
 
     if top.direct_link_present:
         kappa = 10.0 ** (RICEAN_KAPPA_DB / 10.0)
@@ -260,32 +256,37 @@ class Cascade:
     stage_noise(l) is the noise covariance entering group l: N_1 = s_1 I,
     N_{l+1} = s_{l+1} I + H_{l+1} A_l N_l A_l^H H_{l+1}^H, and N_{L+1} = R.
     f2_direct is F2 H_direct, and direct_residual(W) is W - F2 H_direct F1.
-    limit(l, cap) = sqrt(cap / incident_powers(l)) is the largest |a_l| the
-    relay caps cap allow, and project(l, a, cap) clips a to it.
-    The prefixes are walked on construction, where rule(self, l), if given,
-    sets a_l (1-based) from incident_powers(l); the rest is built on first
+    The prefixes are walked on construction; the rest is built on first
     use, so f2 and noise may be left out when not read. suffix(l) builds
     d[l-1] and the suffixes downstream of it only; d builds them all.
 
-    base, a Cascade on the same channels and noise model, lends the products
-    that depend only on parts of the design that are the very same arrays as
-    its own: u_l, its incident powers, limits and projections while F1 and
-    a_1..a_{l-1} are, b while F1 and every gain are, N_l while a_1..a_{l-1}
-    are, F2 H_direct while F2 is, the direct residual while F1 and F2 are,
-    and d[l-1] while F2 and a_{l+1}..a_L are. A product the base has not
-    built yet is built here on first use. The lists are copied, so a cascade
-    keeps no reference to its base. No array of a design or of a product is
-    ever written in place, so the same array means the same values.
+    With caps, the per-relay power caps of each group, the walk fits each
+    gain as it goes to a_l = project(l, a_l), the clip to limit(l) =
+    sqrt(cap_l / incident_powers(l)); a gain of None starts at limit(l).
+
+    base, a Cascade on the same channels, noise model and caps, lends the
+    products that depend only on parts of the design that are the very same
+    arrays as its own: u_l, its incident powers, limits and last projection
+    while F1 and a_1..a_{l-1} are, b while F1 and every gain are, N_l while
+    a_1..a_{l-1} are, F2 H_direct while F2 is, the direct residual while F1
+    and F2 are, and d[l-1] while F2 and a_{l+1}..a_L are. A gain that is the
+    base's own a_l on a prefix it lends was fitted by the base, so the walk
+    keeps it. A product the base has not built yet is built here on first
+    use. The lists are copied, so a cascade keeps no reference to its base.
+    No array of a design or of a product is ever written in place, so the
+    same array means the same values.
     """
 
     def __init__(self, ch: ChannelSet, gains, f1: np.ndarray, f2: np.ndarray = None,
-                 noise: NoiseModel = None, rule=None, base: "Cascade" = None):
-        if base is not None and (base.ch is not ch or base._noise_model is not noise):
-            raise ValueError("base must be a cascade on the same channels and noise model")
+                 noise: NoiseModel = None, caps=None, base: "Cascade" = None):
+        if base is not None and (base.ch is not ch or base._noise_model is not noise
+                                 or base._caps is not caps):
+            raise ValueError("base must be a cascade on the same channels, noise and caps")
         if (base is None and noise is not None
                 and len(noise.relay_noise_var) != ch.num_groups):
             raise ValueError("noise model group count must match the channel set")
         self.ch, self.f1, self.f2, self._noise_model = ch, f1, f2, noise
+        self._caps = caps
         self.a = list(gains)
         self.u, self._p_in, self._limits, same = [], [], [], []
         shared = base is not None and f1 is base.f1  # u_{l+1} is base's
@@ -296,8 +297,10 @@ class Cascade:
             self.u.append(m)
             self._p_in.append(base._p_in[l] if shared else None)
             self._limits.append(base._limits[l] if shared else None)
-            if rule is not None:
-                self.a[l] = rule(self, l + 1)
+            if caps is not None and not (shared and self.a[l] is base.a[l]):
+                a = self.a[l]
+                self.a[l] = self.project(l + 1, self.limit(l + 1).astype(complex)
+                                         if a is None else a)
             same.append(base is not None and self.a[l] is base.a[l])
             shared = shared and same[-1]
             if not shared:
@@ -337,34 +340,33 @@ class Cascade:
                                  + self.noise.relay_noise_var[l - 1])
         return self._p_in[l - 1]
 
-    def limit(self, l: int, cap: np.ndarray) -> np.ndarray:
+    def limit(self, l: int) -> np.ndarray:
         """sqrt(cap / incident_powers(l)): the largest |a_k| of group l under
-        its relay caps, built once for the cap array given."""
-        return self._held(l, cap)[1]
+        its relay caps."""
+        return self._held(l)[0]
 
-    def project(self, l: int, a: np.ndarray, cap: np.ndarray) -> np.ndarray:
-        """project_gains(a, limit(l, cap)): a gain vector for group l that
-        meets its relay caps at these incident powers.
+    def project(self, l: int, a: np.ndarray) -> np.ndarray:
+        """project_gains(a, limit(l)): a gain vector for group l that meets
+        its relay caps at these incident powers.
 
-        The cascade remembers the last array it handed back, and its own
-        a_l if it handed that back before, so projecting either again
-        returns it without a second look.
+        The cascade remembers the last array it handed back, so projecting
+        that again returns it without a second look.
         """
-        cap, limit, last, own = self._held(l, cap)
-        if a is last or a is own:
+        limit, last = self._held(l)
+        if a is last:
             return a
         out = project_gains(a, limit)
-        a_l = self.a[l - 1]
-        self._limits[l - 1] = (cap, limit, out, a_l if a_l is last or a_l is own else None)
+        self._limits[l - 1] = (limit, out)
         return out
 
-    def _held(self, l, cap):
-        # (cap, limit, last, own) of group l, as project describes them
-        held = self._limits[l - 1]
-        if held is None or held[0] is not cap:
-            held = self._limits[l - 1] = (cap, np.sqrt(cap / self.incident_powers(l)),
-                                          None, None)
-        return held
+    def _held(self, l):
+        # (limit, last) of group l, as project describes them
+        if self._caps is None:
+            raise ValueError("the cascade has no relay caps; pass caps= when building it")
+        if self._limits[l - 1] is None:
+            limit = np.sqrt(self._caps[l - 1] / self.incident_powers(l))
+            self._limits[l - 1] = (limit, None)
+        return self._limits[l - 1]
 
     @property
     def f2_direct(self) -> np.ndarray:
@@ -425,14 +427,7 @@ def relay_input_powers(ch: ChannelSet, gains, f1: np.ndarray,
 
 def hop_statistics(placement: Placement, params: PathlossParams) -> HopStatistics:
     """Average linear large-scale gain per hop, from the placement geometry."""
-    groups = placement.relay_positions
-    L = len(groups)
-    beta = np.empty(L + 1)
-    d_bs = _pairwise_distances(groups[0], placement.bs_position[None, :])
-    beta[0] = np.mean(linear_gain(d_bs, params))
-    for l in range(L - 1):
-        d = _pairwise_distances(groups[l], groups[l + 1])
-        beta[l + 1] = np.mean(linear_gain(d, params))
-    d_rx = _pairwise_distances(groups[-1], placement.rx_position[None, :])
-    beta[L] = np.mean(linear_gain(d_rx, params))
-    return HopStatistics(beta=beta)
+    # relay hops average transmitter-major, as (K_l, K_{l+1}) arrays
+    g = _hop_gains(placement, params)
+    return HopStatistics(beta=[np.mean(g[0])] + [np.mean(x.T.copy()) for x in g[1:-1]]
+                         + [np.mean(g[-1])])

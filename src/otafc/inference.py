@@ -202,27 +202,35 @@ def save_pipeline(pipeline: ImportedPipeline, path):
 
 
 def load_pipeline(path) -> ImportedPipeline:
-    """Read a weight file written by save_pipeline."""
+    """Read a weight file written by save_pipeline; ValueError naming path
+    on a short read or a tensor type code other than its _TENSOR_SPECS one."""
+    codes = dict(_TENSOR_SPECS)
     with open(path, "rb") as fh:
+        def read(n):
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError(f"{path}: truncated weight file")
+            return data
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a pipeline weight file")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", read(8))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
         tensors = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode()
-            code, ndim = struct.unpack("<BB", fh.read(2))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+            (name_len,) = struct.unpack("<H", read(2))
+            name = read(name_len).decode(errors="replace")
+            code, ndim = struct.unpack("<BB", read(2))
+            if code not in (_F32, _C64) or codes.get(name, code) != code:
+                raise ValueError(f"{path}: tensor {name!r} has type code {code}")
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
             dtype = np.dtype("<c8" if code == _C64 else "<f4")
-            payload = fh.read(int(np.prod(shape)) * dtype.itemsize)
+            payload = read(int(np.prod(shape)) * dtype.itemsize)
             tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(shape)
-    expected = {name for name, _ in _TENSOR_SPECS}
-    missing = expected - tensors.keys()
+    missing = codes.keys() - tensors.keys()
     if missing:
         raise ValueError(f"{path}: missing tensors {sorted(missing)}")
-    return ImportedPipeline(**{k: v for k, v in tensors.items() if k in expected})
+    return ImportedPipeline(**{k: v for k, v in tensors.items() if k in codes})
 
 
 @lru_cache(maxsize=32)

@@ -219,18 +219,6 @@ def _check_finite(arr):
         raise SolverDivergenceError("update produced non-finite values")
 
 
-def _reprojection(budget: PowerBudget, start: int):
-    """The Cascade rule of a candidate move: the gains of hops >= start are
-    re-projected in walk order, so each hop sees the already-clipped
-    upstream gains. A hop that nothing clips keeps its gain array, so the
-    candidate can keep the incumbent's stage noises past that hop."""
-    def project(cas, l):
-        if l < start:
-            return cas.a[l - 1]
-        return cas.project(l, cas.a[l - 1], budget.p_relay[l - 1])
-    return project
-
-
 def _gain_quadratic(cas: Cascade, target: TargetLayer, l: int):
     """Gram matrix and linear term of the objective as a quadratic in a_l.
 
@@ -251,28 +239,25 @@ def _quad_value(g, b, a):
     return float((a.conj() @ g @ a).real - 2.0 * (b.conj() @ a).real)
 
 
-def update_a(cas: Cascade, target: TargetLayer, budget: PowerBudget, l: int) -> tuple:
-    """One gain-vector block update (1-based hop l): (gains, change).
+def update_a(cas: Cascade, target: TargetLayer, l: int) -> tuple:
+    """One gain-vector block update (1-based hop l) of a capped cascade:
+    (gains, change).
 
     Solves the normal equations of the quadratic subproblem, projects each
-    entry onto its relay power cap, and falls back to the (re-projected)
-    current gains if the projected candidate would worsen the subproblem;
-    those are cas.a[l-1] itself when it fits its cap, and cas knows that
-    without a second look when it handed cas.a[l-1] back before. change is
-    q(gains) - q(cas.a[l-1]) for the subproblem q, the exact change of the
-    objective when a_l alone moves to gains.
+    entry onto its relay power cap, and falls back to the current gains
+    cas.a[l-1], which the cascade fitted to their caps, if the projected
+    candidate would worsen the subproblem. change is q(gains) - q(cas.a[l-1])
+    for the subproblem q, the exact change of the objective when a_l alone
+    moves to gains.
     """
     if not 1 <= l <= cas.ch.num_groups:
         raise ValueError(f"hop index {l} out of range 1..{cas.ch.num_groups}")
     g, b = _gain_quadratic(cas, target, l)
-    cap = budget.p_relay[l - 1]
-    incumbent = cas.project(l, cas.a[l - 1], cap)
-    cand = cas.project(l, _solve_hermitian(g, b), cap)
-    q_cand, q_inc = _quad_value(g, b, cand), _quad_value(g, b, incumbent)
-    q_cur = q_inc if incumbent is cas.a[l - 1] else _quad_value(g, b, cas.a[l - 1])
-    if q_cand <= q_inc:
+    cand = cas.project(l, _solve_hermitian(g, b))
+    q_cand, q_cur = _quad_value(g, b, cand), _quad_value(g, b, cas.a[l - 1])
+    if q_cand <= q_cur:
         return cand, q_cand - q_cur
-    return incumbent, q_inc - q_cur
+    return cas.a[l - 1], 0.0
 
 
 def _check_budget(ch: ChannelSet, budget: PowerBudget) -> None:
@@ -283,48 +268,38 @@ def _check_budget(ch: ChannelSet, budget: PowerBudget) -> None:
             raise ValueError("per-relay budget lengths must match group sizes")
 
 
-def _initial_cascade(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
-                     budget: PowerBudget) -> Cascade:
-    n_tx, n_in = est.n_tx, target.in_dim
-    f1 = np.sqrt(budget.p_max_bs / n_tx) * np.eye(n_tx, n_in, dtype=complex)
-
-    def full_power(cas, l):
-        cap = budget.p_relay[l - 1]
-        return cas.project(l, cas.limit(l, cap).astype(complex), cap)
-
-    cas = Cascade(est, [None] * est.num_groups, f1, noise=noise, rule=full_power)
-    return Cascade(est, cas.a, f1, update_f2(cas, target), noise, base=cas)
-
-
 def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
           budget: PowerBudget, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Run the alternating optimization from a feasible starting point.
 
     Cycles F1 -> a_1..a_L -> F2. A precoder or gain block move shifts the
-    incident powers of downstream relays, so each candidate move is bundled
-    with the downstream re-projection it forces and accepted only when the
-    full objective does not increase; rejected moves leave the iterate
-    untouched. Every iterate therefore satisfies all power constraints and
-    the recorded per-iteration trace is non-increasing by construction.
+    incident powers of downstream relays, so each candidate is a capped
+    Cascade, whose walk fits the downstream gains to their caps, and it is
+    accepted only when the full objective does not increase; rejected moves
+    leave the iterate untouched. Every iterate therefore satisfies all power
+    constraints and the recorded per-iteration trace is non-increasing by
+    construction.
 
     A gain move that keeps the incumbent's own gain array is skipped. When
-    its re-projection keeps every downstream gain array too, only a_l has
-    moved, so the candidate is scored from update_a's change of the gain
-    quadratic, exact in a_l, rather than by a full objective.
+    the candidate keeps every gain array it was given, only a_l has moved,
+    so it is scored from update_a's change of the gain quadratic, exact in
+    a_l, rather than by a full objective.
     """
     _check_budget(est, budget)
-    cur = _initial_cascade(est, target, noise, budget)
+    # F1 at full power on the first in_dim antennas, every relay at its cap
+    f1 = (np.sqrt(budget.p_max_bs / est.n_tx)
+          * np.eye(est.n_tx, target.in_dim, dtype=complex))
+    cur = Cascade(est, [None] * est.num_groups, f1, noise=noise, caps=budget.p_relay)
+    cur = Cascade(est, cur.a, f1, update_f2(cur, target), noise, budget.p_relay, base=cur)
     obj = objective(cur, target)
     if not np.isfinite(obj):
         raise SolverDivergenceError("non-finite objective at initialization")
     trace = [obj]
     status = "max_iters"
 
-    def step(incumbent, incumbent_obj, gains, f1, f2, start, change=None):
-        cand = Cascade(est, gains, f1, f2, noise, rule=_reprojection(budget, start),
-                       base=incumbent)
-        if change is not None and all(
-                x is y for x, y in zip(cand.a[start - 1:], incumbent.a[start - 1:])):
+    def step(incumbent, incumbent_obj, gains, f1, f2, change=None):
+        cand = Cascade(est, gains, f1, f2, noise, budget.p_relay, base=incumbent)
+        if change is not None and all(x is y for x, y in zip(cand.a, gains)):
             cand_obj = incumbent_obj + change
         else:
             cand_obj = objective(cand, target)
@@ -337,16 +312,16 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     for _ in range(cfg.max_outer_iters):
         it_obj = obj
         f1 = update_f1(cur, target, budget)
-        cur, it_obj = step(cur, it_obj, cur.a, f1, cur.f2, 1)
+        cur, it_obj = step(cur, it_obj, cur.a, f1, cur.f2)
         for l in range(1, est.num_groups + 1):
-            a_l, change = update_a(cur, target, budget, l)
+            a_l, change = update_a(cur, target, l)
             if a_l is cur.a[l - 1]:
                 continue
             a = list(cur.a)
             a[l - 1] = a_l
-            cur, it_obj = step(cur, it_obj, a, cur.f1, cur.f2, l + 1, change)
+            cur, it_obj = step(cur, it_obj, a, cur.f1, cur.f2, change)
         f2 = update_f2(cur, target)
-        cur, it_obj = step(cur, it_obj, cur.a, cur.f1, f2, est.num_groups + 1)
+        cur, it_obj = step(cur, it_obj, cur.a, cur.f1, f2)
 
         trace.append(it_obj)
         if obj - it_obj <= cfg.objective_tolerance * max(obj, 1e-300):

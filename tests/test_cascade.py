@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from otafc import (Cascade, NoiseModel, OtaParams, PowerBudget, SolverConfig,
                    TargetLayer, objective, relay_input_powers, solve, update_a)
 from otafc.channel import project_gains
-from otafc.solver import _gain_quadratic, _reprojection
+from otafc.solver import _gain_quadratic
 from otafc.utils import complex_normal
 
 from test_channel import noise_covariance, random_channel_set, transfer_matrix
@@ -143,18 +143,20 @@ def test_gain_quadratic_reproduces_objective_in_each_group(inst):
 
 # ------------------------------------------- candidates built from a base
 
-def relay_caps(cas, level, rng):
-    """Per-relay caps at which the gains of a design near cas clip nowhere
-    ("none"), everywhere ("all"), or at about half of the relays ("some")."""
+def relay_caps(ch, params, noise, level, rng):
+    """Per-relay caps at which the gains of a design near params clip
+    nowhere ("none"), everywhere ("all"), or at about half of the relays
+    ("some")."""
+    cas = Cascade(ch, params.a, params.f1, noise=noise)
     caps = []
     for l, a in enumerate(cas.a, start=1):
         used = np.abs(a) ** 2 * cas.incident_powers(l)
         factor = {"none": 1e30, "all": 1e-30}.get(level)
         caps.append(used * (factor or rng.uniform(0.5, 1.5, used.shape)))
-    return PowerBudget(p_max_bs=1.0, p_relay=tuple(caps))
+    return tuple(caps)
 
 
-def assert_same_products(got, want, target, budget):
+def assert_same_products(got, want, target):
     L = len(want.a)
     assert all(np.array_equal(x, y) for x, y in zip(got.a, want.a))
     assert all(np.array_equal(x, y) for x, y in zip(got.u, want.u))
@@ -164,14 +166,14 @@ def assert_same_products(got, want, target, budget):
         assert np.array_equal(got.stage_noise(l), want.stage_noise(l))
     assert np.array_equal(got.f2_direct, want.f2_direct)
     assert np.array_equal(got.direct_residual(target.w), want.direct_residual(target.w))
-    for l, cap in enumerate(budget.p_relay, start=1):
+    for l in range(1, L + 1):
         assert np.array_equal(got.incident_powers(l), want.incident_powers(l))
-        assert np.array_equal(got.limit(l, cap), want.limit(l, cap))
+        assert np.array_equal(got.limit(l), want.limit(l))
         # a gain array the cascade knows to fit, it hands back unlooked at:
         # a projection from scratch must hand back that array too
         a = got.a[l - 1]
-        fresh = project_gains(a, want.limit(l, cap))
-        projected = got.project(l, a, cap)
+        fresh = project_gains(a, want.limit(l))
+        projected = got.project(l, a)
         assert np.array_equal(projected, fresh) and (projected is a) == (fresh is a)
 
 
@@ -191,38 +193,37 @@ def test_candidate_from_base_equals_candidate_from_scratch(level, inst, data):
     # a gain move to update_a's gains, as in solve, or to a random vector
     solved = data.draw(st.booleans())
 
-    inc = Cascade(ch, params.a, params.f1, params.f2, noise)
-    budget = relay_caps(inc, level, rng)
+    caps = relay_caps(ch, params, noise, level, rng)
+    inc = Cascade(ch, params.a, params.f1, params.f2, noise, caps)
     if scored:
         objective(inc, target)
     for l in range(1, built + 1):
         inc.stage_noise(l)
     for l in range(1, updated + 1):
-        update_a(inc, target, budget, l)
+        update_a(inc, target, l)
 
     gains, f1, f2 = list(inc.a), inc.f1, inc.f2
     if move == "f1":
-        f1, start = complex_normal(rng, params.f1.shape), 1
+        f1 = complex_normal(rng, params.f1.shape)
     elif move == "f2":
-        f2, start = complex_normal(rng, params.f2.shape), L + 1
+        f2 = complex_normal(rng, params.f2.shape)
     else:
         l = int(move[1:])
         if solved:
-            gains[l - 1] = update_a(inc, target, budget, l)[0]
+            gains[l - 1] = update_a(inc, target, l)[0]
         else:
             gains[l - 1] = complex_normal(rng, gains[l - 1].shape) * np.abs(gains[l - 1])
-        start = l + 1
-    cand = Cascade(ch, gains, f1, f2, noise, rule=_reprojection(budget, start), base=inc)
-    fresh = Cascade(ch, gains, f1, f2, noise, rule=_reprojection(budget, start))
-    assert_same_products(cand, fresh, target, budget)
+    cand = Cascade(ch, gains, f1, f2, noise, caps, base=inc)
+    fresh = Cascade(ch, gains, f1, f2, noise, caps)
+    assert_same_products(cand, fresh, target)
     assert objective(cand, target) == objective(fresh, target)
 
-    # the re-projection hands back the very array when nothing clips
-    downstream = [cand.a[l] is gains[l] for l in range(start - 1, L)]
+    # the walk hands back the very array where nothing clips
+    for j in range(L):
+        kept = project_gains(gains[j], fresh.limit(j + 1)) is gains[j]
+        assert (cand.a[j] is gains[j]) == kept
     if level == "none":
-        assert all(downstream)
-    elif level == "all":
-        assert not any(downstream)
+        assert all(x is y for x, y in zip(cand.a, gains))
     if not ch.has_direct:  # the skipped direct terms are exact zeros
         assert np.array_equal(fresh.b, ch.h_direct @ f1 + fresh.b)
         assert np.array_equal(fresh.direct_residual(target.w),
@@ -230,8 +231,8 @@ def test_candidate_from_base_equals_candidate_from_scratch(level, inst, data):
 
     # the incumbent's products are untouched, and the candidate keeps no
     # reference to it
-    assert_same_products(inc, Cascade(ch, params.a, params.f1, params.f2, noise),
-                         target, budget)
+    assert_same_products(inc, Cascade(ch, params.a, params.f1, params.f2, noise, caps),
+                         target)
     ref = weakref.ref(inc)
     del inc
     gc.collect()
@@ -239,21 +240,53 @@ def test_candidate_from_base_equals_candidate_from_scratch(level, inst, data):
 
 
 @SETTINGS
+@given(inst=instances(), data=st.data())
+def test_capped_cascade_gains_meet_their_caps(inst, data):
+    # whatever gains a capped cascade is given, None, random or lent from
+    # its base, the walk fits each to the caps at its own incident powers
+    ch, params, noise, target, rng = inst
+    caps = relay_caps(ch, params, noise, "some", rng)
+    base = Cascade(ch, params.a, params.f1, params.f2, noise, caps)
+    kinds = data.draw(st.lists(st.sampled_from(["none", "random", "lent"]),
+                               min_size=ch.num_groups, max_size=ch.num_groups))
+    gains = [None if kind == "none" else base.a[l] if kind == "lent"
+             else complex_normal(rng, a.shape, 2.0) * np.abs(a)
+             for l, (kind, a) in enumerate(zip(kinds, params.a))]
+    f1 = data.draw(st.sampled_from([base.f1, complex_normal(rng, params.f1.shape)]))
+    for cas in (base, Cascade(ch, gains, f1, base.f2, noise, caps, base=base)):
+        for l, cap in enumerate(caps, start=1):
+            used = np.abs(cas.a[l - 1]) ** 2 * cas.incident_powers(l)
+            assert np.all(used <= cap * (1 + 1e-14))
+
+
+def test_cascade_refuses_a_base_with_other_caps():
+    rng = np.random.default_rng(3)
+    ch = random_channel_set(rng, 2, 2, (3, 2))
+    noise = NoiseModel(relay_noise_var=(1.0, 1.0), rx_noise_var=1.0)
+    caps = (np.ones(3), np.ones(2))
+    base = Cascade(ch, [None, None], np.eye(2, dtype=complex), noise=noise, caps=caps)
+    for other in (None, (np.ones(3), np.ones(2))):
+        with pytest.raises(ValueError, match="same channels"):
+            Cascade(ch, base.a, base.f1, noise=noise, caps=other, base=base)
+    with pytest.raises(ValueError, match="no relay caps"):
+        Cascade(ch, base.a, base.f1, noise=noise).limit(1)
+
+
+@SETTINGS
 @given(instances())
 def test_gain_move_scored_from_its_quadratic(inst):
-    # a gain move whose re-projection keeps every downstream gain changes
-    # a_l alone, so update_a's change of the quadratic is the change of the
+    # a gain move whose candidate keeps every downstream gain changes a_l
+    # alone, so update_a's change of the quadratic is the change of the
     # objective. The rounding scales with the incumbent's objective, which
     # on a random incumbent can sit far above the candidate's.
     ch, params, noise, target, rng = inst
-    inc = Cascade(ch, params.a, params.f1, params.f2, noise)
-    budget = relay_caps(inc, "none", rng)
+    caps = relay_caps(ch, params, noise, "none", rng)
+    inc = Cascade(ch, params.a, params.f1, params.f2, noise, caps)
     for l in range(1, ch.num_groups + 1):
-        a_l, change = update_a(inc, target, budget, l)
+        a_l, change = update_a(inc, target, l)
         gains = list(inc.a)
         gains[l - 1] = a_l
-        cand = Cascade(ch, gains, inc.f1, inc.f2, noise,
-                       rule=_reprojection(budget, l + 1), base=inc)
+        cand = Cascade(ch, gains, inc.f1, inc.f2, noise, caps, base=inc)
         assert all(x is y for x, y in zip(cand.a[l:], inc.a[l:]))
         before = objective(inc, target)
         assert abs(before + change - objective(cand, target)) <= 1e-12 * before

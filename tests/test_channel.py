@@ -5,7 +5,7 @@ from otafc import (Cascade, ChannelSet, NoiseModel, PathlossParams, Topology,
                    default_noise_model, draw_channels, generate_placement,
                    hop_statistics, linear_gain, noise_power_watts, pathloss_db,
                    relay_input_powers)
-from otafc.channel import check_gains
+from otafc.channel import HopStatistics, check_gains
 from otafc.utils import complex_normal, hermitize
 
 PL28 = PathlossParams(carrier_ghz=28.0)
@@ -349,6 +349,12 @@ def test_hop_statistics_matches_per_link_recompute():
     assert stats.beta[0] == pytest.approx(b0, rel=1e-12)
     assert stats.beta[1] == pytest.approx(b1, rel=1e-12)
     assert stats.beta[3] == pytest.approx(b3, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-12, np.nan, np.inf])
+def test_hop_statistics_refuse_a_gain_that_is_not_positive_and_finite(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        HopStatistics(beta=[bad, 1.0])
 
 
 def test_complex_normal_is_the_two_draw_form_in_one_draw():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,18 +255,42 @@ def test_conv_matches_naive_padded_loops_property(data):
 
 def test_pipeline_round_trip(tmp_path):
     pipe = _random_pipeline(1)
-    path = tmp_path / "weights.otaw"
+    path, again = tmp_path / "weights.otaw", tmp_path / "again.otaw"
     save_pipeline(pipe, path)
     back = load_pipeline(path)
     for name in ("conv_kernel", "conv_bias", "bn_scale", "bn_shift",
                  "fc_mid_weight", "fc_mid_bias", "fc_out_weight", "fc_out_bias"):
         assert np.array_equal(getattr(pipe, name), getattr(back, name))
+    save_pipeline(back, again)  # a loaded file writes back bit for bit
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_pipeline_rejects_bad_file(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTAWEIGHTFILE")
     with pytest.raises(ValueError):
+        load_pipeline(path)
+
+
+def _corrupt(raw, case):
+    # conv_kernel's type code follows the magic, the version and count, the
+    # name length and its 11-byte name
+    code_at = 4 + 8 + 2 + len(b"conv_kernel")
+    if case == "cut at 6 bytes":
+        return raw[:6]
+    if case == "cut in the last tensor":
+        return raw[:-1]
+    code = {"code 7": 7, "complex code on a float tensor": 1}[case]
+    return raw[:code_at] + bytes([code]) + raw[code_at + 1:]
+
+
+@pytest.mark.parametrize("case", ["cut at 6 bytes", "cut in the last tensor", "code 7",
+                                  "complex code on a float tensor"])
+def test_pipeline_rejects_corrupt_file_naming_it(tmp_path, case):
+    path = tmp_path / "weights.otaw"
+    save_pipeline(_random_pipeline(4), path)
+    path.write_bytes(_corrupt(path.read_bytes(), case))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         load_pipeline(path)
 
 

@@ -296,7 +296,8 @@ def test_update_a_scalar_least_squares():
     params = OtaParams(f1=np.array([[f1]]), f2=np.array([[f2]]),
                        a=(np.zeros(1, dtype=complex),))
     budget = PowerBudget(p_max_bs=1.0, p_relay=(np.array([1e30]),))
-    got = update_a(Cascade.of(ch, params, noise), target, budget, 1)[0][0]
+    cas = Cascade(ch, params.a, params.f1, params.f2, noise, budget.p_relay)
+    got = update_a(cas, target, 1)[0][0]
     lft, rgt = f2 * h2, h1 * f1
     want = np.conj(lft * rgt) * w / abs(lft * rgt) ** 2
     assert got == pytest.approx(want, rel=1e-10)
@@ -306,14 +307,16 @@ def test_update_a_projection_inactive_when_capped_loosely():
     rng, ch, noise, target, budget, params = random_instance(7)
     loose = PowerBudget(p_max_bs=budget.p_max_bs,
                         p_relay=tuple(np.full_like(p, 1e12) for p in budget.p_relay))
-    a2 = update_a(Cascade.of(ch, params, noise), target, loose, 2)[0]
-    p_in = relay_input_powers(ch, params.a, params.f1, noise, 2)
+    cas = Cascade(ch, params.a, params.f1, params.f2, noise, loose.p_relay)
+    a2 = update_a(cas, target, 2)[0]
+    p_in = cas.incident_powers(2)
     assert np.all(np.abs(a2) ** 2 * p_in <= 1e12)
     # with a loose cap the normal-equation solution is returned unclipped:
     # re-running with an even looser cap changes nothing
     looser = PowerBudget(p_max_bs=budget.p_max_bs,
                          p_relay=tuple(np.full_like(p, 1e15) for p in budget.p_relay))
-    a2b = update_a(Cascade.of(ch, params, noise), target, looser, 2)[0]
+    a2b = update_a(Cascade(ch, params.a, params.f1, params.f2, noise, looser.p_relay),
+                   target, 2)[0]
     assert np.allclose(a2, a2b)
 
 
@@ -338,8 +341,9 @@ def test_update_a_respects_caps():
                         p_relay=tuple(0.01 * np.abs(cn(rng, p.shape)) ** 2 + 0.005
                                       for p in budget.p_relay))
     for l in (1, 2, 3):
-        a_l = update_a(Cascade.of(ch, params, noise), target, tight, l)[0]
-        p_in = relay_input_powers(ch, params.a, params.f1, noise, l)
+        cas = Cascade(ch, params.a, params.f1, params.f2, noise, tight.p_relay)
+        a_l = update_a(cas, target, l)[0]
+        p_in = cas.incident_powers(l)
         assert np.all(np.abs(a_l) ** 2 * p_in <= tight.p_relay[l - 1] * (1 + 1e-9))
 
 
@@ -348,7 +352,8 @@ def test_cascade_without_noise_model_refuses_scoring():
     cas = Cascade(ch, params.a, params.f1, params.f2)
     assert np.isfinite(cas.b).all()  # the noise-free products still build
     for call in (lambda: objective(cas, target), lambda: update_f2(cas, target),
-                 lambda: update_a(cas, target, budget, 1), lambda: cas.incident_powers(1)):
+                 lambda: update_a(cas, target, 1), lambda: cas.incident_powers(1),
+                 lambda: Cascade(ch, params.a, params.f1, caps=budget.p_relay)):
         with pytest.raises(ValueError, match="no noise model"):
             call()
 
