@@ -2,8 +2,8 @@
 
 Minimizes  ||F2 Heff F1 - W||_F^2 + tr(F2 R F2^H)  over the estimated
 channels, subject to the transmit-power cap on F1 and per-relay power caps
-on the gains (via the incident-power surrogate). Block order per outer
-iteration: F1, then the gain vectors a_1..a_L, then F2.
+on the gains (via the incident-power surrogate). One AO map updates F1,
+then the gain vectors a_1..a_L, then F2; SQUAREM extrapolates the maps.
 
 F2 is stored as the (out_dim x N_r) map applied to the received vector, so
 the emulated layer is F2 @ Heff @ F1. The objective and the block updates
@@ -260,6 +260,12 @@ def update_a(cas: Cascade, target: TargetLayer, l: int) -> tuple:
     return cas.a[l - 1], 0.0
 
 
+def _s3_alpha(r: np.ndarray, v: np.ndarray) -> float:
+    """SQUAREM S3 step min(-||r|| / ||v||, -1) (Varadhan & Roland 2008)."""
+    norm_v = np.linalg.norm(v)
+    return min(-np.linalg.norm(r) / norm_v, -1.0) if norm_v > 0 else -1.0
+
+
 def _check_budget(ch: ChannelSet, budget: PowerBudget) -> None:
     if len(budget.p_relay) != ch.num_groups:
         raise ValueError("budget group count must match the channel set")
@@ -272,13 +278,22 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
           budget: PowerBudget, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Run the alternating optimization from a feasible starting point.
 
-    Cycles F1 -> a_1..a_L -> F2. A precoder or gain block move shifts the
-    incident powers of downstream relays, so each candidate is a capped
-    Cascade, whose walk fits the downstream gains to their caps, and it is
-    accepted only when the full objective does not increase; rejected moves
-    leave the iterate untouched. Every iterate therefore satisfies all power
-    constraints and the recorded per-iteration trace is non-increasing by
-    construction.
+    One AO map is an F1 -> a_1..a_L -> F2 pass. A precoder or gain block
+    move shifts the incident powers of downstream relays, so each candidate
+    is a capped Cascade, whose walk fits the downstream gains to their caps,
+    and it is accepted only when the full objective does not increase;
+    rejected moves leave the iterate untouched.
+
+    SQUAREM, scheme S3 (Varadhan & Roland 2008), extrapolates the maps: from
+    x0, two maps give x1 and x2 of the design flattened to [F1, a, F2], and
+    with r = x1 - x0, v = x2 - 2 x1 + x0, alpha = min(-||r|| / ||v||, -1)
+    the point x0 - 2 alpha r + alpha^2 v (x2 at alpha = -1: skipped) has
+    its F1 scaled into the power ball and its gains fitted by a capped
+    Cascade. One stabilizing map from it is kept if it ends at or below
+    x2's objective. So every iterate is feasible and the trace, the
+    incumbent's objective after each map, is non-increasing. iterations
+    counts the maps, stabilizing ones included; the relative-decrease test
+    follows plain maps only, so up to two maps solve is the plain AO.
 
     A gain move that keeps the incumbent's own gain array is skipped. When
     the candidate keeps every gain array it was given, only a_l has moved,
@@ -309,26 +324,55 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
             return cand, cand_obj
         return incumbent, incumbent_obj
 
-    for _ in range(cfg.max_outer_iters):
-        it_obj = obj
-        f1 = update_f1(cur, target, budget)
-        cur, it_obj = step(cur, it_obj, cur.a, f1, cur.f2)
+    def sweep(cur, obj):
+        """One AO map: the F1 -> a_1..a_L -> F2 pass from cur."""
+        cur, obj = step(cur, obj, cur.a, update_f1(cur, target, budget), cur.f2)
         for l in range(1, est.num_groups + 1):
             a_l, change = update_a(cur, target, l)
             if a_l is cur.a[l - 1]:
                 continue
             a = list(cur.a)
             a[l - 1] = a_l
-            cur, it_obj = step(cur, it_obj, a, cur.f1, cur.f2, change)
-        f2 = update_f2(cur, target)
-        cur, it_obj = step(cur, it_obj, cur.a, cur.f1, f2)
+            cur, obj = step(cur, obj, a, cur.f1, cur.f2, change)
+        return step(cur, obj, cur.a, cur.f1, update_f2(cur, target))
 
-        trace.append(it_obj)
-        if obj - it_obj <= cfg.objective_tolerance * max(obj, 1e-300):
-            obj = it_obj
+    def flat(cas):
+        return np.concatenate([cas.f1.ravel(), *cas.a, cas.f2.ravel()])
+
+    def capped(x):
+        """The capped cascade of a flattened design, its F1 scaled into the ball."""
+        f1, *a, f2 = np.split(x, np.cumsum([cur.f1.size, *est.group_sizes]))
+        power = np.vdot(f1, f1).real
+        if power > budget.p_max_bs:
+            f1 = f1 * np.sqrt(budget.p_max_bs / power)
+        return Cascade(est, a, f1.reshape(cur.f1.shape), f2.reshape(cur.f2.shape),
+                       noise, budget.p_relay)
+
+    x = []  # the flattened starts of this cycle's two plain maps
+    while len(trace) <= cfg.max_outer_iters:
+        x.append(flat(cur))
+        prev = obj
+        cur, obj = sweep(cur, obj)
+        trace.append(obj)
+        if prev - obj <= cfg.objective_tolerance * max(prev, 1e-300):
             status = "converged"
             break
-        obj = it_obj
+        if len(x) < 2:
+            continue
+        (x0, x1), x = x, []
+        r, v = x1 - x0, flat(cur) - 2.0 * x1 + x0
+        alpha = _s3_alpha(r, v)
+        if alpha == -1.0 or len(trace) > cfg.max_outer_iters:
+            continue  # the extrapolated point is cur itself, or no map is left
+        ext = capped(x0 - 2.0 * alpha * r + alpha ** 2 * v)
+        ext_obj = objective(ext, target)
+        if not np.isfinite(ext_obj):
+            continue
+        ext, ext_obj = sweep(ext, ext_obj)  # the stabilizing map
+        if ext_obj <= obj:
+            cur, obj = ext, ext_obj
+        del ext  # a rejected design is not kept alive through the next cycle
+        trace.append(obj)
 
     return SolveResult(params=OtaParams(f1=cur.f1, f2=cur.f2, a=cur.a),
                        objective_trace=np.asarray(trace),

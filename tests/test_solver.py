@@ -452,6 +452,104 @@ def test_solve_with_direct_link_monotone_and_feasible():
     assert ev.nmse < 1.0
 
 
+def plain_ao(est, target, noise, budget, maps):
+    """Unaccelerated AO, the oracle of solve's first two maps: (params, trace,
+    status). Each map runs F1 -> a_1..a_L -> F2, and a block move is kept when
+    its objective does not rise, scored from update_a's exact change when the
+    candidate keeps every gain it was given (candidates lend nothing here)."""
+    caps = budget.p_relay
+    f1 = np.sqrt(budget.p_max_bs / est.n_tx) * np.eye(est.n_tx, target.in_dim, dtype=complex)
+    cur = Cascade(est, [None] * est.num_groups, f1, noise=noise, caps=caps)
+    cur = Cascade(est, cur.a, f1, update_f2(cur, target), noise, caps)
+    trace = [objective(cur, target)]
+
+    def keep(gains, f1, f2, change=None):
+        cand = Cascade(est, gains, f1, f2, noise, caps)
+        if change is not None and all(x is y for x, y in zip(cand.a, gains)):
+            score = trace_obj + change
+        else:
+            score = objective(cand, target)
+        return (cand, score) if score <= trace_obj else (cur, trace_obj)
+
+    for _ in range(maps):
+        trace_obj = trace[-1]
+        cur, trace_obj = keep(cur.a, update_f1(cur, target, budget), cur.f2)
+        for l in range(1, est.num_groups + 1):
+            a_l, change = update_a(cur, target, l)
+            if a_l is not cur.a[l - 1]:
+                cur, trace_obj = keep(cur.a[:l - 1] + [a_l] + cur.a[l:], cur.f1, cur.f2,
+                                      change)
+        cur, trace_obj = keep(cur.a, cur.f1, update_f2(cur, target))
+        trace.append(trace_obj)
+        if trace[-2] - trace_obj <= 1e-6 * trace[-2]:
+            return OtaParams(f1=cur.f1, f2=cur.f2, a=cur.a), trace, "converged"
+    return OtaParams(f1=cur.f1, f2=cur.f2, a=cur.a), trace, "max_iters"
+
+
+@pytest.mark.parametrize("maps", [1, 2])
+@pytest.mark.parametrize("direct", [False, True])
+def test_solve_first_two_maps_are_plain_ao(maps, direct):
+    # the extrapolation needs the iterates of two maps, so up to two maps
+    # solve is the unaccelerated AO, bit for bit
+    rng, ch, noise, target, budget, _ = random_instance(17, direct=direct)
+    tight = PowerBudget(p_max_bs=budget.p_max_bs,
+                        p_relay=tuple(0.3 * p for p in budget.p_relay))
+    res = solve(ch, target, noise, tight, solver.SolverConfig(max_outer_iters=maps))
+    params, trace, status = plain_ao(ch, target, noise, tight, maps)
+    assert (res.status, res.iterations) == (status, len(trace) - 1)
+    assert res.objective_trace.tolist() == trace
+    for got, want in zip((res.params.f1, res.params.f2, *res.params.a),
+                         (params.f1, params.f2, *params.a)):
+        assert np.array_equal(got, want)
+
+
+def assert_feasible_monotone(res, ch, noise, budget, cfg):
+    tr = res.objective_trace
+    assert np.all(np.diff(tr) <= 0) and np.isfinite(tr).all()
+    assert res.iterations == len(tr) - 1 <= cfg.max_outer_iters
+    assert res.status in ("converged", "max_iters")
+    assert np.vdot(res.params.f1, res.params.f1).real <= budget.p_max_bs * (1 + 1e-9)
+    cas = Cascade.of(ch, res.params, noise)
+    for l in range(1, ch.num_groups + 1):
+        used = np.abs(res.params.a[l - 1]) ** 2 * cas.incident_powers(l)
+        assert np.all(used <= budget.p_relay[l - 1] * (1 + 1e-9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), groups=st.lists(st.integers(1, 5), min_size=1,
+                                                          max_size=4),
+       n=st.integers(1, 4), direct=st.booleans(), cap_scale=st.floats(0.05, 5.0),
+       maps=st.integers(1, 40))
+def test_solve_iterates_feasible_and_trace_monotone(seed, groups, n, direct, cap_scale,
+                                                    maps):
+    rng = np.random.default_rng(seed)
+    ch = random_channel_set(rng, n, n, groups, direct=direct)
+    noise = NoiseModel(relay_noise_var=tuple(0.05 * rng.uniform(0.5, 1.5, len(groups))),
+                       rx_noise_var=0.05)
+    target = TargetLayer(w=cn(rng, (n, n), 1.0 / n), bias=np.zeros(n))
+    budget = PowerBudget.uniform(groups, float(n), 2.0 * cap_scale)
+    cfg = solver.SolverConfig(max_outer_iters=maps)
+    assert_feasible_monotone(solve(ch, target, noise, budget, cfg), ch, noise, budget, cfg)
+
+
+@pytest.mark.parametrize("direct", [False, True])
+def test_solve_survives_a_poisoned_extrapolation(monkeypatch, direct):
+    # a wild S3 step lands far outside any sensible design; the safeguard
+    # must keep the trace monotone and the iterate feasible, not raise
+    rng, ch, noise, target, budget, _ = random_instance(18, direct=direct)
+    steps = []
+
+    def alpha(r, v):
+        steps.append(v)
+        return -1e12
+
+    monkeypatch.setattr(solver, "_s3_alpha", alpha)
+    cfg = solver.SolverConfig(max_outer_iters=30, objective_tolerance=1e-12)
+    res = solve(ch, target, noise, budget, cfg)
+    assert steps
+    assert_feasible_monotone(res, ch, noise, budget, cfg)
+
+
 @pytest.mark.parametrize("direct", [False, True])
 def test_solve_calls_each_block_through_the_module(monkeypatch, direct):
     # perfbench --trace 1 times the block updates by swapping these module

@@ -30,3 +30,49 @@ def test_one_sweep_digest_is_one_stable_line_per_trial():
 def test_digest_refuses_a_workload_that_is_not_a_sweep():
     proc = _digest("--workload", "image_inference")
     assert proc.returncode == 2 and "not a sweep workload" in proc.stderr
+
+
+def _line(workload, trial, nmse, acc, iters, status="converged"):
+    return f"{workload} 0 uniform|200|1|3|50 {trial} {nmse!r} 1.0 {acc!r} {iters} {status}\n"
+
+
+def test_against_prints_paired_differences_per_workload(tmp_path):
+    this, other = tmp_path / "this.txt", tmp_path / "other.txt"
+    failed = _line("w", 2, float("nan"), float("nan"), 0, "error:SolverDivergenceError")
+    this.write_text(_line("w", 0, 0.25, 0.5, 10) + _line("w", 1, 0.5, 0.75, 20) + failed
+                    + _line("w", 3, 0.5, 0.5, 3) + _line("v", 0, 0.125, 0.5, 4))
+    other.write_text(_line("w", 1, 0.25, 0.75, 30) + _line("w", 0, 0.5, 0.25, 10)
+                     + _line("w", 2, 0.5, 0.5, 7) + _line("v", 0, 0.25, 0.5, 4)
+                     + _line("v", 1, 0.25, 0.5, 4))
+    proc = subprocess.run([sys.executable, str(TOOL), str(this), "--against", str(other)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "4 trials in both, 1 only in this, 1 only in other"
+    # w: nmse differences -0.25 and +0.25, trial 2 failed on this side
+    assert lines[1:] == [
+        "v nmse -0.125 +- nan lower 1 higher 0 of 1 (0 failed)",
+        "v ota_acc +0 +- nan lower 0 higher 0 of 1 (0 failed)",
+        "v iterations +0 +- nan lower 0 higher 0 of 1 (0 failed)",
+        "w nmse +0 +- 0.25 lower 1 higher 1 of 2 (1 failed)",
+        "w ota_acc +0.125 +- 0.12 lower 0 higher 1 of 2 (1 failed)",
+        "w iterations -5 +- 5 lower 1 higher 0 of 2 (1 failed)"]
+
+
+def test_against_joins_a_fresh_digest_with_a_saved_one(tmp_path):
+    saved = tmp_path / "saved.txt"
+    saved.write_text(_digest("--workload", "deep_cascade", "--sweeps", "1").stdout)
+    proc = _digest("--workload", "deep_cascade", "--sweeps", "1", "--against", str(saved))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "8 trials in both, 0 only in this, 0 only in other",
+        *(f"deep_cascade {m} +0 +- 0 lower 0 higher 0 of 8 (0 failed)"
+          for m in ("nmse", "ota_acc", "iterations"))]
+
+
+def test_a_digest_file_is_read_only_with_against(tmp_path):
+    saved = tmp_path / "saved.txt"
+    saved.write_text(_line("w", 0, 0.25, 0.5, 10))
+    proc = subprocess.run([sys.executable, str(TOOL), str(saved)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "only read with --against" in proc.stderr
