@@ -1,7 +1,9 @@
 """End-to-end forward passes through the designed analog layer.
 
 ota_forward propagates a signal through the true channels with per-group
-noise injection. accuracy measures a synthetic classification task through
+noise injection as the design's link, one linear map of the input and of a
+single real Gaussian draw, compiled from its Cascade once per channel set
+and noise model. accuracy measures a synthetic classification task through
 both the OTA layer and its digital reference. imported_forward runs an
 externally trained image pipeline with the middle complex FC layer replaced
 by the OTA link.
@@ -13,9 +15,33 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import ChannelSet, NoiseModel
+from .channel import Cascade, ChannelSet, NoiseModel
 from .solver import OtaParams, TargetLayer
 from .utils import complex_normal
+
+
+def _link(params: OtaParams, true_ch: ChannelSet, noise: NoiseModel) -> tuple:
+    """Read-only (M, [G_re; G_im]) with y = M x + (G_re + i G_im) z, z ~ N(0, I).
+
+    M = F2 Heff F1; G's columns are sqrt(s_l/2) D_l diag(a_l), then i times
+    that, for the real and imaginary noise parts of each group l, and the
+    same with F2 for the receiver; G is split into its real and imaginary
+    parts, so z is never copied to complex. Kept on params for the last
+    (true_ch, noise) it was built for, by identity.
+    """
+    memo = getattr(params, "_link", None)
+    if memo is not None and memo[0] is true_ch and memo[1] is noise:
+        return memo[2]
+    cas = Cascade.of(true_ch, params, noise)
+    scales = np.sqrt(np.array(noise.relay_noise_var + (noise.rx_noise_var,)) / 2.0)
+    blocks = [c * d * a for c, d, a in zip(scales, cas.d + [params.f2], cas.a + [1.0])]
+    link = (params.f2 @ cas.b,
+            np.block([[q for p in blocks for q in (p.real, -p.imag)],
+                      [q for p in blocks for q in (p.imag, p.real)]]))
+    for arr in link:
+        arr.flags.writeable = False
+    object.__setattr__(params, "_link", (true_ch, noise, link))  # kept out of == and repr
+    return link
 
 
 def ota_forward(x: np.ndarray, params: OtaParams, true_ch: ChannelSet,
@@ -25,26 +51,25 @@ def ota_forward(x: np.ndarray, params: OtaParams, true_ch: ChannelSet,
     Accepts a single vector (N,) or a batch (N, S) with independent noise
     per sample. Noise enters each relay group before amplification and the
     receiver front end before combining; the bias, when given, is added
-    digitally after combining. With all-zero noise draws the output equals
-    F2 Heff F1 x + bias exactly.
+    digitally after combining. All noise is one standard_normal draw of
+    2 (K_1 + ... + K_L + N_r) rows of S, the numbers and generator state of
+    one complex_normal call per stage: the law and stream of a stage-by-stage
+    walk. With all-zero noise draws the output is F2 Heff F1 x + bias.
+    ValueError unless there is one (K_l,) gain vector per group. The link is
+    reused while params, true_ch and noise are the same objects, so none of
+    their arrays may be written in place.
     """
-    rng = np.random.default_rng(rng_seed)
+    m, g = _link(params, true_ch, noise)
     x = np.asarray(x, dtype=complex)
     single = x.ndim == 1
     xs = x[:, None] if single else x
 
-    s = params.f1 @ xs
-    v = true_ch.h_hop[0] @ s
-    for l in range(true_ch.num_groups):
-        v = v + complex_normal(rng, v.shape, noise.relay_noise_var[l])
-        v = params.a[l][:, None] * v
-        nxt = true_ch.h_hop[l + 1] if l + 1 < true_ch.num_groups else true_ch.h_last
-        v = nxt @ v
-    y_in = v + true_ch.h_direct @ s if true_ch.has_direct else v
-    y_in = y_in + complex_normal(rng, y_in.shape, noise.rx_noise_var)
-    y = params.f2 @ y_in
+    w = g @ np.random.default_rng(rng_seed).standard_normal((g.shape[1], xs.shape[1]))
+    y = m @ xs
+    y.real += w[:len(y)]
+    y.imag += w[len(y):]
     if bias is not None:
-        y = y + np.asarray(bias, dtype=complex)[:, None]
+        y += np.asarray(bias, dtype=complex)[:, None]
     return y[:, 0] if single else y
 
 

@@ -14,7 +14,10 @@ def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndar
     if isinstance(shape, (int, np.integer)):
         shape = (shape,)
     z = rng.standard_normal((2, *shape))  # real parts first, as two draws of `shape`
-    return np.sqrt(var / 2.0) * (z[0] + 1j * z[1])
+    scale, out = np.sqrt(var / 2.0), np.empty(shape, dtype=complex)
+    np.multiply(z[0], scale, out=out.real)  # the parts in place: no temporaries
+    np.multiply(z[1], scale, out=out.imag)
+    return out
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

@@ -359,15 +359,18 @@ def test_hop_statistics_refuse_a_gain_that_is_not_positive_and_finite(bad):
 
 def test_complex_normal_is_the_two_draw_form_in_one_draw():
     """One (2, *shape) draw gives the values, and leaves the generator state,
-    of the real-then-imaginary pair of draws."""
+    of the real-then-imaginary pair of draws; with a positive variance, the
+    parts scaled in place are the very bits of sqrt(var/2) (re + i im)."""
     for shape, var in (((49, 1), 1.0), ((50, 512), 0.3), ((7,), 2.0), (7, 2.0),
-                       ((3, 4, 5), 1e-12), ((0, 3), 1.0), ((4, 2), 0.0)):
+                       ((3, 4, 5), 1e-12), ((0, 3), 1.0), ((4, 2), 0.0), ((6, 5), 1e7)):
         got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
         got = complex_normal(got_rng, shape, var)
         re, im = want_rng.standard_normal(shape), want_rng.standard_normal(shape)
         want = np.sqrt(var / 2.0) * (re + 1j * im)
-        assert got.shape == want.shape
+        assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
+        if var > 0:  # at zero the product's zeros may differ in sign only
+            assert got.tobytes() == want.tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from otafc import (ChannelSet, NoiseModel, OtaParams, TargetLayer, accuracy,
                    digital_forward, imported_forward, load_pipeline,
                    make_synthetic_task, ota_forward, save_pipeline)
-from otafc.inference import ImportedPipeline, SyntheticTask, _conv2d
+from otafc.inference import ImportedPipeline, SyntheticTask, _conv2d, _link
 from otafc.utils import complex_normal
 
 from test_channel import noise_covariance, random_channel_set
@@ -35,6 +35,102 @@ def perfect_setup(n, seed=0):
 
 
 # ---------------------------------------------------------------- forward
+
+def chain_walk(x, params, true_ch, noise, rng_seed, bias=None):
+    """Stage-by-stage oracle for ota_forward: each relay group adds its own
+    CN(0, s_l) draw, amplifies and forwards; the receiver adds its draw to
+    the relayed and direct signals, then combines and adds the bias."""
+    rng = np.random.default_rng(rng_seed)
+    x = np.asarray(x, dtype=complex)
+    single = x.ndim == 1
+    xs = x[:, None] if single else x
+    s = params.f1 @ xs
+    v = true_ch.h_hop[0] @ s
+    for l in range(true_ch.num_groups):
+        v = v + complex_normal(rng, v.shape, noise.relay_noise_var[l])
+        v = params.a[l][:, None] * v
+        v = true_ch.chain[l + 1] @ v
+    y_in = v + true_ch.h_direct @ s
+    y_in = y_in + complex_normal(rng, y_in.shape, noise.rx_noise_var)
+    y = params.f2 @ y_in
+    if bias is not None:
+        y = y + np.asarray(bias, dtype=complex)[:, None]
+    return y[:, 0] if single else y
+
+
+def assert_matches_chain_walk(x, params, ch, noise, seed, bias=None):
+    """ota_forward against the oracle on the same seed: values within
+    rtol=1e-12 of the output's scale, and the same generator state after."""
+    got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = ota_forward(x, params, ch, noise, got_gen, bias=bias)
+    want = chain_walk(x, params, ch, noise, want_gen, bias=bias)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert got_gen.bit_generator.state == want_gen.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ota_forward_matches_chain_walk_property(data):
+    # 1-4 relay groups of 1-6 relays, direct link on and off, single
+    # vectors and batches, with and without a bias
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    n_in, n_tx, n_rx, n_out = (data.draw(st.integers(1, 6)) for _ in range(4))
+    direct = data.draw(st.booleans())
+    batch = data.draw(st.sampled_from([None, 1, 4]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    ch = random_channel_set(rng, n_tx, n_rx, sizes, direct=direct)
+    params = OtaParams(f1=cn(rng, (n_tx, n_in)), f2=cn(rng, (n_out, n_rx)),
+                       a=tuple(cn(rng, (k,)) for k in sizes))
+    noise = NoiseModel(relay_noise_var=tuple(rng.uniform(0.01, 1.0, len(sizes))),
+                       rx_noise_var=rng.uniform(0.01, 1.0))
+    x = cn(rng, (n_in,) if batch is None else (n_in, batch))
+    bias = cn(rng, (n_out,)) if data.draw(st.booleans()) else None
+    assert_matches_chain_walk(x, params, ch, noise, data.draw(st.integers(0, 2 ** 32 - 1)),
+                              bias)
+
+
+def test_ota_forward_link_follows_the_channels_and_noise_it_runs_on():
+    # one design run in turn on two channel sets and two noise models:
+    # each run matches the oracle, and the memo is not part of the design
+    rng = np.random.default_rng(22)
+    chs = (random_channel_set(rng, 3, 4, (4, 2), direct=True),
+           random_channel_set(rng, 3, 4, (4, 2)))
+    noises = (NoiseModel(relay_noise_var=(0.2, 0.5), rx_noise_var=0.1),
+              NoiseModel(relay_noise_var=(0.7, 0.05), rx_noise_var=0.4))
+    params = OtaParams(f1=cn(rng, (3, 3)), f2=cn(rng, (3, 4)),
+                       a=(cn(rng, (4,)), cn(rng, (2,))))
+    shown, twin = repr(params), OtaParams(f1=params.f1, f2=params.f2, a=params.a)
+    for step, (c, n) in enumerate([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (0, 0)]):
+        x = cn(rng, (3,) if step % 2 else (3, 5))
+        assert_matches_chain_walk(x, params, chs[c], noises[n], step, bias=cn(rng, (3,)))
+    link = _link(params, chs[0], noises[0])
+    assert link is _link(params, chs[0], noises[0])
+    assert not any(arr.flags.writeable for arr in link)
+    assert repr(params) == shown and params == twin
+
+
+@pytest.mark.parametrize("case", ["extra gain vector", "length-1 gain vector"])
+def test_malformed_design_fails_loudly(case):
+    # one relay group of 4: a second gain vector, or one gain for all four
+    # relays, is refused by every forward pass, not ignored or broadcast
+    n = 49
+    rng = np.random.default_rng(23)
+    ch = random_channel_set(rng, n, n, (4,))
+    gains = {"extra gain vector": (cn(rng, (4,)), cn(rng, (4,))),
+             "length-1 gain vector": (cn(rng, (1,)),)}[case]
+    params = OtaParams(f1=np.eye(n, dtype=complex), f2=np.eye(n, dtype=complex), a=gains)
+    noise = NoiseModel(relay_noise_var=(0.1,), rx_noise_var=0.1)
+    target = TargetLayer(w=cn(rng, (n, n)), bias=np.zeros(n, dtype=complex))
+    task = make_synthetic_task(target, num_classes=3, rng_seed=0)
+    with pytest.raises(ValueError, match="gain vector"):
+        ota_forward(cn(rng, (n,)), params, ch, noise, 1)
+    with pytest.raises(ValueError, match="gain vector"):
+        accuracy(task, target, params, ch, noise, 8, 2)
+    with pytest.raises(ValueError, match="gain vector"):
+        imported_forward(_random_pipeline(1), rng.standard_normal((28, 28)), params,
+                         ch, noise, 3)
+
 
 def test_ota_forward_perfect_emulation_zero_noise():
     ch, params, noise, target = perfect_setup(5)
