@@ -54,6 +54,11 @@ def main(argv=None) -> int:
         rows = run_experiment(cfg)
         emit_csv(rows, args.out)
         print(f"wrote {len(rows)} rows to {args.out}")
+        for row in rows:
+            if row.failures:
+                first = next(t.status for t in row.trials if t.status.startswith("error"))
+                print(f"warning: {row.point.key}: {row.failures} of {len(row.trials)} "
+                      f"trials failed, first {first}", file=sys.stderr)
         return 0
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,25 +52,27 @@ def ota_forward(x: np.ndarray, params: OtaParams, true_ch: ChannelSet,
     per sample. Noise enters each relay group before amplification and the
     receiver front end before combining; the bias, when given, is added
     digitally after combining. All noise is one standard_normal draw of
-    2 (K_1 + ... + K_L + N_r) rows of S, the numbers and generator state of
-    one complex_normal call per stage: the law and stream of a stage-by-stage
-    walk. With all-zero noise draws the output is F2 Heff F1 x + bias.
-    ValueError unless there is one (K_l,) gain vector per group. The link is
-    reused while params, true_ch and noise are the same objects, so none of
-    their arrays may be written in place.
+    2 (K_1 + ... + K_L + N_r) rows (of S for a batch), the numbers and
+    generator state of one complex_normal call per stage: the law and stream
+    of a stage-by-stage walk. With all-zero noise draws the output is
+    F2 Heff F1 x + bias. ValueError unless there is one (K_l,) gain vector
+    per group and a bias, when given, is (out_dim,). The link is reused while
+    params, true_ch and noise are the same objects, so none of their arrays
+    may be written in place.
     """
     m, g = _link(params, true_ch, noise)
     x = np.asarray(x, dtype=complex)
-    single = x.ndim == 1
-    xs = x[:, None] if single else x
-
-    w = g @ np.random.default_rng(rng_seed).standard_normal((g.shape[1], xs.shape[1]))
-    y = m @ xs
+    if bias is not None:
+        bias = np.asarray(bias, dtype=complex)
+        if bias.shape != (len(m),):
+            raise ValueError(f"bias must have shape ({len(m)},), got {bias.shape}")
+    w = g @ np.random.default_rng(rng_seed).standard_normal((g.shape[1],) + x.shape[1:])
+    y = m @ x
     y.real += w[:len(y)]
     y.imag += w[len(y):]
     if bias is not None:
-        y += np.asarray(bias, dtype=complex)[:, None]
-    return y[:, 0] if single else y
+        y += bias if y.ndim == 1 else bias[:, None]
+    return y
 
 
 @dataclass(frozen=True)
@@ -259,27 +261,26 @@ def load_pipeline(path) -> ImportedPipeline:
 
 
 @lru_cache(maxsize=32)
-def _window_index(height: int, width: int, kh: int, kw: int, stride: int,
-                  padding: int) -> np.ndarray:
-    """Flat pixel index of every (kernel tap, output row, output column).
+def _window_index(in_ch: int, height: int, width: int, kh: int, kw: int,
+                  stride: int, padding: int) -> np.ndarray:
+    """Flat pixel index of every (channel, kernel tap, output row, output column).
 
-    The result has shape (kh * kw, out_h, out_w), tap (i, j) at i * kw + j.
-    Entries index one channel of the image flattened row-major; a tap that
-    falls in the zero padding points at height * width, the zero appended
-    after the last pixel.
+    The result has shape (in_ch * kh * kw, out_h, out_w), channel c and tap
+    (i, j) at (c * kh + i) * kw + j. Entries index the image flattened
+    channel-major; a tap that falls in the zero padding points at
+    in_ch * height * width, the zero appended after the last pixel.
     """
     out_h = (height + 2 * padding - kh) // stride + 1
     out_w = (width + 2 * padding - kw) // stride + 1
     if out_h < 1 or out_w < 1:
         raise ValueError(f"{kh}x{kw} kernel does not fit a {height}x{width} "
                          f"image padded by {padding}")
-    rows = np.arange(kh)[:, None] + stride * np.arange(out_h) - padding
-    cols = np.arange(kw)[:, None] + stride * np.arange(out_w) - padding
-    r = rows[:, None, :, None]
-    c = cols[None, :, None, :]
+    r = (np.arange(kh)[:, None] + stride * np.arange(out_h) - padding)[:, None, :, None]
+    c = (np.arange(kw)[:, None] + stride * np.arange(out_w) - padding)[None, :, None, :]
     inside = (r >= 0) & (r < height) & (c >= 0) & (c < width)
-    idx = np.where(inside, r * width + c, height * width)
-    idx = idx.reshape(kh * kw, out_h, out_w)
+    chan = height * width * np.arange(in_ch)[:, None, None, None, None]
+    idx = np.where(inside, chan + r * width + c, in_ch * height * width)
+    idx = idx.reshape(in_ch * kh * kw, out_h, out_w)
     idx.flags.writeable = False
     return idx
 
@@ -287,51 +288,49 @@ def _window_index(height: int, width: int, kh: int, kw: int, stride: int,
 def _conv2d(image: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
             stride: int, padding: int) -> np.ndarray:
     """Strided valid convolution (cross-correlation) after zero padding."""
-    if image.ndim == 2:
-        image = image[None, :, :]
+    image = image[None] if image.ndim == 2 else image
     out_ch, in_ch, kh, kw = kernel.shape
     if image.shape[0] != in_ch:
         raise ValueError(f"expected {in_ch} input channels, got {image.shape[0]}")
-    height, width = image.shape[1], image.shape[2]
-    idx = _window_index(height, width, kh, kw, stride, padding)
-    flat = np.zeros((in_ch, height * width + 1), dtype=image.dtype)
-    flat[:, :-1] = image.reshape(in_ch, -1)
-    taps = flat[:, idx].reshape(in_ch * kh * kw, -1)
-    out = kernel.reshape(out_ch, -1) @ taps + bias[:, None]
+    idx = _window_index(in_ch, image.shape[1], image.shape[2], kh, kw, stride, padding)
+    flat = np.concatenate((image.reshape(-1), np.zeros(1, image.dtype)))
+    out = kernel.reshape(out_ch, -1) @ flat[idx].reshape(len(idx), -1)
+    out += bias[:, None]
     return out.reshape(out_ch, *idx.shape[1:])
 
 
-def _complex_relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z.real, 0.0) + 1j * np.maximum(z.imag, 0.0)
-
-
 def _power_normalize(z: np.ndarray) -> np.ndarray:
-    """Scale one feature vector to unit average per-feature power."""
+    """Scale one feature vector, in place, to unit average per-feature power."""
     mean_power = np.vdot(z, z).real / z.size
-    if mean_power == 0:
-        return z
-    return z / np.sqrt(mean_power)
+    if mean_power != 0:
+        z /= np.sqrt(mean_power)
+    return z
 
 
 def _pre_layers(pipeline: ImportedPipeline, image: np.ndarray) -> np.ndarray:
     """Conv + R2C + batch norm + power normalization -> complex features."""
     w = pipeline._wide
     conv = _conv2d(image, w["conv_kernel"], w["conv_bias"], CONV_STRIDE, CONV_PADDING)
-    z = (conv[0] + 1j * conv[1]).ravel()
-    if z.size != pipeline.fc_mid_weight.shape[1]:
-        raise ValueError(
-            f"conv produced {z.size} complex features, pipeline expects "
-            f"{pipeline.fc_mid_weight.shape[1]}"
-        )
-    z = w["bn_scale"] * z + w["bn_shift"]
+    features = pipeline.fc_mid_weight.shape[1]
+    if conv[0].size != features:
+        raise ValueError(f"conv produced {conv[0].size} complex features, "
+                         f"pipeline expects {features}")
+    z = np.empty(features, dtype=complex)
+    z.real = conv[0].reshape(-1)
+    z.imag = conv[1].reshape(-1)
+    z = w["bn_scale"] * z  # a new array: in place, numpy may take z * scale,
+    z += w["bn_shift"]     # which can round apart from scale * z
     return _power_normalize(z)
 
 
 def _post_layers(pipeline: ImportedPipeline, y: np.ndarray) -> np.ndarray:
-    y = _complex_relu(y)
-    real = np.concatenate([y.real, y.imag])
+    """Complex ReLU, [Re; Im] and the real FC head; overwrites y, (M,) complex."""
+    parts = y.view(float)
+    np.maximum(parts, 0.0, out=parts)
     w = pipeline._wide
-    return w["fc_out_weight"] @ real + w["fc_out_bias"]
+    scores = w["fc_out_weight"] @ parts.reshape(-1, 2).T.reshape(-1)
+    scores += w["fc_out_bias"]
+    return scores
 
 
 def imported_forward(pipeline: ImportedPipeline, image: np.ndarray,
@@ -348,5 +347,6 @@ def digital_forward(pipeline: ImportedPipeline, image: np.ndarray) -> np.ndarray
     """Fully digital reference: the same pipeline with the FC layer in math."""
     z = _pre_layers(pipeline, np.asarray(image, dtype=float))
     w = pipeline._wide
-    mid = w["fc_mid_weight"] @ z + w["fc_mid_bias"]
+    mid = w["fc_mid_weight"] @ z
+    mid += w["fc_mid_bias"]
     return _post_layers(pipeline, mid)

@@ -368,6 +368,28 @@ def test_cli_run_writes_csv(tmp_path, capsys):
     assert n_lines == 2 + 1  # two sweep points plus header
 
 
+def test_cli_run_reports_failed_trials_on_stderr(tmp_path, monkeypatch, capsys):
+    # every trial at excess budget 60 raises: stderr names that point, while
+    # stdout, the exit code and the CSV bytes stay what they were
+    cfg_path = write_cfg(tmp_path)
+    real = harness.run_trial
+
+    def flaky(cfg, point, trial_seed):
+        if point.excess_budget == 60:
+            raise FloatingPointError("diverged")
+        return real(cfg, point, trial_seed)
+    monkeypatch.setattr(harness, "run_trial", flaky)
+    want = tmp_path / "want.csv"
+    emit_csv(run_experiment(load_config(cfg_path)), want)
+    out_path = tmp_path / "res.csv"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 2 rows to {out_path}\n"
+    assert captured.err == ("warning: uniform|60|1|2|3: 2 of 2 trials failed, "
+                            "first error:FloatingPointError\n")
+    assert out_path.read_bytes() == want.read_bytes()
+
+
 def test_cli_overrides(tmp_path):
     cfg_path = write_cfg(tmp_path)
     out1 = tmp_path / "r1.csv"

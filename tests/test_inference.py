@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from otafc import (ChannelSet, NoiseModel, OtaParams, TargetLayer, accuracy,
                    digital_forward, imported_forward, load_pipeline,
                    make_synthetic_task, ota_forward, save_pipeline)
+from otafc import inference
 from otafc.inference import ImportedPipeline, SyntheticTask, _conv2d, _link
 from otafc.utils import complex_normal
 
@@ -130,6 +131,21 @@ def test_malformed_design_fails_loudly(case):
     with pytest.raises(ValueError, match="gain vector"):
         imported_forward(_random_pipeline(1), rng.standard_normal((28, 28)), params,
                          ch, noise, 3)
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("shape", [(1,), (2,), (4, 1)])
+def test_ota_forward_refuses_a_bias_of_the_wrong_shape(batch, shape):
+    # a 4-output design: a length-1 bias is not broadcast onto every output,
+    # and a length-2 one fails with the shape it needs, not numpy's message
+    rng = np.random.default_rng(24)
+    ch = random_channel_set(rng, 3, 5, (2,))
+    params = OtaParams(f1=cn(rng, (3, 3)), f2=cn(rng, (4, 5)), a=(cn(rng, (2,)),))
+    noise = NoiseModel(relay_noise_var=(0.1,), rx_noise_var=0.1)
+    x = cn(rng, (3,) if batch is None else (3, batch))
+    with pytest.raises(ValueError, match=re.escape(f"bias must have shape (4,), got {shape}")):
+        ota_forward(x, params, ch, noise, 1, bias=np.full(shape, 0.5))
+    assert ota_forward(x, params, ch, noise, 1, bias=np.full(4, 0.5)).shape == (4,) + x.shape[1:]
 
 
 def test_ota_forward_perfect_emulation_zero_noise():
@@ -432,6 +448,106 @@ def test_imported_forward_deterministic_batch():
     s2 = [imported_forward(pipe, im, params, ch, noise, 1000 + i)
           for i, im in enumerate(imgs)]
     assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
+
+
+# The front end and head as the image pipeline ran them before each conv
+# became one gather over all channels and the pairing and the complex ReLU
+# worked in place: the bit-exact oracle of _pre_layers and _post_layers.
+
+def oracle_window_index(height, width, kh, kw, stride, padding):
+    """Flat index, into one channel with a zero appended, of every tap."""
+    out_h = (height + 2 * padding - kh) // stride + 1
+    out_w = (width + 2 * padding - kw) // stride + 1
+    rows = np.arange(kh)[:, None] + stride * np.arange(out_h) - padding
+    cols = np.arange(kw)[:, None] + stride * np.arange(out_w) - padding
+    r = rows[:, None, :, None]
+    c = cols[None, :, None, :]
+    inside = (r >= 0) & (r < height) & (c >= 0) & (c < width)
+    return np.where(inside, r * width + c, height * width).reshape(kh * kw, out_h, out_w)
+
+
+def oracle_conv2d(image, kernel, bias, stride, padding):
+    if image.ndim == 2:
+        image = image[None, :, :]
+    out_ch, in_ch, kh, kw = kernel.shape
+    height, width = image.shape[1], image.shape[2]
+    idx = oracle_window_index(height, width, kh, kw, stride, padding)
+    flat = np.zeros((in_ch, height * width + 1), dtype=image.dtype)
+    flat[:, :-1] = image.reshape(in_ch, -1)
+    taps = flat[:, idx].reshape(in_ch * kh * kw, -1)
+    out = kernel.reshape(out_ch, -1) @ taps + bias[:, None]
+    return out.reshape(out_ch, *idx.shape[1:])
+
+
+def oracle_features(pipe, image, stride, padding):
+    """Conv, conv[0] + 1j conv[1], batch norm and power normalization."""
+    w = pipe._wide
+    conv = oracle_conv2d(np.asarray(image, dtype=float), w["conv_kernel"],
+                         w["conv_bias"], stride, padding)
+    z = (conv[0] + 1j * conv[1]).ravel()
+    z = w["bn_scale"] * z + w["bn_shift"]
+    mean_power = np.vdot(z, z).real / z.size
+    return z if mean_power == 0 else z / np.sqrt(mean_power)
+
+
+def oracle_head(pipe, y):
+    """Complex ReLU, then the real head on the concatenated [Re; Im]."""
+    y = np.maximum(y.real, 0.0) + 1j * np.maximum(y.imag, 0.0)
+    w = pipe._wide
+    return w["fc_out_weight"] @ np.concatenate([y.real, y.imag]) + w["fc_out_bias"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_image_pipeline_matches_the_oracle_bit_for_bit_property(data):
+    # random pipelines: 1-3 input channels, kernels of 1-4, stride 1-4,
+    # padding 0-2, the feature count matched to the middle FC layer, and
+    # random OTA designs; some images are all zero with a zero conv bias and
+    # batch-norm shift, so the features take the zero-power branch
+    in_ch = data.draw(st.integers(1, 3))
+    kh, kw = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    stride, padding = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2))
+    height = data.draw(st.integers(max(1, kh - 2 * padding), 11))
+    width = data.draw(st.integers(max(1, kw - 2 * padding), 11))
+    f = ((height + 2 * padding - kh) // stride + 1) * ((width + 2 * padding - kw) // stride + 1)
+    m, classes = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 4))
+    zero = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    shift = np.zeros(f) if zero else 0.1 * cn(rng, (f,))
+    pipe = ImportedPipeline(
+        conv_kernel=rng.standard_normal((2, in_ch, kh, kw)).astype(np.float32),
+        conv_bias=(np.zeros(2) if zero else rng.standard_normal(2)).astype(np.float32),
+        bn_scale=(1.0 + 0.3 * cn(rng, (f,))).astype(np.complex64),
+        bn_shift=shift.astype(np.complex64),
+        fc_mid_weight=cn(rng, (m, f), 1.0 / f).astype(np.complex64),
+        fc_mid_bias=(0.1 * cn(rng, (m,))).astype(np.complex64),
+        fc_out_weight=rng.standard_normal((classes, 2 * m)).astype(np.float32),
+        fc_out_bias=rng.standard_normal(classes).astype(np.float32))
+    shape = (height, width) if in_ch == 1 and data.draw(st.booleans()) else (in_ch, height, width)
+    img = np.zeros(shape) if zero else rng.standard_normal(shape)
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n_tx, n_rx = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    ch = random_channel_set(rng, n_tx, n_rx, sizes, direct=data.draw(st.booleans()))
+    params = OtaParams(f1=cn(rng, (n_tx, f)), f2=cn(rng, (m, n_rx)),
+                       a=tuple(cn(rng, (k,)) for k in sizes))
+    noise = NoiseModel(relay_noise_var=tuple(rng.uniform(0.01, 1.0, len(sizes))),
+                       rx_noise_var=rng.uniform(0.01, 1.0))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    w = pipe._wide
+    z = oracle_features(pipe, img, stride, padding)
+    assert not zero or not z.any()
+    # a single vector runs as the batch of one it used to be run as
+    want_gen, got_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    want_ota = oracle_head(pipe, ota_forward(z[:, None], params, ch, noise, want_gen,
+                                             bias=w["fc_mid_bias"])[:, 0])
+    want_dig = oracle_head(pipe, w["fc_mid_weight"] @ z + w["fc_mid_bias"])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "CONV_STRIDE", stride)
+        mp.setattr(inference, "CONV_PADDING", padding)
+        got_ota = imported_forward(pipe, img, params, ch, noise, got_gen)
+        got_dig = digital_forward(pipe, img)
+    assert np.array_equal(got_ota, want_ota) and np.array_equal(got_dig, want_dig)
+    assert got_gen.bit_generator.state == want_gen.bit_generator.state
 
 
 # Captured from the pad-and-window conv this gather replaced, on the pipeline,

@@ -1,4 +1,4 @@
-"""tools/trial_digest.py: one line per trial, the same bytes on every run."""
+"""tools/trial_digest.py: one line per trial or image, the same bytes on every run."""
 
 import pathlib
 import subprocess
@@ -27,9 +27,37 @@ def test_one_sweep_digest_is_one_stable_line_per_trial():
     assert _digest("--workload", "deep_cascade", "--sweeps", "1").stdout == first.stdout
 
 
-def test_digest_refuses_a_workload_that_is_not_a_sweep():
-    proc = _digest("--workload", "image_inference")
-    assert proc.returncode == 2 and "not a sweep workload" in proc.stderr
+def test_digest_refuses_a_name_that_is_not_a_workload():
+    proc = _digest("--workload", "no_such_workload")
+    assert proc.returncode == 2 and "'no_such_workload' is not a workload" in proc.stderr
+
+
+def test_image_digest_is_one_stable_line_per_image():
+    first = _digest("--workload", "image_inference", "--images", "14")
+    assert first.returncode == 0, first.stderr
+    lines = first.stdout.splitlines()
+    assert len(lines) == 14
+    for i, line in enumerate(lines):
+        name, index, design, ota, dig, sha = line.split(" ")
+        assert (name, int(index), int(design)) == ("image_inference", i, i % 6)
+        assert 0 <= int(ota) < 10 and 0 <= int(dig) < 10
+        assert len(sha) == 40 and int(sha, 16) >= 0
+    assert len({line.split()[-1] for line in lines}) == 14
+    again = _digest("--workload", "image_inference", "--images", "14")
+    assert again.stdout == first.stdout
+
+
+def test_image_digest_is_not_joined_with_against(tmp_path):
+    images = tmp_path / "images.txt"
+    images.write_text(_digest("--workload", "image_inference", "--images", "3").stdout)
+    sweep = tmp_path / "sweep.txt"
+    sweep.write_text(_line("w", 0, 0.25, 0.5, 10))
+    for this, other in ((images, sweep), (sweep, images)):
+        proc = subprocess.run([sys.executable, str(TOOL), str(this), "--against", str(other)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and "compare image digests with cmp" in proc.stderr
+    proc = _digest("--workload", "image_inference", "--images", "3", "--against", str(sweep))
+    assert proc.returncode == 2 and "compare image digests with cmp" in proc.stderr
 
 
 def _line(workload, trial, nmse, acc, iters, status="converged"):

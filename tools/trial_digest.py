@@ -2,6 +2,8 @@
 
     python3 tools/trial_digest.py CHECKOUT --seed 4 [--workload deep_cascade]
         [--sweeps N]
+    python3 tools/trial_digest.py CHECKOUT --seed 4 --workload image_inference
+        [--images N]
     python3 tools/trial_digest.py CHECKOUT --seed 4 --against OTHER.txt
     python3 tools/trial_digest.py THIS.txt --against OTHER.txt
 
@@ -14,6 +16,15 @@ ota_acc, the iteration count and the status. BLAS runs single-threaded, as
 in perfbench, so `cmp` of the output of two checkouts tells whether they
 give bit-identical trials. workloads.py is imported, never written.
 
+The image workload is digested only when named. Its first N images (by
+default the images an untraced perfbench run always finishes) go through
+`inference.imported_forward` and `inference.digital_forward` as the
+benchmark streams them: image i of the seeded pool over design i mod the
+number of designs, on one noise generator. A line holds the workload, the
+image index, the design, the OTA and digital argmax, and the SHA-1 of the
+bytes of both score arrays. Two image digests are compared with `cmp`;
+--against refuses them.
+
 With --against, the digest (of CHECKOUT, or read from a digest file THIS.txt)
 is joined with the digest file OTHER.txt on (workload, sweep, point, trial),
 and instead of the lines one line per workload and metric (nmse, ota_acc,
@@ -24,10 +35,12 @@ compared.
 """
 
 import argparse
+import hashlib
 import math
 import os
 import statistics
 import sys
+import tempfile
 
 # Single-threaded BLAS/OpenMP, as perfbench pins it; set before numpy loads.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -79,8 +92,9 @@ def main(argv=None) -> int:
     p.add_argument("checkout", help="a checkout, or with --against a digest file")
     p.add_argument("--seed", type=int, help="base seed (required for a checkout)")
     p.add_argument("--workload", action="append",
-                   help="a sweep workload (repeatable); all of them by default")
-    p.add_argument("--sweeps", type=int, help="sweeps per workload")
+                   help="a workload (repeatable); all sweep workloads by default")
+    p.add_argument("--sweeps", type=int, help="sweeps per sweep workload")
+    p.add_argument("--images", type=int, help="images of the image workload")
     p.add_argument("--against", metavar="OTHER.txt",
                    help="print paired differences from this digest file")
     args = p.parse_args(argv)
@@ -97,20 +111,29 @@ def main(argv=None) -> int:
             for line in this:
                 print(line, flush=True)
             return 0
-    with open(args.against) as other:
-        print("\n".join(paired_summary(this, other)))
+    with open(args.against) as f:
+        other = f.read().splitlines()
+    this = list(this)
+    if any(len(line.split()) != 9 for line in this + other):
+        p.error("--against joins the trial lines of sweep digests; compare image "
+                "digests with cmp")
+    print("\n".join(paired_summary(this, other)))
     return 0
 
 
 def _digest(p, args):
     """The digest lines of the checkout, as they are made."""
     harness, workloads = _import(os.path.abspath(args.checkout))
-    sweeps = {name: spec for name, spec in workloads.WORKLOADS.items()
-              if isinstance(spec, workloads.Sweep)}
-    for name in args.workload or sweeps:
-        if name not in sweeps:
-            p.error(f"{name!r} is not a sweep workload; choose from {sorted(sweeps)}")
-        spec = sweeps[name]
+    specs = workloads.WORKLOADS
+    names = args.workload or [n for n, s in specs.items() if isinstance(s, workloads.Sweep)]
+    for name in names:
+        if name not in specs:
+            p.error(f"{name!r} is not a workload; choose from {sorted(specs)}")
+    for name in names:
+        spec = specs[name]
+        if not isinstance(spec, workloads.Sweep):
+            yield from _image_lines(name, spec, args, workloads)
+            continue
         for i in range(spec.sweeps if args.sweeps is None else args.sweeps):
             tree = dict(spec.tree, base_seed=workloads.sweep_seed(args.seed, i))
             for row in harness.run_experiment(harness.config_from_dict(tree)):
@@ -118,6 +141,23 @@ def _digest(p, args):
                     yield (f"{name} {i} {row.point.key} {t} {res.nmse!r} "
                            f"{res.objective_true!r} {res.ota_acc!r} {res.iterations} "
                            f"{res.status}")
+
+
+def _image_lines(name, spec, args, workloads):
+    """One line per image of the benchmark's image stream."""
+    import numpy as np
+    from otafc import inference
+    with tempfile.TemporaryDirectory() as work:
+        setup = workloads.setup_images(spec, args.seed, work)
+    rng = np.random.default_rng(setup.noise_seed)
+    pool, designs = len(setup.images), setup.designs
+    for i in range(spec.quality_images if args.images is None else args.images):
+        image, k = setup.images[i % pool], i % len(designs)
+        ota = inference.imported_forward(setup.pipeline, image, designs[k].params,
+                                         designs[k].true_ch, setup.noise, rng)
+        dig = inference.digital_forward(setup.pipeline, image)
+        sha = hashlib.sha1(ota.tobytes() + dig.tobytes()).hexdigest()
+        yield f"{name} {i} {k} {np.argmax(ota)} {np.argmax(dig)} {sha}"
 
 
 if __name__ == "__main__":
