@@ -92,4 +92,4 @@ def allocate(heuristic: Heuristic, topology: Topology, excess_budget: int,
             break
         rep[chosen] += 1
         remaining -= int(tau_min[chosen])
-    return PilotPlan.from_reps(tau_min, tuple(rep), pilot_power)
+    return PilotPlan(pilot_power, tuple(rep), tuple(tau_min))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .topology import BS_RX_HEIGHT_M, RELAY_HEIGHT_M, Placement
-from .utils import complex_normal
+from .utils import complex_normal, read_only
 
 SPEED_OF_LIGHT = 299_792_458.0
 RICEAN_KAPPA_DB = 0.0  # Ricean K-factor of the direct link
@@ -124,7 +124,7 @@ class ChannelSet:
     link is blocked). has_direct is False when h_direct is exactly zero, so
     products with it, all exact zeros, can be skipped without changing a bit.
     chain is h_hop followed by h_last, so chain[l] maps group l to the next
-    stage.
+    stage. The matrices are read-only copies of the arrays given.
     """
 
     h_direct: np.ndarray
@@ -134,7 +134,9 @@ class ChannelSet:
     chain: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h_hop", tuple(self.h_hop))
+        object.__setattr__(self, "h_direct", read_only(self.h_direct))
+        object.__setattr__(self, "h_hop", tuple(read_only(h) for h in self.h_hop))
+        object.__setattr__(self, "h_last", read_only(self.h_last))
         if not self.h_hop:
             raise ValueError("need at least one hop matrix")
         for l in range(len(self.h_hop) - 1):
@@ -263,28 +265,34 @@ class Cascade:
     With caps, the per-relay power caps of each group, the walk fits each
     gain as it goes to a_l = project(l, a_l), the clip to limit(l) =
     sqrt(cap_l / incident_powers(l)); a gain of None starts at limit(l).
-
-    base, a Cascade on the same channels, noise model and caps, lends the
-    products that depend only on parts of the design that are the very same
-    arrays as its own: u_l, its incident powers, limits and last projection
-    while F1 and a_1..a_{l-1} are, b while F1 and every gain are, N_l while
-    a_1..a_{l-1} are, F2 H_direct while F2 is, the direct residual while F1
-    and F2 are, and d[l-1] while F2 and a_{l+1}..a_L are. A gain that is the
-    base's own a_l on a prefix it lends was fitted by the base, so the walk
-    keeps it. A product the base has not built yet is built here on first
-    use. The lists are copied, so a cascade keeps no reference to its base.
-    No array of a design or of a product is ever written in place, so the
-    same array means the same values.
     """
 
     def __init__(self, ch: ChannelSet, gains, f1: np.ndarray, f2: np.ndarray = None,
-                 noise: NoiseModel = None, caps=None, base: "Cascade" = None):
-        if base is not None and (base.ch is not ch or base._noise_model is not noise
-                                 or base._caps is not caps):
-            raise ValueError("base must be a cascade on the same channels, noise and caps")
-        if (base is None and noise is not None
-                and len(noise.relay_noise_var) != ch.num_groups):
+                 noise: NoiseModel = None, caps=None):
+        if noise is not None and len(noise.relay_noise_var) != ch.num_groups:
             raise ValueError("noise model group count must match the channel set")
+        self._walk(ch, gains, f1, f2, noise, caps, None)
+
+    def moved(self, gains, f1: np.ndarray, f2: np.ndarray) -> "Cascade":
+        """The cascade of the design (gains, f1, f2) on these channels, noise
+        model and caps, lent every product that depends only on parts of the
+        design that are the very same arrays as this one's: u_l, its incident
+        powers, limits and last projection while F1 and a_1..a_{l-1} are, b
+        while F1 and every gain are, N_l while a_1..a_{l-1} are, F2 H_direct
+        while F2 is, the direct residual while F1 and F2 are, and d[l-1]
+        while F2 and a_{l+1}..a_L are. A gain that is this cascade's own a_l
+        on a prefix it lends was fitted here, so the walk keeps it. Products
+        not built here yet are built there on first use; the lists are
+        copied, so the candidate keeps no reference to this cascade. No array
+        of a design or of a product is ever written in place, so the same
+        array means the same values.
+        """
+        cand = Cascade.__new__(Cascade)
+        cand._walk(self.ch, gains, f1, f2, self._noise_model, self._caps, self)
+        return cand
+
+    def _walk(self, ch, gains, f1, f2, noise, caps, base):
+        # the prefixes, each gain fitted to its caps; base lends as moved says
         self.ch, self.f1, self.f2, self._noise_model = ch, f1, f2, noise
         self._caps = caps
         self.a = list(gains)

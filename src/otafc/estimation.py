@@ -17,48 +17,40 @@ from .utils import complex_normal
 
 @dataclass(frozen=True)
 class PilotPlan:
-    """Per-phase pilot lengths and the common pilot transmit power.
+    """Per-phase pilot repetitions and the common pilot transmit power.
 
-    tau[l] must equal rep[l] * tau_min[l] with integer rep[l] >= 1; tau_min
-    holds the orthogonality minima (N_t, K_1, ..., K_L).
+    Phase l sends rep[l] >= 1 orthogonal blocks of its minimum length
+    tau_min[l], the orthogonality minima (N_t, K_1, ..., K_L).
     """
 
     pilot_power: float
-    tau: tuple
     rep: tuple
     tau_min: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", tuple(int(t) for t in self.tau))
         object.__setattr__(self, "rep", tuple(int(m) for m in self.rep))
         object.__setattr__(self, "tau_min", tuple(int(t) for t in self.tau_min))
         if not self.pilot_power > 0:  # NaN too; +inf is perfect training
             raise ValueError("pilot power must be positive")
-        if not len(self.tau) == len(self.rep) == len(self.tau_min):
-            raise ValueError("tau, rep, tau_min must have equal length")
+        if len(self.rep) != len(self.tau_min):
+            raise ValueError("rep and tau_min must have equal length")
         if any(t < 1 for t in self.tau_min):
             raise ValueError("minimum pilot lengths must be >= 1")
         if any(m < 1 for m in self.rep):
             raise ValueError("repetition factors must be >= 1")
-        if any(t != m * tm for t, m, tm in zip(self.tau, self.rep, self.tau_min)):
-            raise ValueError("tau[l] must equal rep[l] * tau_min[l]")
+
+    @property
+    def tau(self) -> tuple:
+        """Pilot length of each phase, rep[l] * tau_min[l]."""
+        return tuple(m * t for m, t in zip(self.rep, self.tau_min))
 
     @property
     def num_phases(self) -> int:
-        return len(self.tau)
+        return len(self.rep)
 
     @property
     def tau_total(self) -> int:
         return sum(self.tau)
-
-    @classmethod
-    def from_reps(cls, tau_min, rep, pilot_power: float) -> "PilotPlan":
-        tau = tuple(int(m) * int(t) for m, t in zip(rep, tau_min))
-        return cls(pilot_power=pilot_power, tau=tau, rep=tuple(rep), tau_min=tuple(tau_min))
-
-    @classmethod
-    def minimal(cls, tau_min, pilot_power: float) -> "PilotPlan":
-        return cls.from_reps(tau_min, (1,) * len(tuple(tau_min)), pilot_power)
 
 
 def make_pilots(tau: int, m: int) -> np.ndarray:
@@ -72,11 +64,6 @@ def make_pilots(tau: int, m: int) -> np.ndarray:
     t = np.arange(tau)[:, None]
     k = np.arange(m)[None, :]
     return np.exp(-2j * np.pi * t * k / tau)
-
-
-def _phase_noise_vars(noise: NoiseModel) -> list:
-    # receiving-side convention: phase l is heard by the next stage
-    return list(noise.relay_noise_var) + [noise.rx_noise_var]
 
 
 def estimate_hop(h_true: np.ndarray, plan: PilotPlan, hop: int,
@@ -120,7 +107,7 @@ def _per_phase(ch: ChannelSet, plan: PilotPlan, noise: NoiseModel, rng_seed,
     if plan.num_phases != L + 1:
         raise ValueError(f"plan has {plan.num_phases} phases, channel needs {L + 1}")
     rng = np.random.default_rng(rng_seed)
-    recv_var = _phase_noise_vars(noise)
+    recv_var = noise.relay_noise_var + (noise.rx_noise_var,)  # phase l is heard by stage l + 1
 
     hops = [estimate(ch.h_hop[0], 0, recv_var[0], rng)]
     if ch.has_direct:

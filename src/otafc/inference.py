@@ -11,13 +11,13 @@ by the OTA link.
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .channel import Cascade, ChannelSet, NoiseModel
 from .solver import OtaParams, TargetLayer
-from .utils import complex_normal
+from .utils import complex_normal, read_only
 
 
 def _link(params: OtaParams, true_ch: ChannelSet, noise: NoiseModel) -> tuple:
@@ -57,8 +57,7 @@ def ota_forward(x: np.ndarray, params: OtaParams, true_ch: ChannelSet,
     of a stage-by-stage walk. With all-zero noise draws the output is
     F2 Heff F1 x + bias. ValueError unless there is one (K_l,) gain vector
     per group and a bias, when given, is (out_dim,). The link is reused while
-    params, true_ch and noise are the same objects, so none of their arrays
-    may be written in place.
+    params, true_ch and noise are the same objects, whose arrays are read-only.
     """
     m, g = _link(params, true_ch, noise)
     x = np.asarray(x, dtype=complex)
@@ -168,19 +167,23 @@ class ImportedPipeline:
     Stage order: conv (2 output channels) -> real-to-complex pairing ->
     complex batch norm (affine, inference mode) -> power normalization ->
     complex FC (the OTA-replaceable layer) -> complex ReLU ->
-    complex-to-real -> real FC head.
+    complex-to-real -> real FC head. Each tensor is a read-only float64 or
+    complex128 copy of the one given; the weight file holds float32/complex64.
     """
 
-    conv_kernel: np.ndarray   # (2, in_channels, kh, kw) float32
-    conv_bias: np.ndarray     # (2,) float32
-    bn_scale: np.ndarray      # (F,) complex64
-    bn_shift: np.ndarray      # (F,) complex64
-    fc_mid_weight: np.ndarray  # (M, F) complex64
-    fc_mid_bias: np.ndarray    # (M,) complex64
-    fc_out_weight: np.ndarray  # (C, 2M) float32
-    fc_out_bias: np.ndarray    # (C,) float32
+    conv_kernel: np.ndarray   # (2, in_channels, kh, kw) real
+    conv_bias: np.ndarray     # (2,) real
+    bn_scale: np.ndarray      # (F,) complex
+    bn_shift: np.ndarray      # (F,) complex
+    fc_mid_weight: np.ndarray  # (M, F) complex
+    fc_mid_bias: np.ndarray    # (M,) complex
+    fc_out_weight: np.ndarray  # (C, 2M) real
+    fc_out_bias: np.ndarray    # (C,) real
 
     def __post_init__(self):
+        for name, code in _TENSOR_SPECS:
+            wide = read_only(getattr(self, name), complex if code == _C64 else float)
+            object.__setattr__(self, name, wide)
         if self.conv_kernel.ndim != 4 or self.conv_kernel.shape[0] != 2:
             raise ValueError("conv kernel must be (2, in_ch, kh, kw)")
         if self.conv_bias.shape != (2,):
@@ -196,20 +199,10 @@ class ImportedPipeline:
         if self.fc_out_bias.shape != (self.fc_out_weight.shape[0],):
             raise ValueError("output FC bias length mismatch")
 
-    @cached_property
-    def _wide(self) -> dict:
-        """Every tensor as float64 or complex128, converted once per pipeline."""
-        wide = {}
-        for name, code in _TENSOR_SPECS:
-            wide[name] = getattr(self, name).astype(complex if code == _C64 else float)
-            wide[name].flags.writeable = False
-        return wide
-
     @property
     def target_layer(self) -> TargetLayer:
         """The OTA-replaceable complex FC layer."""
-        return TargetLayer(w=self.fc_mid_weight.astype(complex),
-                           bias=self.fc_mid_bias.astype(complex))
+        return TargetLayer(w=self.fc_mid_weight, bias=self.fc_mid_bias)
 
 
 def save_pipeline(pipeline: ImportedPipeline, path):
@@ -218,8 +211,7 @@ def save_pipeline(pipeline: ImportedPipeline, path):
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(_TENSOR_SPECS)))
         for name, code in _TENSOR_SPECS:
-            arr = np.asarray(getattr(pipeline, name))
-            arr = arr.astype("<c8" if code == _C64 else "<f4")
+            arr = getattr(pipeline, name).astype("<c8" if code == _C64 else "<f4")
             raw = name.encode()
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
@@ -309,8 +301,8 @@ def _power_normalize(z: np.ndarray) -> np.ndarray:
 
 def _pre_layers(pipeline: ImportedPipeline, image: np.ndarray) -> np.ndarray:
     """Conv + R2C + batch norm + power normalization -> complex features."""
-    w = pipeline._wide
-    conv = _conv2d(image, w["conv_kernel"], w["conv_bias"], CONV_STRIDE, CONV_PADDING)
+    conv = _conv2d(image, pipeline.conv_kernel, pipeline.conv_bias, CONV_STRIDE,
+                   CONV_PADDING)
     features = pipeline.fc_mid_weight.shape[1]
     if conv[0].size != features:
         raise ValueError(f"conv produced {conv[0].size} complex features, "
@@ -318,8 +310,8 @@ def _pre_layers(pipeline: ImportedPipeline, image: np.ndarray) -> np.ndarray:
     z = np.empty(features, dtype=complex)
     z.real = conv[0].reshape(-1)
     z.imag = conv[1].reshape(-1)
-    z = w["bn_scale"] * z  # a new array: in place, numpy may take z * scale,
-    z += w["bn_shift"]     # which can round apart from scale * z
+    z = pipeline.bn_scale * z  # a new array: in place, numpy may take z * scale,
+    z += pipeline.bn_shift     # which can round apart from scale * z
     return _power_normalize(z)
 
 
@@ -327,9 +319,8 @@ def _post_layers(pipeline: ImportedPipeline, y: np.ndarray) -> np.ndarray:
     """Complex ReLU, [Re; Im] and the real FC head; overwrites y, (M,) complex."""
     parts = y.view(float)
     np.maximum(parts, 0.0, out=parts)
-    w = pipeline._wide
-    scores = w["fc_out_weight"] @ parts.reshape(-1, 2).T.reshape(-1)
-    scores += w["fc_out_bias"]
+    scores = pipeline.fc_out_weight @ parts.reshape(-1, 2).T.reshape(-1)
+    scores += pipeline.fc_out_bias
     return scores
 
 
@@ -339,14 +330,13 @@ def imported_forward(pipeline: ImportedPipeline, image: np.ndarray,
     """Class scores with the middle complex FC layer realized over the air."""
     z = _pre_layers(pipeline, np.asarray(image, dtype=float))
     mid = ota_forward(z, params, true_ch, noise, rng_seed,
-                      bias=pipeline._wide["fc_mid_bias"])
+                      bias=pipeline.fc_mid_bias)
     return _post_layers(pipeline, mid)
 
 
 def digital_forward(pipeline: ImportedPipeline, image: np.ndarray) -> np.ndarray:
     """Fully digital reference: the same pipeline with the FC layer in math."""
     z = _pre_layers(pipeline, np.asarray(image, dtype=float))
-    w = pipeline._wide
-    mid = w["fc_mid_weight"] @ z
-    mid += w["fc_mid_bias"]
+    mid = pipeline.fc_mid_weight @ z
+    mid += pipeline.fc_mid_bias
     return _post_layers(pipeline, mid)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Cascade, ChannelSet, NoiseModel
-from .utils import hermitize
+from .utils import hermitize, read_only
 
 
 class SolverDivergenceError(RuntimeError):
@@ -50,14 +50,17 @@ class TargetLayer:
 
 @dataclass(frozen=True)
 class OtaParams:
-    """One design point: precoder f1, combiner f2, per-group gain vectors a."""
+    """One design point: precoder f1, combiner f2, per-group complex gains a;
+    each array is a read-only copy of the one given."""
 
     f1: np.ndarray
     f2: np.ndarray
     a: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(np.asarray(v, dtype=complex) for v in self.a))
+        object.__setattr__(self, "f1", read_only(self.f1))
+        object.__setattr__(self, "f2", read_only(self.f2))
+        object.__setattr__(self, "a", tuple(read_only(v, complex) for v in self.a))
 
 
 @dataclass(frozen=True)
@@ -305,7 +308,7 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     f1 = (np.sqrt(budget.p_max_bs / est.n_tx)
           * np.eye(est.n_tx, target.in_dim, dtype=complex))
     cur = Cascade(est, [None] * est.num_groups, f1, noise=noise, caps=budget.p_relay)
-    cur = Cascade(est, cur.a, f1, update_f2(cur, target), noise, budget.p_relay, base=cur)
+    cur = cur.moved(cur.a, f1, update_f2(cur, target))
     obj = objective(cur, target)
     if not np.isfinite(obj):
         raise SolverDivergenceError("non-finite objective at initialization")
@@ -313,7 +316,7 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     status = "max_iters"
 
     def step(incumbent, incumbent_obj, gains, f1, f2, change=None):
-        cand = Cascade(est, gains, f1, f2, noise, budget.p_relay, base=incumbent)
+        cand = incumbent.moved(gains, f1, f2)
         if change is not None and all(x is y for x, y in zip(cand.a, gains)):
             cand_obj = incumbent_obj + change
         else:

@@ -6,7 +6,7 @@ center of the opposite face, and the L relay groups occupy L consecutive
 slabs of width ``area_width / L`` along the x axis between them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,10 +48,6 @@ class Topology:
         if not (0 < self.area_width < np.inf and 0 < self.area_depth < np.inf):  # NaN too
             raise ValueError("area dimensions must be positive and finite")
 
-    @property
-    def total_relays(self) -> int:
-        return sum(self.group_sizes)
-
 
 @dataclass(frozen=True)
 class Placement:
@@ -61,10 +57,6 @@ class Placement:
     bs_position: np.ndarray
     rx_position: np.ndarray
     relay_positions: tuple  # one (K_l, 3) array per group
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.relay_positions)
 
 
 def region_bounds(topology: Topology, group: int):

@@ -1,4 +1,4 @@
-"""Shared numeric helpers: complex Gaussian draws and Hermitian symmetrization."""
+"""Shared numeric helpers: complex Gaussian draws, Hermitization, read-only copies."""
 
 import numpy as np
 
@@ -23,3 +23,10 @@ def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndar
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Symmetrize a nominally Hermitian matrix to kill rounding skew."""
     return 0.5 * (m + m.conj().T)
+
+
+def read_only(a, dtype=None) -> np.ndarray:
+    """A read-only copy of a, as dtype when given; a itself is not touched."""
+    out = np.array(a, dtype=dtype)
+    out.flags.writeable = False
+    return out

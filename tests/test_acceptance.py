@@ -42,7 +42,7 @@ def test_c01_ls_error_law():
     ch = random_channel_set(rng, 3, 3, (3, 4))
     noise = NoiseModel(relay_noise_var=(0.8, 0.5), rx_noise_var=0.3)
     p_p = 2.0
-    plan = PilotPlan.from_reps((3, 3, 4), (2, 1, 1), p_p)
+    plan = PilotPlan(pilot_power=p_p, rep=(2, 1, 1), tau_min=(3, 3, 4))
 
     trials = 10_000
     errs = [[], [], []]
@@ -322,7 +322,7 @@ def test_c08_multi_hop_benefit():
     elapsed = time.time() - t0
     report("C8 multi-hop benefit", wins >= 32,
            f"L=3 beats L=1 in {wins}/40 paired seeds "
-           f"(equal 36 relays, minimal training), {elapsed:.0f}s")
+           f"(equal 36 relays, minimum training), {elapsed:.0f}s")
 
 
 # -------------------------------------------------------------------------
@@ -333,7 +333,7 @@ def test_c09_estimator_path_equivalence():
     rng = np.random.default_rng(4)
     ch = random_channel_set(rng, 4, 4, (5, 5))
     noise = NoiseModel(relay_noise_var=(0.5, 0.4), rx_noise_var=0.6)
-    plan = PilotPlan.from_reps((4, 5, 5), (1, 2, 1), 1.5)
+    plan = PilotPlan(pilot_power=1.5, rep=(1, 2, 1), tau_min=(4, 5, 5))
 
     ls_err, inj_err = [], []
     trials = 160  # 160 trials x 65 error entries = 10400 samples per path

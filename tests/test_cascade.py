@@ -213,7 +213,7 @@ def test_candidate_from_base_equals_candidate_from_scratch(level, inst, data):
             gains[l - 1] = update_a(inc, target, l)[0]
         else:
             gains[l - 1] = complex_normal(rng, gains[l - 1].shape) * np.abs(gains[l - 1])
-    cand = Cascade(ch, gains, f1, f2, noise, caps, base=inc)
+    cand = inc.moved(gains, f1, f2)
     fresh = Cascade(ch, gains, f1, f2, noise, caps)
     assert_same_products(cand, fresh, target)
     assert objective(cand, target) == objective(fresh, target)
@@ -253,23 +253,18 @@ def test_capped_cascade_gains_meet_their_caps(inst, data):
              else complex_normal(rng, a.shape, 2.0) * np.abs(a)
              for l, (kind, a) in enumerate(zip(kinds, params.a))]
     f1 = data.draw(st.sampled_from([base.f1, complex_normal(rng, params.f1.shape)]))
-    for cas in (base, Cascade(ch, gains, f1, base.f2, noise, caps, base=base)):
+    for cas in (base, base.moved(gains, f1, base.f2)):
         for l, cap in enumerate(caps, start=1):
             used = np.abs(cas.a[l - 1]) ** 2 * cas.incident_powers(l)
             assert np.all(used <= cap * (1 + 1e-14))
 
 
-def test_cascade_refuses_a_base_with_other_caps():
+def test_uncapped_cascade_has_no_limits():
     rng = np.random.default_rng(3)
     ch = random_channel_set(rng, 2, 2, (3, 2))
     noise = NoiseModel(relay_noise_var=(1.0, 1.0), rx_noise_var=1.0)
-    caps = (np.ones(3), np.ones(2))
-    base = Cascade(ch, [None, None], np.eye(2, dtype=complex), noise=noise, caps=caps)
-    for other in (None, (np.ones(3), np.ones(2))):
-        with pytest.raises(ValueError, match="same channels"):
-            Cascade(ch, base.a, base.f1, noise=noise, caps=other, base=base)
     with pytest.raises(ValueError, match="no relay caps"):
-        Cascade(ch, base.a, base.f1, noise=noise).limit(1)
+        Cascade(ch, [np.ones(3), np.ones(2)], np.eye(2, dtype=complex), noise=noise).limit(1)
 
 
 @SETTINGS
@@ -286,7 +281,7 @@ def test_gain_move_scored_from_its_quadratic(inst):
         a_l, change = update_a(inc, target, l)
         gains = list(inc.a)
         gains[l - 1] = a_l
-        cand = Cascade(ch, gains, inc.f1, inc.f2, noise, caps, base=inc)
+        cand = inc.moved(gains, inc.f1, inc.f2)
         assert all(x is y for x, y in zip(cand.a[l:], inc.a[l:]))
         before = objective(inc, target)
         assert abs(before + change - objective(cand, target)) <= 1e-12 * before

@@ -10,7 +10,7 @@ from test_channel import random_channel_set
 
 def _plan(tau_min, rep=None, pilot_power=1.0):
     rep = rep or (1,) * len(tau_min)
-    return PilotPlan.from_reps(tau_min, rep, pilot_power)
+    return PilotPlan(pilot_power=pilot_power, rep=rep, tau_min=tau_min)
 
 
 # ---------------------------------------------------------------- pilots
@@ -29,15 +29,15 @@ def test_pilot_infeasible_length():
 
 
 def test_plan_validation():
+    with pytest.raises(ValueError, match="equal length"):
+        PilotPlan(pilot_power=1.0, rep=(1, 1), tau_min=(4,))
     with pytest.raises(ValueError):
-        PilotPlan(pilot_power=1.0, tau=(4, 4), rep=(1, 1), tau_min=(4, 3))
+        PilotPlan(pilot_power=1.0, rep=(0,), tau_min=(4,))
     with pytest.raises(ValueError):
-        PilotPlan(pilot_power=1.0, tau=(4,), rep=(0,), tau_min=(4,))
-    with pytest.raises(ValueError):
-        PilotPlan(pilot_power=0.0, tau=(4,), rep=(1,), tau_min=(4,))
+        PilotPlan(pilot_power=0.0, rep=(1,), tau_min=(4,))
     with pytest.raises(ValueError, match="pilot power"):
-        PilotPlan(pilot_power=float("nan"), tau=(4,), rep=(1,), tau_min=(4,))
-    assert PilotPlan(pilot_power=np.inf, tau=(4,), rep=(1,), tau_min=(4,)).pilot_power == np.inf
+        PilotPlan(pilot_power=float("nan"), rep=(1,), tau_min=(4,))
+    assert PilotPlan(pilot_power=np.inf, rep=(1,), tau_min=(4,)).pilot_power == np.inf
     plan = _plan((3, 5), rep=(2, 1))
     assert plan.tau == (6, 5)
     assert plan.tau_total == 11

@@ -200,7 +200,7 @@ def test_single_point_single_trial_row():
     assert row.failures == 0
     assert row.nmse_se == 0.0
     assert row.acc_ota_se == 0.0
-    assert row.tau_tot_mean == 4 + 3 + 3  # minimal plan
+    assert row.tau_tot_mean == 4 + 3 + 3  # the minimum plan
 
 
 def test_run_trial_deterministic():

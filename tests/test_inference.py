@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -101,14 +102,35 @@ def test_ota_forward_link_follows_the_channels_and_noise_it_runs_on():
               NoiseModel(relay_noise_var=(0.7, 0.05), rx_noise_var=0.4))
     params = OtaParams(f1=cn(rng, (3, 3)), f2=cn(rng, (3, 4)),
                        a=(cn(rng, (4,)), cn(rng, (2,))))
-    shown, twin = repr(params), OtaParams(f1=params.f1, f2=params.f2, a=params.a)
+    shown = repr(params)
     for step, (c, n) in enumerate([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (0, 0)]):
         x = cn(rng, (3,) if step % 2 else (3, 5))
         assert_matches_chain_walk(x, params, chs[c], noises[n], step, bias=cn(rng, (3,)))
     link = _link(params, chs[0], noises[0])
     assert link is _link(params, chs[0], noises[0])
     assert not any(arr.flags.writeable for arr in link)
-    assert repr(params) == shown and params == twin
+    # the memo is no dataclass field, so == never reads it
+    assert repr(params) == shown and [f.name for f in fields(params)] == ["f1", "f2", "a"]
+
+
+def test_designs_and_channel_sets_hold_read_only_copies():
+    # the link is reused while the design and channel set are the same
+    # objects, so an in-place write to either raises rather than leaving a
+    # stale link, and the caller's own arrays stay writable and unshared
+    rng = np.random.default_rng(24)
+    f1, f2, a = cn(rng, (3, 3)), cn(rng, (3, 4)), cn(rng, (4,))
+    h_direct, h_hop, h_last = cn(rng, (4, 3)), cn(rng, (4, 3)), cn(rng, (4, 4))
+    params = OtaParams(f1=f1, f2=f2, a=(a,))
+    ch = ChannelSet(h_direct=h_direct, h_hop=(h_hop,), h_last=h_last)
+    noise = NoiseModel(relay_noise_var=(0.2,), rx_noise_var=0.1)
+    x = cn(rng, (3,))
+    before = ota_forward(x, params, ch, noise, 5)
+    for held in (params.f1, params.f2, *params.a, ch.h_direct, *ch.h_hop, ch.h_last):
+        with pytest.raises(ValueError, match="read-only"):
+            held[...] = 0
+    for given in (f1, f2, a, h_direct, h_hop, h_last):
+        given[...] = 0
+    assert np.array_equal(ota_forward(x, params, ch, noise, 5), before)
 
 
 @pytest.mark.parametrize("case", ["extra gain vector", "length-1 gain vector"])
@@ -373,6 +395,8 @@ def test_pipeline_round_trip(tmp_path):
     for name in ("conv_kernel", "conv_bias", "bn_scale", "bn_shift",
                  "fc_mid_weight", "fc_mid_bias", "fc_out_weight", "fc_out_bias"):
         assert np.array_equal(getattr(pipe, name), getattr(back, name))
+        held = getattr(back, name)  # widened once, and never written
+        assert held.dtype in (np.float64, np.complex128) and not held.flags.writeable
     save_pipeline(back, again)  # a loaded file writes back bit for bit
     assert again.read_bytes() == path.read_bytes()
 
@@ -481,11 +505,10 @@ def oracle_conv2d(image, kernel, bias, stride, padding):
 
 def oracle_features(pipe, image, stride, padding):
     """Conv, conv[0] + 1j conv[1], batch norm and power normalization."""
-    w = pipe._wide
-    conv = oracle_conv2d(np.asarray(image, dtype=float), w["conv_kernel"],
-                         w["conv_bias"], stride, padding)
+    conv = oracle_conv2d(np.asarray(image, dtype=float), pipe.conv_kernel,
+                         pipe.conv_bias, stride, padding)
     z = (conv[0] + 1j * conv[1]).ravel()
-    z = w["bn_scale"] * z + w["bn_shift"]
+    z = pipe.bn_scale * z + pipe.bn_shift
     mean_power = np.vdot(z, z).real / z.size
     return z if mean_power == 0 else z / np.sqrt(mean_power)
 
@@ -493,8 +516,7 @@ def oracle_features(pipe, image, stride, padding):
 def oracle_head(pipe, y):
     """Complex ReLU, then the real head on the concatenated [Re; Im]."""
     y = np.maximum(y.real, 0.0) + 1j * np.maximum(y.imag, 0.0)
-    w = pipe._wide
-    return w["fc_out_weight"] @ np.concatenate([y.real, y.imag]) + w["fc_out_bias"]
+    return pipe.fc_out_weight @ np.concatenate([y.real, y.imag]) + pipe.fc_out_bias
 
 
 @settings(max_examples=200, deadline=None)
@@ -533,14 +555,13 @@ def test_image_pipeline_matches_the_oracle_bit_for_bit_property(data):
     noise = NoiseModel(relay_noise_var=tuple(rng.uniform(0.01, 1.0, len(sizes))),
                        rx_noise_var=rng.uniform(0.01, 1.0))
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
-    w = pipe._wide
     z = oracle_features(pipe, img, stride, padding)
     assert not zero or not z.any()
     # a single vector runs as the batch of one it used to be run as
     want_gen, got_gen = np.random.default_rng(seed), np.random.default_rng(seed)
     want_ota = oracle_head(pipe, ota_forward(z[:, None], params, ch, noise, want_gen,
-                                             bias=w["fc_mid_bias"])[:, 0])
-    want_dig = oracle_head(pipe, w["fc_mid_weight"] @ z + w["fc_mid_bias"])
+                                             bias=pipe.fc_mid_bias)[:, 0])
+    want_dig = oracle_head(pipe, pipe.fc_mid_weight @ z + pipe.fc_mid_bias)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inference, "CONV_STRIDE", stride)
         mp.setattr(inference, "CONV_PADDING", padding)

@@ -410,7 +410,7 @@ def test_evaluate_true_degenerate_values():
 def test_estimated_csi_approaches_perfect_with_pilot_power():
     rng, ch, noise, target, budget, _ = random_instance(11)
     res_perfect = solve(ch, target, noise, budget)
-    plan = PilotPlan.minimal((4, 5, 4, 6), pilot_power=1e10)
+    plan = PilotPlan(pilot_power=1e10, rep=(1, 1, 1, 1), tau_min=(4, 5, 4, 6))
     est = inject_error(ch, plan, noise, 3)
     res_est = solve(est, target, noise, budget)
     ev = evaluate_true(res_est.params, ch, target, noise, budget)
@@ -429,7 +429,7 @@ def test_pilot_power_ordering_of_nmse():
         budget = PowerBudget.uniform((5, 6), 4.0, 2.0)
         nmses = []
         for p_p in (0.1, 1.0):
-            plan = PilotPlan.minimal((4, 5, 6), pilot_power=p_p)
+            plan = PilotPlan(pilot_power=p_p, rep=(1, 1, 1), tau_min=(4, 5, 6))
             est = inject_error(ch, plan, noise, 500 + seed)
             res = solve(est, target, noise, budget)
             nmses.append(evaluate_true(res.params, ch, target, noise).nmse)
