@@ -114,7 +114,7 @@ def linear_gain(distance_m, params: PathlossParams):
     return 10.0 ** (-np.asarray(pathloss_db(distance_m, params)) / 10.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
 class ChannelSet:
     """One realization of every channel matrix in the cascade.
 
@@ -130,8 +130,8 @@ class ChannelSet:
     h_direct: np.ndarray
     h_hop: tuple
     h_last: np.ndarray
-    has_direct: bool = field(init=False, repr=False, compare=False)
-    chain: tuple = field(init=False, repr=False, compare=False)
+    has_direct: bool = field(init=False, repr=False)
+    chain: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h_direct", read_only(self.h_direct))

@@ -265,6 +265,7 @@ class TrialResult:
     rep: tuple
     iterations: int
     status: str
+    relay_power_overrun: float  # of the design on the true channels, as evaluate_true
 
 
 def run_trial(cfg: ExperimentConfig, point: SweepPoint, trial_seed: int) -> TrialResult:
@@ -307,7 +308,8 @@ def run_trial(cfg: ExperimentConfig, point: SweepPoint, trial_seed: int) -> Tria
     return TrialResult(nmse=ev.nmse, objective_true=ev.objective_true,
                        ota_acc=acc["ota_acc"], digital_acc=acc["digital_acc"],
                        tau_tot=plan.tau_total, rep=plan.rep,
-                       iterations=result.iterations, status=result.status)
+                       iterations=result.iterations, status=result.status,
+                       relay_power_overrun=ev.relay_power_overrun)
 
 
 def _trial_job(args):
@@ -318,7 +320,8 @@ def _trial_job(args):
         L = point.num_groups
         return TrialResult(nmse=np.nan, objective_true=np.nan, ota_acc=np.nan,
                            digital_acc=np.nan, tau_tot=0, rep=(0,) * (L + 1),
-                           iterations=0, status=f"error:{type(exc).__name__}")
+                           iterations=0, status=f"error:{type(exc).__name__}",
+                           relay_power_overrun=np.nan)
 
 
 @dataclass

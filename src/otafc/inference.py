@@ -1,12 +1,14 @@
 """End-to-end forward passes through the designed analog layer.
 
-ota_forward propagates a signal through the true channels with per-group
-noise injection as the design's link, one linear map of the input and of a
-single real Gaussian draw, compiled from its Cascade once per channel set
-and noise model. accuracy measures a synthetic classification task through
-both the OTA layer and its digital reference. imported_forward runs an
-externally trained image pipeline with the middle complex FC layer replaced
-by the OTA link.
+ota_forward runs a design on the true channels as its link (M, S), compiled
+from its Cascade once per channel set and noise model. M = F2 Heff F1 carries
+the signal. The relay and receiver noise reach the output only through its
+covariance C = F2 R F2^H, and a circular complex Gaussian is fixed by its
+covariance, so the noise is drawn at the receiver: one out_dim-dimensional
+draw per sample, times S, the Hermitian square root of C over sqrt(2).
+accuracy measures a synthetic classification task through both the OTA layer
+and its digital reference. imported_forward runs an externally trained image
+pipeline with the middle complex FC layer replaced by the OTA link.
 """
 
 import struct
@@ -21,26 +23,30 @@ from .utils import complex_normal, read_only
 
 
 def _link(params: OtaParams, true_ch: ChannelSet, noise: NoiseModel) -> tuple:
-    """Read-only (M, [G_re; G_im]) with y = M x + (G_re + i G_im) z, z ~ N(0, I).
+    """Read-only (M, S) with y = M x + S z, z ~ CN(0, 2 I) of out_dim entries.
 
-    M = F2 Heff F1; G's columns are sqrt(s_l/2) D_l diag(a_l), then i times
-    that, for the real and imaginary noise parts of each group l, and the
-    same with F2 for the receiver; G is split into its real and imaginary
-    parts, so z is never copied to complex. Kept on params for the last
-    (true_ch, noise) it was built for, by identity.
+    M = F2 Heff F1. S is C^(1/2) / sqrt(2), where C = F2 R F2^H is the
+    output noise covariance, built as sum_l s_l P_l P_l^H + s_c F2 F2^H with
+    P_l = D_l diag(a_l). C^(1/2) is the principal (Hermitian PSD) square
+    root U diag(sqrt(lam)) U^H of the eigendecomposition C = U diag(lam) U^H,
+    with the negative eigenvalues that rounding leaves on a singular C
+    clipped to 0. C is singular whenever F2 has more rows than rank
+    (out_dim > N_r, a zero row), where a Cholesky factor fails; and
+    U diag(sqrt(lam)) U^H, unlike U diag(sqrt(lam)), depends on C alone, not
+    on the phases LAPACK picks for the eigenvectors. Kept on params for the
+    last (true_ch, noise) it was built for, by identity.
     """
     memo = getattr(params, "_link", None)
     if memo is not None and memo[0] is true_ch and memo[1] is noise:
         return memo[2]
     cas = Cascade.of(true_ch, params, noise)
-    scales = np.sqrt(np.array(noise.relay_noise_var + (noise.rx_noise_var,)) / 2.0)
-    blocks = [c * d * a for c, d, a in zip(scales, cas.d + [params.f2], cas.a + [1.0])]
-    link = (params.f2 @ cas.b,
-            np.block([[q for p in blocks for q in (p.real, -p.imag)],
-                      [q for p in blocks for q in (p.imag, p.real)]]))
+    scales = np.sqrt(noise.relay_noise_var + (noise.rx_noise_var,))
+    blocks = (c * d * a for c, d, a in zip(scales, cas.d + [params.f2], cas.a + [1.0]))
+    lam, u = np.linalg.eigh(sum(p @ p.conj().T for p in blocks))
+    link = (params.f2 @ cas.b, (u * np.sqrt(np.maximum(lam, 0.0) / 2.0)) @ u.conj().T)
     for arr in link:
         arr.flags.writeable = False
-    object.__setattr__(params, "_link", (true_ch, noise, link))  # kept out of == and repr
+    object.__setattr__(params, "_link", (true_ch, noise, link))  # kept out of repr
     return link
 
 
@@ -48,27 +54,34 @@ def ota_forward(x: np.ndarray, params: OtaParams, true_ch: ChannelSet,
                 noise: NoiseModel, rng_seed, bias: np.ndarray = None) -> np.ndarray:
     """Propagate x through precoder, relay cascade, and combiner with noise.
 
-    Accepts a single vector (N,) or a batch (N, S) with independent noise
-    per sample. Noise enters each relay group before amplification and the
-    receiver front end before combining; the bias, when given, is added
-    digitally after combining. All noise is one standard_normal draw of
-    2 (K_1 + ... + K_L + N_r) rows (of S for a batch), the numbers and
-    generator state of one complex_normal call per stage: the law and stream
-    of a stage-by-stage walk. With all-zero noise draws the output is
-    F2 Heff F1 x + bias. ValueError unless there is one (K_l,) gain vector
-    per group and a bias, when given, is (out_dim,). The link is reused while
-    params, true_ch and noise are the same objects, whose arrays are read-only.
+    Accepts a single vector (in_dim,) or a batch (in_dim, S) with independent
+    noise per sample. Noise enters each relay group before amplification and
+    the receiver front end before combining, so the output noise is
+    CN(0, F2 R F2^H); it is drawn at the output with that law, as the link's
+    S times one standard_normal draw of 2 out_dim numbers per sample (2 out_dim
+    S for a batch), whose consecutive pairs are the real and imaginary parts of
+    each entry. out_dim is F2's row count, N_r in every design the harness
+    builds. The bias, when given, is added digitally after combining. With an
+    all-zero draw the output is F2 Heff F1 x + bias. A single vector gives the
+    numbers and generator state of a one-column batch. ValueError, before any
+    draw, unless x is (in_dim,) or (in_dim, S) with in_dim F1's column count,
+    there is one (K_l,) gain vector per group, and a bias, when given, is
+    (out_dim,). The link is reused while params, true_ch and noise are the
+    same objects, whose arrays are read-only.
     """
-    m, g = _link(params, true_ch, noise)
+    m, s = _link(params, true_ch, noise)
     x = np.asarray(x, dtype=complex)
+    if x.ndim not in (1, 2) or x.shape[0] != m.shape[1]:
+        raise ValueError(f"x must have shape ({m.shape[1]},) or ({m.shape[1]}, S), "
+                         f"got {x.shape}")
     if bias is not None:
         bias = np.asarray(bias, dtype=complex)
         if bias.shape != (len(m),):
             raise ValueError(f"bias must have shape ({len(m)},), got {bias.shape}")
-    w = g @ np.random.default_rng(rng_seed).standard_normal((g.shape[1],) + x.shape[1:])
+    shape = (len(m),) + x.shape[1:]
+    z = np.random.default_rng(rng_seed).standard_normal(shape[:-1] + (2 * shape[-1],))
     y = m @ x
-    y.real += w[:len(y)]
-    y.imag += w[len(y):]
+    y += s @ z.view(complex)
     if bias is not None:
         y += bias if y.ndim == 1 else bias[:, None]
     return y
@@ -160,7 +173,7 @@ CONV_STRIDE = 4
 CONV_PADDING = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
 class ImportedPipeline:
     """Externally trained weights for the image-classification pipeline.
 

@@ -48,7 +48,7 @@ class TargetLayer:
         return self.w.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
 class OtaParams:
     """One design point: precoder f1, combiner f2, per-group complex gains a;
     each array is a read-only copy of the one given."""

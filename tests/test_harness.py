@@ -212,17 +212,18 @@ def test_run_trial_deterministic():
 
 
 # Captured from the SQUAREM-accelerated AO, which lands elsewhere than the
-# plain AO did (7, 95 and 57 maps there): a later solver change that moves
-# these moves results the CSV would show.
+# plain AO did (7, 95 and 57 maps there), and ota_acc from the receiver-side
+# noise draw: a later solver change that moves these moves results the CSV
+# would show.
 GOLDEN_TRIALS = [
     ({"topology": {"n_antennas": 16, "direct_link": False}, "estimator": "ls",
       "task": {"sample_noise_var": 0.5, "num_samples": 256}},
      SweepPoint("uniform", 600, 1.0, 3, 12), 20260417,
-     ("converged", 6, 0.3152878848524292, 0.5859375)),
+     ("converged", 6, 0.3152878848524292, 0.56640625)),
     ({"topology": {"n_antennas": 16, "direct_link": True}, "estimator": "inject",
       "task": {"num_samples": 256}},
      SweepPoint("front_loaded", 200, 1.0, 6, 12), 977,
-     ("converged", 21, 0.2600486245502219, 0.47265625)),
+     ("converged", 21, 0.2600486245502219, 0.5)),
     # reference size (N=49, three groups of 50, no direct link)
     ({"topology": {"n_antennas": 49, "direct_link": False}, "estimator": "ls",
       "task": {"num_samples": 256}},
@@ -238,6 +239,20 @@ def test_run_trial_golden(tree, point, seed, want):
     assert (t.status, t.iterations) == (status, iterations)
     assert t.nmse == pytest.approx(nmse, rel=1e-10)
     assert t.ota_acc == pytest.approx(ota_acc, rel=1e-10)
+
+
+def test_run_trial_keeps_the_relay_power_overrun_of_its_design(monkeypatch):
+    # the trial reports what evaluate_true said of its design on the truth
+    seen, evaluate_true = [], harness.evaluate_true
+
+    def evaluate(*args, **kwargs):
+        seen.append(evaluate_true(*args, **kwargs))
+        return seen[-1]
+    monkeypatch.setattr(harness, "evaluate_true", evaluate)
+    tree, point, seed, _ = GOLDEN_TRIALS[1]
+    t = run_trial(config_from_dict(tree), point, seed)
+    assert len(seen) == 1 and t.relay_power_overrun == seen[0].relay_power_overrun
+    assert t.relay_power_overrun > 0  # this design overruns a relay cap on the truth
 
 
 def test_estimator_modes_run():
@@ -256,7 +271,7 @@ def test_trial_job_records_errors(monkeypatch):
     monkeypatch.setattr(harness, "run_trial", boom)
     res = _trial_job((cfg, pt, 1))
     assert res.status == "error:RuntimeError"
-    assert np.isnan(res.nmse)
+    assert np.isnan(res.nmse) and np.isnan(res.relay_power_overrun)
     row = ResultRow(point=pt, trials=[res])
     assert row.failures == 1
     assert np.isnan(row.nmse_mean)

@@ -38,63 +38,81 @@ def perfect_setup(n, seed=0):
 
 # ---------------------------------------------------------------- forward
 
-def chain_walk(x, params, true_ch, noise, rng_seed, bias=None):
-    """Stage-by-stage oracle for ota_forward: each relay group adds its own
-    CN(0, s_l) draw, amplifies and forwards; the receiver adds its draw to
-    the relayed and direct signals, then combines and adds the bias."""
-    rng = np.random.default_rng(rng_seed)
+def chain_walk(x, params, true_ch, bias=None):
+    """Stage-by-stage oracle of ota_forward's signal path: precode, let each
+    relay group amplify and forward, add the direct signal at the receiver,
+    combine and add the bias."""
     x = np.asarray(x, dtype=complex)
     single = x.ndim == 1
     xs = x[:, None] if single else x
     s = params.f1 @ xs
     v = true_ch.h_hop[0] @ s
     for l in range(true_ch.num_groups):
-        v = v + complex_normal(rng, v.shape, noise.relay_noise_var[l])
         v = params.a[l][:, None] * v
         v = true_ch.chain[l + 1] @ v
-    y_in = v + true_ch.h_direct @ s
-    y_in = y_in + complex_normal(rng, y_in.shape, noise.rx_noise_var)
-    y = params.f2 @ y_in
+    y = params.f2 @ (v + true_ch.h_direct @ s)
     if bias is not None:
         y = y + np.asarray(bias, dtype=complex)[:, None]
     return y[:, 0] if single else y
 
 
-def assert_matches_chain_walk(x, params, ch, noise, seed, bias=None):
-    """ota_forward against the oracle on the same seed: values within
-    rtol=1e-12 of the output's scale, and the same generator state after."""
-    got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = ota_forward(x, params, ch, noise, got_gen, bias=bias)
-    want = chain_walk(x, params, ch, noise, want_gen, bias=bias)
+def assert_close(got, want):
+    """Equal within 1e-12 of want's largest entry."""
     assert got.shape == want.shape
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-    assert got_gen.bit_generator.state == want_gen.bit_generator.state
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(initial=0.0))
+
+
+def assert_link_law(x, params, ch, noise, seed, bias=None):
+    """ota_forward's contract on one input. The output is M x + S z (+ bias)
+    for the generator's next 2 out_dim S normals, whose consecutive pairs are
+    the real and imaginary parts of z's entries, and nothing more is drawn.
+    With a zero draw that is the chain walk's noise-free output, and 2 S S^H
+    is F2 R F2^H, so S z has the law of the walk's noise; both within 1e-12
+    of the largest entry."""
+    gen, again = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = ota_forward(x, params, ch, noise, gen, bias=bias)
+    m, s = _link(params, ch, noise)
+    x = np.asarray(x, dtype=complex)
+    pairs = again.standard_normal((len(m),) + x.shape[1:] + (2,))
+    assert gen.bit_generator.state == again.bit_generator.state
+    quiet = m @ x if bias is None else ((m @ x).T + bias).T
+    assert_close(quiet, chain_walk(x, params, ch, bias))
+    assert_close(got, quiet + s @ (pairs[..., 0] + 1j * pairs[..., 1]))
+    c = params.f2 @ noise_covariance(ch, params.a, noise) @ params.f2.conj().T
+    assert_close(2.0 * s @ s.conj().T, c)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_ota_forward_matches_chain_walk_property(data):
     # 1-4 relay groups of 1-6 relays, direct link on and off, single
-    # vectors and batches, with and without a bias
+    # vectors and batches, with and without a bias; singular output noise
+    # covariances from more outputs than receive antennas, a zero row in F2
+    # or all-zero gains
     sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
     n_in, n_tx, n_rx, n_out = (data.draw(st.integers(1, 6)) for _ in range(4))
     direct = data.draw(st.booleans())
     batch = data.draw(st.sampled_from([None, 1, 4]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     ch = random_channel_set(rng, n_tx, n_rx, sizes, direct=direct)
-    params = OtaParams(f1=cn(rng, (n_tx, n_in)), f2=cn(rng, (n_out, n_rx)),
-                       a=tuple(cn(rng, (k,)) for k in sizes))
+    f2 = cn(rng, (n_out, n_rx))
+    if data.draw(st.booleans()):
+        f2[data.draw(st.integers(0, n_out - 1))] = 0
+    zero_gains = data.draw(st.booleans())
+    params = OtaParams(f1=cn(rng, (n_tx, n_in)), f2=f2,
+                       a=tuple(np.zeros(k, complex) if zero_gains else cn(rng, (k,))
+                               for k in sizes))
     noise = NoiseModel(relay_noise_var=tuple(rng.uniform(0.01, 1.0, len(sizes))),
                        rx_noise_var=rng.uniform(0.01, 1.0))
     x = cn(rng, (n_in,) if batch is None else (n_in, batch))
     bias = cn(rng, (n_out,)) if data.draw(st.booleans()) else None
-    assert_matches_chain_walk(x, params, ch, noise, data.draw(st.integers(0, 2 ** 32 - 1)),
-                              bias)
+    assert_link_law(x, params, ch, noise, data.draw(st.integers(0, 2 ** 32 - 1)), bias)
 
 
 def test_ota_forward_link_follows_the_channels_and_noise_it_runs_on():
-    # one design run in turn on two channel sets and two noise models:
-    # each run matches the oracle, and the memo is not part of the design
+    # one design run in turn on two channel sets and two noise models: each
+    # run keeps the contract, the link is M and one out_dim x out_dim noise
+    # factor, and the memo is not part of the design
     rng = np.random.default_rng(22)
     chs = (random_channel_set(rng, 3, 4, (4, 2), direct=True),
            random_channel_set(rng, 3, 4, (4, 2)))
@@ -105,12 +123,75 @@ def test_ota_forward_link_follows_the_channels_and_noise_it_runs_on():
     shown = repr(params)
     for step, (c, n) in enumerate([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (0, 0)]):
         x = cn(rng, (3,) if step % 2 else (3, 5))
-        assert_matches_chain_walk(x, params, chs[c], noises[n], step, bias=cn(rng, (3,)))
+        assert_link_law(x, params, chs[c], noises[n], step, bias=cn(rng, (3,)))
     link = _link(params, chs[0], noises[0])
     assert link is _link(params, chs[0], noises[0])
+    assert [arr.shape for arr in link] == [(3, 3), (3, 3)]
     assert not any(arr.flags.writeable for arr in link)
-    # the memo is no dataclass field, so == never reads it
+    # the memo is no dataclass field, so neither repr nor == reads it
     assert repr(params) == shown and [f.name for f in fields(params)] == ["f1", "f2", "a"]
+
+
+@pytest.mark.parametrize("batch", [None, 1, 5])
+@pytest.mark.parametrize("n_out", [2, 4, 6])
+def test_ota_forward_draws_two_normals_per_output_and_sample(batch, n_out):
+    # 4 receive antennas, 2 + 3 relays: the draw is 2 out_dim per sample
+    # whatever the relay count, also when out_dim is not N_r
+    rng = np.random.default_rng(25)
+    ch = random_channel_set(rng, 3, 4, (2, 3))
+    params = OtaParams(f1=cn(rng, (3, 3)), f2=cn(rng, (n_out, 4)),
+                       a=(cn(rng, (2,)), cn(rng, (3,))))
+    noise = NoiseModel(relay_noise_var=(0.2, 0.5), rx_noise_var=0.1)
+    gen, again = np.random.default_rng(6), np.random.default_rng(6)
+    ota_forward(cn(rng, (3,) if batch is None else (3, batch)), params, ch, noise, gen)
+    again.standard_normal(2 * n_out * (batch or 1))
+    assert gen.bit_generator.state == again.bit_generator.state
+
+
+def test_ota_forward_single_vector_is_a_one_column_batch():
+    rng = np.random.default_rng(26)
+    ch = random_channel_set(rng, 4, 5, (3, 2), direct=True)
+    params = OtaParams(f1=cn(rng, (4, 3)), f2=cn(rng, (5, 5)),
+                       a=(cn(rng, (3,)), cn(rng, (2,))))
+    noise = NoiseModel(relay_noise_var=(0.3, 0.1), rx_noise_var=0.2)
+    x, bias = cn(rng, (3,)), cn(rng, (5,))
+    single, column = np.random.default_rng(8), np.random.default_rng(8)
+    y = ota_forward(x, params, ch, noise, single, bias=bias)
+    ys = ota_forward(x[:, None], params, ch, noise, column, bias=bias)
+    assert y.shape == (5,) and ys.shape == (5, 1)
+    assert np.array_equal(y, ys[:, 0])
+    assert single.bit_generator.state == column.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (4, 3), (3, 2, 2), (3, 1, 1)])
+def test_ota_forward_refuses_an_input_of_the_wrong_shape_before_drawing(shape):
+    # a design with 3 inputs: a wrong first dimension or a 3-D input fails
+    # with the shape it needs, not numpy's message, and draws nothing
+    rng = np.random.default_rng(27)
+    ch = random_channel_set(rng, 2, 2, (2,))
+    params = OtaParams(f1=cn(rng, (2, 3)), f2=cn(rng, (2, 2)), a=(cn(rng, (2,)),))
+    noise = NoiseModel(relay_noise_var=(0.1,), rx_noise_var=0.1)
+    gen = np.random.default_rng(9)
+    before = gen.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(
+            f"x must have shape (3,) or (3, S), got {shape}")):
+        ota_forward(np.ones(shape, complex), params, ch, noise, gen)
+    assert gen.bit_generator.state == before
+
+
+def test_designs_channel_sets_and_pipelines_compare_by_identity():
+    # == on the array-holding dataclasses never raises: a twin built from the
+    # same arrays is another object, and an object equals itself
+    rng = np.random.default_rng(28)
+    params = OtaParams(f1=cn(rng, (3, 3)), f2=cn(rng, (3, 4)), a=(cn(rng, (4,)),))
+    ch = random_channel_set(rng, 3, 4, (4,))
+    pipe = _random_pipeline(6)
+    twins = ((params, OtaParams(f1=params.f1, f2=params.f2, a=params.a)),
+             (ch, ChannelSet(h_direct=ch.h_direct, h_hop=ch.h_hop, h_last=ch.h_last)),
+             (pipe, ImportedPipeline(**{f.name: getattr(pipe, f.name) for f in fields(pipe)})))
+    for one, twin in twins:
+        assert (one == twin) is False and (one != twin) is True
+        assert (one == one) is True
 
 
 def test_designs_and_channel_sets_hold_read_only_copies():
@@ -571,18 +652,19 @@ def test_image_pipeline_matches_the_oracle_bit_for_bit_property(data):
     assert got_gen.bit_generator.state == want_gen.bit_generator.state
 
 
-# Captured from the pad-and-window conv this gather replaced, on the pipeline,
-# channel draw, image and noise seed below.
-_GOLDEN_OTA = [7.576953418779425, 10.044963814398209, -194.51211545913674,
-               -115.20354724901388, 160.720873981041, -93.73362365089882,
-               24.040592313647693, 56.56858092536275, -165.7106932789738,
-               29.62353010688767]
+# Captured on the pipeline, channel draw, image and noise seed below: the
+# digital scores from the pad-and-window conv the gather replaced, the OTA
+# scores and generator state from the receiver-side noise draw.
+_GOLDEN_OTA = [18.313822969891447, 0.11166203766511984, -183.38205147892623,
+               -125.18255195914381, 160.67130322183186, -90.61758695790309,
+               29.25877396752776, 60.70099609997038, -169.93864400512243,
+               20.35672200460261]
 _GOLDEN_DIG = [1.8792261864774886, 6.550888476994173, -10.74805293746922,
                -4.832379998374707, 3.207858741233764, -5.159087355734547,
                7.982695779285343, -2.991460278107647, 1.79042366926876,
                8.997709672876947]
 _GOLDEN_STATE = {"bit_generator": "PCG64",
-                 "state": {"state": 177978365802926675529744772261316495709,
+                 "state": {"state": 268519871752150324332507025123174202879,
                            "inc": 336983293413220778415499640756163231851},
                  "has_uint32": 0, "uinteger": 0}
 
@@ -604,7 +686,7 @@ def test_image_path_golden():
     assert np.allclose(dig, _GOLDEN_DIG, rtol=1e-12, atol=0)
     assert np.argmax(ota) == np.argmax(_GOLDEN_OTA)
     assert np.argmax(dig) == np.argmax(_GOLDEN_DIG)
-    # the noise stream: imported_forward draws exactly what it drew before
+    # the noise stream: imported_forward draws 2 N_r normals and no more
     assert gen.bit_generator.state == _GOLDEN_STATE
 
 

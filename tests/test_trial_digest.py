@@ -47,17 +47,41 @@ def test_image_digest_is_one_stable_line_per_image():
     assert again.stdout == first.stdout
 
 
-def test_image_digest_is_not_joined_with_against(tmp_path):
-    images = tmp_path / "images.txt"
-    images.write_text(_digest("--workload", "image_inference", "--images", "3").stdout)
-    sweep = tmp_path / "sweep.txt"
-    sweep.write_text(_line("w", 0, 0.25, 0.5, 10))
-    for this, other in ((images, sweep), (sweep, images)):
-        proc = subprocess.run([sys.executable, str(TOOL), str(this), "--against", str(other)],
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2 and "compare image digests with cmp" in proc.stderr
-    proc = _digest("--workload", "image_inference", "--images", "3", "--against", str(sweep))
-    assert proc.returncode == 2 and "compare image digests with cmp" in proc.stderr
+def _image(index, ota, dig, design=0):
+    return f"image_inference {index} {design} {ota} {dig} {'0' * 40}\n"
+
+
+def test_against_joins_image_digests_on_the_image_index(tmp_path):
+    # images 0-3 in both: agreement 1-1, 0-1, 1-0 and 1-0; image 4 only in
+    # this, image 5 only in other; the sweep line of this is joined apart
+    this, other = tmp_path / "this.txt", tmp_path / "other.txt"
+    this.write_text(_image(1, 3, 2) + _image(0, 7, 7) + _image(2, 5, 5) + _image(3, 1, 1)
+                    + _image(4, 0, 0) + _line("w", 0, 0.25, 0.5, 10))
+    other.write_text(_image(0, 2, 2) + _image(1, 2, 2) + _image(2, 4, 5) + _image(3, 0, 1)
+                     + _image(5, 0, 0))
+    proc = subprocess.run([sys.executable, str(TOOL), str(this), "--against", str(other)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "0 trials in both, 1 only in this, 0 only in other",
+        "4 images in both, 1 only in this, 1 only in other",
+        "image_inference agreement +0.25 +- 0.48 lower 1 higher 2 of 4"]
+    saved = tmp_path / "saved.txt"
+    saved.write_text(_digest("--workload", "image_inference", "--images", "3").stdout)
+    proc = _digest("--workload", "image_inference", "--images", "3", "--against", str(saved))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "3 images in both, 0 only in this, 0 only in other",
+        "image_inference agreement +0 +- 0 lower 0 higher 0 of 3"]
+
+
+def test_against_refuses_a_line_that_is_no_digest_line(tmp_path):
+    this, other = tmp_path / "this.txt", tmp_path / "other.txt"
+    this.write_text(_line("w", 0, 0.25, 0.5, 10))
+    other.write_text("w 0 1 2\n")
+    proc = subprocess.run([sys.executable, str(TOOL), str(this), "--against", str(other)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "trial lines of 9 fields, image lines of 6" in proc.stderr
 
 
 def _line(workload, trial, nmse, acc, iters, status="converged"):

@@ -22,16 +22,17 @@ default the images an untraced perfbench run always finishes) go through
 benchmark streams them: image i of the seeded pool over design i mod the
 number of designs, on one noise generator. A line holds the workload, the
 image index, the design, the OTA and digital argmax, and the SHA-1 of the
-bytes of both score arrays. Two image digests are compared with `cmp`;
---against refuses them.
+bytes of both score arrays. `cmp` of two image digests tells whether they
+give bit-identical scores.
 
 With --against, the digest (of CHECKOUT, or read from a digest file THIS.txt)
-is joined with the digest file OTHER.txt on (workload, sweep, point, trial),
-and instead of the lines one line per workload and metric (nmse, ota_acc,
-iterations) gives the mean paired difference this - other, its standard
-error, and how many pairs this has lower and higher. Pairs with a failed
-trial (an error status) and trials in only one digest are counted, not
-compared.
+is joined with the digest file OTHER.txt: trial lines on (workload, sweep,
+point, trial), image lines on (workload, image). Instead of the lines it
+prints one line per workload and metric (nmse, ota_acc and iterations of a
+trial; of an image, the 0/1 indicator that the OTA and digital argmax
+agree) with the mean paired difference this - other, its standard error,
+and how many pairs this has lower and higher. Pairs with a failed trial (an
+error status) and lines in only one digest are counted, not compared.
 """
 
 import argparse
@@ -61,29 +62,59 @@ def _import(checkout):
     return harness, workloads
 
 
-# the compared fields of a digest line, by their position in it; 8 is the status
+# the compared fields of a trial line, by their position in it; 8 is the status
 METRICS = {"nmse": 4, "ota_acc": 6, "iterations": 7}
+# fields of a trial line and of an image line, and how many of them key the join
+TRIAL, IMAGE = (9, 4), (6, 2)
+
+
+def _table(lines, kind):
+    width, key = kind
+    return {tuple(f[:key]): f for f in (line.split() for line in lines) if len(f) == width}
+
+
+def _paired(name, metric, diff):
+    """One line: the mean paired difference, its SE, and the signs."""
+    mean = statistics.fmean(diff) if diff else math.nan
+    se = statistics.stdev(diff) / math.sqrt(len(diff)) if len(diff) > 1 else math.nan
+    return (f"{name} {metric} {mean:+.6g} +- {se:.2g} lower {sum(d < 0 for d in diff)} "
+            f"higher {sum(d > 0 for d in diff)} of {len(diff)}")
+
+
+def _joined(this, other, noun):
+    """The keys in both tables, and the line that counts them."""
+    both = sorted(this.keys() & other.keys())
+    return both, (f"{len(both)} {noun} in both, {len(this.keys() - other.keys())} only "
+                  f"in this, {len(other.keys() - this.keys())} only in other")
 
 
 def paired_summary(this, other) -> list:
-    """Lines comparing two digests, each a list of digest lines."""
-    def table(lines):
-        return {tuple(f[:4]): f for f in (line.split() for line in lines)}
+    """Lines comparing two digests, each a list of digest lines.
 
-    this, other = table(this), table(other)
-    joined = sorted(this.keys() & other.keys())
-    out = [f"{len(joined)} trials in both, {len(this.keys() - other.keys())} only "
-           f"in this, {len(other.keys() - this.keys())} only in other"]
-    for name in dict.fromkeys(key[0] for key in joined):
-        keys = [key for key in joined if key[0] == name]
-        ok = [k for k in keys if not any(t[k][8].startswith("error") for t in (this, other))]
-        for metric, i in METRICS.items():
-            diff = [float(this[k][i]) - float(other[k][i]) for k in ok]
-            mean = statistics.fmean(diff) if diff else math.nan
-            se = statistics.stdev(diff) / math.sqrt(len(diff)) if len(diff) > 1 else math.nan
-            out.append(f"{name} {metric} {mean:+.6g} +- {se:.2g} "
-                       f"lower {sum(d < 0 for d in diff)} higher {sum(d > 0 for d in diff)} "
-                       f"of {len(diff)} ({len(keys) - len(ok)} failed)")
+    Trial lines are joined on (workload, sweep, point, trial) and compared on
+    METRICS; image lines are joined on (workload, image) and compared on the
+    indicator that the OTA and digital argmax agree.
+    """
+    out = []
+    this_t, other_t = _table(this, TRIAL), _table(other, TRIAL)
+    this_i, other_i = _table(this, IMAGE), _table(other, IMAGE)
+    if this_t or other_t or not (this_i or other_i):
+        joined, head = _joined(this_t, other_t, "trials")
+        out.append(head)
+        for name in dict.fromkeys(key[0] for key in joined):
+            keys = [key for key in joined if key[0] == name]
+            ok = [k for k in keys
+                  if not any(t[k][8].startswith("error") for t in (this_t, other_t))]
+            for metric, i in METRICS.items():
+                diff = [float(this_t[k][i]) - float(other_t[k][i]) for k in ok]
+                out.append(f"{_paired(name, metric, diff)} ({len(keys) - len(ok)} failed)")
+    if this_i or other_i:
+        joined, head = _joined(this_i, other_i, "images")
+        out.append(head)
+        for name in dict.fromkeys(key[0] for key in joined):
+            diff = [(this_i[k][3] == this_i[k][4]) - (other_i[k][3] == other_i[k][4])
+                    for k in joined if k[0] == name]
+            out.append(_paired(name, "agreement", diff))
     return out
 
 
@@ -114,9 +145,8 @@ def main(argv=None) -> int:
     with open(args.against) as f:
         other = f.read().splitlines()
     this = list(this)
-    if any(len(line.split()) != 9 for line in this + other):
-        p.error("--against joins the trial lines of sweep digests; compare image "
-                "digests with cmp")
+    if any(len(line.split()) not in (TRIAL[0], IMAGE[0]) for line in this + other):
+        p.error("--against joins digest lines: trial lines of 9 fields, image lines of 6")
     print("\n".join(paired_summary(this, other)))
     return 0
 
