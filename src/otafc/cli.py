@@ -59,7 +59,7 @@ def main(argv=None) -> int:
                 first = next(t.status for t in row.trials if t.status.startswith("error"))
                 print(f"warning: {row.point.key}: {row.failures} of {len(row.trials)} "
                       f"trials failed, first {first}", file=sys.stderr)
-        return 0
+        return 3 if any(row.failures for row in rows) else 0
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

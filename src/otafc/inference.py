@@ -8,7 +8,10 @@ covariance, so the noise is drawn at the receiver: one out_dim-dimensional
 draw per sample, times S, the Hermitian square root of C over sqrt(2).
 accuracy measures a synthetic classification task through both the OTA layer
 and its digital reference. imported_forward runs an externally trained image
-pipeline with the middle complex FC layer replaced by the OTA link.
+pipeline with the middle complex FC layer replaced by the OTA link, and
+digital_forward the same pipeline all digital; scoring one image both ways
+runs its front end once, through a one-slot memo on the pipeline keyed by the
+image's shape and bytes and the conv stride and padding.
 """
 
 import struct
@@ -235,7 +238,9 @@ def save_pipeline(pipeline: ImportedPipeline, path):
 
 def load_pipeline(path) -> ImportedPipeline:
     """Read a weight file written by save_pipeline; ValueError naming path
-    on a short read or a tensor type code other than its _TENSOR_SPECS one."""
+    on a short read, a tensor type code other than its _TENSOR_SPECS one, a
+    tensor named twice or bytes after the last tensor. Tensors of other
+    names are read and left out."""
     codes = dict(_TENSOR_SPECS)
     with open(path, "rb") as fh:
         def read(n):
@@ -252,6 +257,8 @@ def load_pipeline(path) -> ImportedPipeline:
         for _ in range(count):
             (name_len,) = struct.unpack("<H", read(2))
             name = read(name_len).decode(errors="replace")
+            if name in tensors:
+                raise ValueError(f"{path}: tensor {name!r} appears twice")
             code, ndim = struct.unpack("<BB", read(2))
             if code not in (_F32, _C64) or codes.get(name, code) != code:
                 raise ValueError(f"{path}: tensor {name!r} has type code {code}")
@@ -259,6 +266,9 @@ def load_pipeline(path) -> ImportedPipeline:
             dtype = np.dtype("<c8" if code == _C64 else "<f4")
             payload = read(int(np.prod(shape)) * dtype.itemsize)
             tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        extra = len(fh.read())
+        if extra:
+            raise ValueError(f"{path}: {extra} bytes after the last tensor")
     missing = codes.keys() - tensors.keys()
     if missing:
         raise ValueError(f"{path}: missing tensors {sorted(missing)}")
@@ -304,16 +314,26 @@ def _conv2d(image: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     return out.reshape(out_ch, *idx.shape[1:])
 
 
-def _power_normalize(z: np.ndarray) -> np.ndarray:
+def _power_normalize(z: np.ndarray) -> None:
     """Scale one feature vector, in place, to unit average per-feature power."""
     mean_power = np.vdot(z, z).real / z.size
     if mean_power != 0:
         z /= np.sqrt(mean_power)
-    return z
 
 
 def _pre_layers(pipeline: ImportedPipeline, image: np.ndarray) -> np.ndarray:
-    """Conv + R2C + batch norm + power normalization -> complex features."""
+    """Conv + R2C + batch norm + power normalization -> read-only complex features.
+
+    image is float64. The features of the last image are kept on the pipeline,
+    keyed by the image's shape and bytes and the CONV_STRIDE and CONV_PADDING
+    in force, so imported_forward and digital_forward of one image share one
+    front-end pass: a hit hands back that very array. One slot only; an image
+    edited in place between the calls no longer matches its key.
+    """
+    key = (image.shape, image.tobytes(), CONV_STRIDE, CONV_PADDING)
+    memo = getattr(pipeline, "_features", None)
+    if memo is not None and memo[0] == key:
+        return memo[1]
     conv = _conv2d(image, pipeline.conv_kernel, pipeline.conv_bias, CONV_STRIDE,
                    CONV_PADDING)
     features = pipeline.fc_mid_weight.shape[1]
@@ -325,7 +345,10 @@ def _pre_layers(pipeline: ImportedPipeline, image: np.ndarray) -> np.ndarray:
     z.imag = conv[1].reshape(-1)
     z = pipeline.bn_scale * z  # a new array: in place, numpy may take z * scale,
     z += pipeline.bn_shift     # which can round apart from scale * z
-    return _power_normalize(z)
+    _power_normalize(z)
+    z.flags.writeable = False
+    object.__setattr__(pipeline, "_features", (key, z))  # kept out of repr
+    return z
 
 
 def _post_layers(pipeline: ImportedPipeline, y: np.ndarray) -> np.ndarray:

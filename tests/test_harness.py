@@ -384,8 +384,8 @@ def test_cli_run_writes_csv(tmp_path, capsys):
 
 
 def test_cli_run_reports_failed_trials_on_stderr(tmp_path, monkeypatch, capsys):
-    # every trial at excess budget 60 raises: stderr names that point, while
-    # stdout, the exit code and the CSV bytes stay what they were
+    # every trial at excess budget 60 raises: stderr names that point and the
+    # exit code is 3, while stdout and the CSV bytes stay what they were
     cfg_path = write_cfg(tmp_path)
     real = harness.run_trial
 
@@ -397,7 +397,7 @@ def test_cli_run_reports_failed_trials_on_stderr(tmp_path, monkeypatch, capsys):
     want = tmp_path / "want.csv"
     emit_csv(run_experiment(load_config(cfg_path)), want)
     out_path = tmp_path / "res.csv"
-    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == f"wrote 2 rows to {out_path}\n"
     assert captured.err == ("warning: uniform|60|1|2|3: 2 of 2 trials failed, "

@@ -1,4 +1,5 @@
 import re
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -489,6 +490,19 @@ def test_pipeline_rejects_bad_file(tmp_path):
         load_pipeline(path)
 
 
+def _record(name, values):
+    """One float32 tensor record of the weight file, as save_pipeline writes it."""
+    arr = np.asarray(values, dtype="<f4")
+    return (struct.pack("<H", len(name)) + name.encode() + struct.pack("<BB", 0, arr.ndim)
+            + struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes())
+
+
+def _with_record(raw, name, values):
+    """raw with one more tensor record appended and counted."""
+    (count,) = struct.unpack_from("<I", raw, 8)
+    return raw[:8] + struct.pack("<I", count + 1) + raw[12:] + _record(name, values)
+
+
 def _corrupt(raw, case):
     # conv_kernel's type code follows the magic, the version and count, the
     # name length and its 11-byte name
@@ -497,18 +511,31 @@ def _corrupt(raw, case):
         return raw[:6]
     if case == "cut in the last tensor":
         return raw[:-1]
+    if case == "conv_bias twice":
+        return _with_record(raw, "conv_bias", [5, 6])
+    if case == "a byte after the last tensor":
+        return raw + b"\0"
     code = {"code 7": 7, "complex code on a float tensor": 1}[case]
     return raw[:code_at] + bytes([code]) + raw[code_at + 1:]
 
 
 @pytest.mark.parametrize("case", ["cut at 6 bytes", "cut in the last tensor", "code 7",
-                                  "complex code on a float tensor"])
+                                  "complex code on a float tensor", "conv_bias twice",
+                                  "a byte after the last tensor"])
 def test_pipeline_rejects_corrupt_file_naming_it(tmp_path, case):
     path = tmp_path / "weights.otaw"
     save_pipeline(_random_pipeline(4), path)
     path.write_bytes(_corrupt(path.read_bytes(), case))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load_pipeline(path)
+
+
+def test_pipeline_ignores_a_tensor_of_another_name(tmp_path):
+    pipe, path = _random_pipeline(4), tmp_path / "weights.otaw"
+    save_pipeline(pipe, path)
+    path.write_bytes(_with_record(path.read_bytes(), "conv_bias_v2", [5, 6]))
+    back = load_pipeline(path)
+    assert np.array_equal(back.conv_bias, pipe.conv_bias)
 
 
 def test_pipeline_shape_validation():
@@ -638,19 +665,94 @@ def test_image_pipeline_matches_the_oracle_bit_for_bit_property(data):
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     z = oracle_features(pipe, img, stride, padding)
     assert not zero or not z.any()
-    # a single vector runs as the batch of one it used to be run as
-    want_gen, got_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-    want_ota = oracle_head(pipe, ota_forward(z[:, None], params, ch, noise, want_gen,
-                                             bias=pipe.fc_mid_bias)[:, 0])
-    want_dig = oracle_head(pipe, pipe.fc_mid_weight @ z + pipe.fc_mid_bias)
+
+    def check(image, way):
+        """Score image one way; equal to the oracle bit for bit."""
+        z = oracle_features(pipe, image, stride, padding)
+        if way == "dig":
+            want_dig = oracle_head(pipe, pipe.fc_mid_weight @ z + pipe.fc_mid_bias)
+            assert np.array_equal(digital_forward(pipe, image), want_dig)
+            return
+        # a single vector runs as the batch of one it used to be run as
+        want_gen, got_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        want_ota = oracle_head(pipe, ota_forward(z[:, None], params, ch, noise, want_gen,
+                                                 bias=pipe.fc_mid_bias)[:, 0])
+        got_ota = imported_forward(pipe, image, params, ch, noise, got_gen)
+        assert np.array_equal(got_ota, want_ota)
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state
+
+    # the image both ways in both orders, each way twice in a row, then once
+    # more after an in-place edit of the image between two calls
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inference, "CONV_STRIDE", stride)
         mp.setattr(inference, "CONV_PADDING", padding)
-        got_ota = imported_forward(pipe, img, params, ch, noise, got_gen)
-        got_dig = digital_forward(pipe, img)
-    assert np.array_equal(got_ota, want_ota) and np.array_equal(got_dig, want_dig)
-    assert got_gen.bit_generator.state == want_gen.bit_generator.state
+        for way in ("ota", "dig", "dig", "ota", "ota", "dig"):
+            check(img, way)
+        img.flat[data.draw(st.integers(0, img.size - 1))] += 1.0
+        for way in ("dig", "ota"):
+            check(img, way)
 
+
+
+def oracle_scores(pipe, image, ch, params, noise, seed):
+    """The oracle's OTA scores for noise seed seed, and its digital scores,
+    at the default conv geometry."""
+    z = oracle_features(pipe, image, inference.CONV_STRIDE, inference.CONV_PADDING)
+    y = ota_forward(z[:, None], params, ch, noise, seed, bias=pipe.fc_mid_bias)[:, 0]
+    return oracle_head(pipe, y), oracle_head(pipe, pipe.fc_mid_weight @ z + pipe.fc_mid_bias)
+
+
+def small_design(rng, n=49):
+    ch = random_channel_set(rng, 4, 5, (3, 2))
+    params = OtaParams(f1=cn(rng, (4, n)), f2=cn(rng, (n, 5)), a=(cn(rng, (3,)), cn(rng, (2,))))
+    return ch, params, NoiseModel(relay_noise_var=(0.1, 0.2), rx_noise_var=0.1)
+
+
+def test_front_end_features_are_read_only_and_shared_by_content():
+    pipe = _random_pipeline(8)
+    img = np.random.default_rng(30).standard_normal((28, 28))
+    z = inference._pre_layers(pipe, img)
+    assert not z.flags.writeable
+    with pytest.raises(ValueError):
+        z[0] = 0
+    assert inference._pre_layers(pipe, img.copy()) is z
+    assert np.array_equal(z, oracle_features(pipe, img, inference.CONV_STRIDE,
+                                             inference.CONV_PADDING))
+
+
+def test_a_pipeline_never_reads_another_pipelines_front_end():
+    rng = np.random.default_rng(31)
+    pipes = (_random_pipeline(8), _random_pipeline(9))
+    img = rng.standard_normal((28, 28))
+    ch, params, noise = small_design(rng)
+    for pipe in pipes + pipes:
+        want_ota, want_dig = oracle_scores(pipe, img, ch, params, noise, 5)
+        assert np.array_equal(imported_forward(pipe, img, params, ch, noise, 5), want_ota)
+        assert np.array_equal(digital_forward(pipe, img), want_dig)
+
+
+def test_a_2d_image_and_its_one_channel_twin_both_score_right():
+    rng = np.random.default_rng(32)
+    pipe = _random_pipeline(10)
+    img = rng.standard_normal((28, 28))
+    ch, params, noise = small_design(rng)
+    want_ota, want_dig = oracle_scores(pipe, img, ch, params, noise, 6)
+    for image in (img, img[None], img, img[None]):
+        assert np.array_equal(digital_forward(pipe, image), want_dig)
+        assert np.array_equal(imported_forward(pipe, image, params, ch, noise, 6), want_ota)
+
+
+def test_front_end_follows_the_conv_geometry_in_force(monkeypatch):
+    # a 3x3 kernel makes 7x7 features of a 9x9 image at stride 1 and padding
+    # 0 and at stride 2 and padding 3, from different pixels
+    pipe = _random_pipeline(11)
+    img = np.random.default_rng(33).standard_normal((9, 9))
+    for stride, padding in ((1, 0), (2, 3), (1, 0)):
+        monkeypatch.setattr(inference, "CONV_STRIDE", stride)
+        monkeypatch.setattr(inference, "CONV_PADDING", padding)
+        z = oracle_features(pipe, img, stride, padding)
+        assert np.array_equal(digital_forward(pipe, img),
+                              oracle_head(pipe, pipe.fc_mid_weight @ z + pipe.fc_mid_bias))
 
 # Captured on the pipeline, channel draw, image and noise seed below: the
 # digital scores from the pad-and-window conv the gather replaced, the OTA
