@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .topology import BS_RX_HEIGHT_M, RELAY_HEIGHT_M, Placement
-from .utils import complex_normal, read_only
+from .utils import complex_normal, hermitize, read_only
 
 SPEED_OF_LIGHT = 299_792_458.0
 RICEAN_KAPPA_DB = 0.0  # Ricean K-factor of the direct link
@@ -124,7 +124,7 @@ class ChannelSet:
     link is blocked). has_direct is False when h_direct is exactly zero, so
     products with it, all exact zeros, can be skipped without changing a bit.
     chain is h_hop followed by h_last, so chain[l] maps group l to the next
-    stage. The matrices are read-only copies of the arrays given.
+    stage. The matrices are read-only complex copies of the arrays given.
     """
 
     h_direct: np.ndarray
@@ -134,9 +134,9 @@ class ChannelSet:
     chain: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h_direct", read_only(self.h_direct))
-        object.__setattr__(self, "h_hop", tuple(read_only(h) for h in self.h_hop))
-        object.__setattr__(self, "h_last", read_only(self.h_last))
+        object.__setattr__(self, "h_direct", read_only(self.h_direct, complex))
+        object.__setattr__(self, "h_hop", tuple(read_only(h, complex) for h in self.h_hop))
+        object.__setattr__(self, "h_last", read_only(self.h_last, complex))
         if not self.h_hop:
             raise ValueError("need at least one hop matrix")
         for l in range(len(self.h_hop) - 1):
@@ -169,7 +169,7 @@ class ChannelSet:
         return self.h_last.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
 class HopStatistics:
     """Average large-scale linear gain per hop; index 0 is the BS hop."""
 
@@ -181,15 +181,26 @@ class HopStatistics:
             raise ValueError("average hop gains must be positive and finite")
 
 
-def _hop_gains(placement: Placement, params: PathlossParams) -> list:
+def _hop_gains(placement: Placement, params: PathlossParams) -> tuple:
     """Linear large-scale gain of every link, per hop: (K_1,) from the BS,
-    (K_{l+1}, K_l) from group l to group l+1, and (K_L,) to the receiver."""
+    (K_{l+1}, K_l) from group l to group l+1, and (K_L,) to the receiver.
+
+    Read-only, and kept on the placement for the last params it was built
+    for, so draw_channels and hop_statistics of one placement share it.
+    """
+    memo = getattr(placement, "_gains", None)
+    if memo is not None and memo[0] == params:
+        return memo[1]
     groups = placement.relay_positions
     stations = ([placement.bs_position[None, :]] + list(groups)
                 + [placement.rx_position[None, :]])
     gains = [linear_gain(np.linalg.norm(q[:, None, :] - p[None, :, :], axis=2), params)
              for p, q in zip(stations[:-1], stations[1:])]
-    return [gains[0][:, 0]] + gains[1:-1] + [gains[-1][0, :]]
+    gains = (gains[0][:, 0], *gains[1:-1], gains[-1][0, :])
+    for g in gains:
+        g.flags.writeable = False
+    object.__setattr__(placement, "_gains", (params, gains))  # kept out of repr
+    return gains
 
 
 def draw_channels(placement: Placement, params: PathlossParams, rng_seed) -> ChannelSet:
@@ -257,7 +268,8 @@ class Cascade:
     d[l-1] = F2 H_last A_L ... H_{l+1}, so F2 T_l = d[l-1] diag(a_l).
     stage_noise(l) is the noise covariance entering group l: N_1 = s_1 I,
     N_{l+1} = s_{l+1} I + H_{l+1} A_l N_l A_l^H H_{l+1}^H, and N_{L+1} = R.
-    f2_direct is F2 H_direct, and direct_residual(W) is W - F2 H_direct F1.
+    f2_direct is F2 H_direct, direct_residual(W) is W - F2 H_direct F1, and
+    f2_gram is B B^H + R.
     The prefixes are walked on construction; the rest is built on first
     use, so f2 and noise may be left out when not read. suffix(l) builds
     d[l-1] and the suffixes downstream of it only; d builds them all.
@@ -318,7 +330,7 @@ class Cascade:
         else:
             self.b = ch.h_direct @ f1 + m if ch.has_direct else m
         self._noise, self._d = [], []
-        self._f2_direct = self._residual = None
+        self._f2_direct = self._residual = self._f2_gram = None
         if base is not None:  # N_{l+1} reads a_1..a_l
             self._noise = base._noise[:(same + [False]).index(False) + 1]
         if base is not None and f2 is base.f2:
@@ -344,7 +356,11 @@ class Cascade:
 
     def incident_powers(self, l: int) -> np.ndarray:
         if self._p_in[l - 1] is None:
-            self._p_in[l - 1] = ((np.abs(self.u[l - 1]) ** 2).sum(axis=1)
+            # u is a complex matmul product, so its rows read as (re, im)
+            # float pairs, and each row's |u|^2 sum is one (1 x 2n)(2n x 1)
+            # product over them
+            v = self.u[l - 1].view(float)
+            self._p_in[l - 1] = ((v[:, None, :] @ v[:, :, None]).ravel()
                                  + self.noise.relay_noise_var[l - 1])
         return self._p_in[l - 1]
 
@@ -391,6 +407,14 @@ class Cascade:
         if self._residual is None or self._residual[0] is not w:
             self._residual = (w, w - self.f2_direct @ self.f1)
         return self._residual[1]
+
+    @property
+    def f2_gram(self) -> np.ndarray:
+        """G = B B^H + R, the Gram matrix of the objective in F2."""
+        if self._f2_gram is None:
+            self._f2_gram = hermitize(self.b @ self.b.conj().T
+                                      + self.stage_noise(len(self.a) + 1))
+        return self._f2_gram
 
     def suffix(self, l: int) -> np.ndarray:
         """d[l-1], building only the suffixes from it to d[L-1]."""

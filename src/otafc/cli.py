@@ -1,6 +1,7 @@
 """Command-line interface: `otafc run --config <file> [--out ...]`."""
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -25,6 +26,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_problem(path: str):
+    """Why the CSV cannot be written at path, or None."""
+    if os.path.isdir(path):
+        return "is a directory"
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"{parent} is not an existing directory"
+    return None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -38,6 +49,10 @@ def main(argv=None) -> int:
         return 2
     if not args.config:
         print("error: run requires --config", file=sys.stderr)
+        return 1
+    problem = _out_problem(args.out)
+    if problem:  # refused before any trial runs, not after the sweep
+        print(f"error: --out {args.out}: {problem}", file=sys.stderr)
         return 1
 
     try:

@@ -5,6 +5,11 @@ phase 0 is the BS (received by group 1), phase l (1 <= l < L) is group l
 (received by group l+1), and phase L is group L (received by the Rx). Each
 phase uses an orthogonal pilot matrix of length tau[l] = rep[l] * tau_min[l]
 channel uses; repetition is realized as a longer orthogonal block.
+
+The pilot exchange defines the estimate; it is computed in closed form. With
+the truncated DFT pilots of make_pilots, correlating the received block with
+the pilots returns the channel plus the inverse DFT of the slot noise, so no
+pilot matrix and no tau-long product is formed.
 """
 
 from dataclasses import dataclass
@@ -68,14 +73,17 @@ def make_pilots(tau: int, m: int) -> np.ndarray:
 
 def estimate_hop(h_true: np.ndarray, plan: PilotPlan, hop: int,
                  noise_var: float, rng_seed) -> np.ndarray:
-    """LS estimate of one hop matrix from a simulated pilot exchange.
+    """LS estimate of one hop matrix from a pilot exchange.
 
     Transmitters are the columns of h_true. The received block is
-    Y = sqrt(p_p) H Phi^T + N with i.i.d. CN(0, noise_var) noise, and the
-    estimate is Y Phi^* / (sqrt(p_p) tau), which equals H plus an i.i.d.
-    CN(0, noise_var / (p_p tau)) error. At infinite pilot power (perfect
-    training) the error vanishes: the estimate is H itself, and no noise is
-    drawn.
+    Y = sqrt(p_p) H Phi^T + N with i.i.d. CN(0, noise_var) noise on the tau
+    slots, Phi = make_pilots(tau, n_tx), and the estimate is
+    Y Phi^* / (sqrt(p_p) tau). Since Phi^T Phi^* = tau I and column k of
+    Phi^* / tau is the k-th row of the inverse DFT of length tau, that
+    estimate is H + ifft(N)[:, :n_tx] / sqrt(p_p), which is how it is
+    computed, from the same draw of N: H plus an i.i.d.
+    CN(0, noise_var / (p_p tau)) error. At zero noise or infinite pilot power
+    (perfect training) the estimate is H itself, and no noise is drawn.
     """
     if not 0 <= hop < plan.num_phases:
         raise ValueError(f"phase index {hop} out of range")
@@ -85,14 +93,10 @@ def estimate_hop(h_true: np.ndarray, plan: PilotPlan, hop: int,
         raise ValueError(
             f"phase {hop}: pilot length {tau} shorter than {n_tx} transmitters"
         )
-    if plan.pilot_power == np.inf:
+    if plan.pilot_power == np.inf or noise_var == 0:
         return h_true.copy()
-    rng = np.random.default_rng(rng_seed)
-    phi = make_pilots(tau, n_tx)
-    y = np.sqrt(plan.pilot_power) * (h_true @ phi.T)
-    if noise_var > 0:
-        y = y + complex_normal(rng, (n_rx, tau), noise_var)
-    return (y @ phi.conj()) / (np.sqrt(plan.pilot_power) * tau)
+    slot_noise = complex_normal(np.random.default_rng(rng_seed), (n_rx, tau), noise_var)
+    return h_true + np.fft.ifft(slot_noise, axis=1)[:, :n_tx] / np.sqrt(plan.pilot_power)
 
 
 def _per_phase(ch: ChannelSet, plan: PilotPlan, noise: NoiseModel, rng_seed,

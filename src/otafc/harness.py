@@ -340,12 +340,16 @@ class ResultRow:
     rep_mean: tuple = ()
     iters_mean: float = np.nan
     failures: int = 0
+    converged_frac: float = np.nan
+    overrun_max: float = np.nan
 
     def __post_init__(self):
         ok = [t for t in self.trials if not t.status.startswith("error")]
         self.failures = len(self.trials) - len(ok)
         if not ok:
             return
+        self.converged_frac = sum(t.status == "converged" for t in ok) / len(ok)
+        self.overrun_max = max(t.relay_power_overrun for t in ok)
         self.nmse_mean, self.nmse_se = _mean_se([t.nmse for t in ok])
         self.acc_ota_mean, self.acc_ota_se = _mean_se([t.ota_acc for t in ok])
         self.acc_dig_mean, self.acc_dig_se = _mean_se([t.digital_acc for t in ok])
@@ -389,13 +393,19 @@ def _fmt(x) -> str:
 
 
 def emit_csv(rows: list, path) -> None:
-    """Write the result table: stable documented columns, 9 significant digits."""
+    """Write the result table: stable documented columns, 9 significant digits.
+
+    failures counts a point's failed trials; converged_frac and overrun_max
+    (the largest relay power overrun on the true channels) are over the
+    trials that did not fail.
+    """
     max_phases = max((len(r.rep_mean) for r in rows), default=0)
     m_cols = [f"m{l}" for l in range(max_phases)]
     header = (["heuristic", "excess_budget", "pilot_power", "L", "K_per_group",
                "tau_tot"] + m_cols
               + ["nmse_mean", "nmse_se", "acc_ota_mean", "acc_ota_se",
-                 "acc_dig_mean", "acc_dig_se", "iters_mean"])
+                 "acc_dig_mean", "acc_dig_se", "iters_mean",
+                 "failures", "converged_frac", "overrun_max"])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for r in rows:
@@ -408,5 +418,6 @@ def emit_csv(rows: list, path) -> None:
             cells += [_fmt(r.nmse_mean), _fmt(r.nmse_se),
                       _fmt(r.acc_ota_mean), _fmt(r.acc_ota_se),
                       _fmt(r.acc_dig_mean), _fmt(r.acc_dig_se),
-                      _fmt(r.iters_mean)]
+                      _fmt(r.iters_mean), _fmt(r.failures),
+                      _fmt(r.converged_frac), _fmt(r.overrun_max)]
             fh.write(",".join(cells) + "\n")

@@ -90,7 +90,7 @@ def ota_forward(x: np.ndarray, params: OtaParams, true_ch: ChannelSet,
     return y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
 class SyntheticTask:
     """Gaussian-cluster classification task probing the emulated layer.
 

@@ -22,7 +22,7 @@ class SolverDivergenceError(RuntimeError):
     """Raised when an update produces non-finite values."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
 class TargetLayer:
     """Target linear layer y = W x + b; the bias is applied digitally."""
 
@@ -63,7 +63,7 @@ class OtaParams:
         object.__setattr__(self, "a", tuple(read_only(v, complex) for v in self.a))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
 class PowerBudget:
     """Transmit-power cap (watts) and per-relay caps p_relay[l][k]."""
 
@@ -96,7 +96,7 @@ class SolverConfig:
             raise ValueError("need at least one outer iteration")
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: fields are arrays
 class SolveResult:
     params: OtaParams
     objective_trace: np.ndarray
@@ -142,11 +142,24 @@ def _solve_hermitian(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def update_f2(cas: Cascade, target: TargetLayer) -> np.ndarray:
     """Unconstrained minimizer of the objective in F2 (closed form).
 
-    With B = Heff F1: F2 = W B^H (B B^H + R)^{-1}.
+    With B = Heff F1: F2 = W B^H G^{-1}, G = B B^H + R = cas.f2_gram.
     """
-    g = hermitize(cas.b @ cas.b.conj().T + cas.stage_noise(cas.ch.num_groups + 1))
     rhs = target.w @ cas.b.conj().T
-    return _solve_hermitian(g, rhs.conj().T).conj().T
+    return _solve_hermitian(cas.f2_gram, rhs.conj().T).conj().T
+
+
+def _f2_move(cas: Cascade, target: TargetLayer) -> tuple:
+    """update_f2's combiner and the objective change of moving cas.f2 to
+    it: (f2, change).
+
+    In F2 the objective is the quadratic tr(F2 G F2^H) - 2 Re tr(W B^H F2^H)
+    + ||W||^2, minimized at F2* = W B^H G^{-1}, so moving F2 to F2* changes
+    it by -tr(E G E^H), E = cas.f2 - F2*. The move leaves F1 and every gain
+    as they are, so the change is exact.
+    """
+    f2 = update_f2(cas, target)
+    e = cas.f2 - f2
+    return f2, -float(np.vdot(e, e @ cas.f2_gram).real)
 
 
 def update_f1(cas: Cascade, target: TargetLayer, budget: PowerBudget,
@@ -238,10 +251,6 @@ def _gain_quadratic(cas: Cascade, target: TargetLayer, l: int):
     return g, b
 
 
-def _quad_value(g, b, a):
-    return float((a.conj() @ g @ a).real - 2.0 * (b.conj() @ a).real)
-
-
 def update_a(cas: Cascade, target: TargetLayer, l: int) -> tuple:
     """One gain-vector block update (1-based hop l) of a capped cascade:
     (gains, change).
@@ -251,16 +260,20 @@ def update_a(cas: Cascade, target: TargetLayer, l: int) -> tuple:
     cas.a[l-1], which the cascade fitted to their caps, if the projected
     candidate would worsen the subproblem. change is q(gains) - q(cas.a[l-1])
     for the subproblem q, the exact change of the objective when a_l alone
-    moves to gains.
+    moves to gains. With q(a) = a^H g a - 2 Re b^H a and g Hermitian, it is
+    Re[(c - a)^H g (c + a)] - 2 Re b^H (c - a) for the candidate c and the
+    current gains a: one matvec.
     """
     if not 1 <= l <= cas.ch.num_groups:
         raise ValueError(f"hop index {l} out of range 1..{cas.ch.num_groups}")
     g, b = _gain_quadratic(cas, target, l)
+    cur = cas.a[l - 1]
     cand = cas.project(l, _solve_hermitian(g, b))
-    q_cand, q_cur = _quad_value(g, b, cand), _quad_value(g, b, cas.a[l - 1])
-    if q_cand <= q_cur:
-        return cand, q_cand - q_cur
-    return cas.a[l - 1], 0.0
+    step = cand - cur
+    change = float(np.vdot(step, g @ (cand + cur)).real - 2.0 * np.vdot(b, step).real)
+    if change <= 0:
+        return cand, change
+    return cur, 0.0
 
 
 def _s3_alpha(r: np.ndarray, v: np.ndarray) -> float:
@@ -301,7 +314,9 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     A gain move that keeps the incumbent's own gain array is skipped. When
     the candidate keeps every gain array it was given, only a_l has moved,
     so it is scored from update_a's change of the gain quadratic, exact in
-    a_l, rather than by a full objective.
+    a_l, rather than by a full objective. An F2 move is scored the same
+    way, from the change of the F2 quadratic (_f2_move): it never moves a
+    gain.
     """
     _check_budget(est, budget)
     # F1 at full power on the first in_dim antennas, every relay at its cap
@@ -337,7 +352,7 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
             a = list(cur.a)
             a[l - 1] = a_l
             cur, obj = step(cur, obj, a, cur.f1, cur.f2, change)
-        return step(cur, obj, cur.a, cur.f1, update_f2(cur, target))
+        return step(cur, obj, cur.a, cur.f1, *_f2_move(cur, target))
 
     def flat(cas):
         return np.concatenate([cas.f1.ravel(), *cas.a, cas.f2.ravel()])

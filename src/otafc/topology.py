@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .utils import read_only
+
 BS_RX_HEIGHT_M = 5.0
 RELAY_HEIGHT_M = 1.5
 
@@ -49,14 +51,23 @@ class Topology:
             raise ValueError("area dimensions must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
 class Placement:
-    """Concrete 3-D coordinates (meters) for one geometry realization."""
+    """Concrete 3-D coordinates (meters) for one geometry realization.
+
+    The positions are read-only float copies of the arrays given, so the hop
+    gains that channel keeps on a placement cannot go stale."""
 
     topology: Topology
     bs_position: np.ndarray
     rx_position: np.ndarray
     relay_positions: tuple  # one (K_l, 3) array per group
+
+    def __post_init__(self):
+        object.__setattr__(self, "bs_position", read_only(self.bs_position, float))
+        object.__setattr__(self, "rx_position", read_only(self.rx_position, float))
+        object.__setattr__(self, "relay_positions",
+                           tuple(read_only(p, float) for p in self.relay_positions))
 
 
 def region_bounds(topology: Topology, group: int):

@@ -351,6 +351,32 @@ def test_hop_statistics_matches_per_link_recompute():
     assert stats.beta[3] == pytest.approx(b3, rel=1e-12)
 
 
+def test_hop_gains_computed_once_per_placement_and_pathloss(monkeypatch):
+    # draw_channels and hop_statistics of one placement share its hop gains;
+    # other pathloss parameters are a new computation, and the placement's
+    # positions are read-only, so the kept gains cannot go stale
+    from otafc import channel
+    top = Topology(n_tx=3, n_rx=3, n_stream=3, num_groups=2, group_sizes=(4, 5))
+    place = generate_placement(top, 3)
+    want = (draw_channels(generate_placement(top, 3), PL28, 9),
+            hop_statistics(generate_placement(top, 3), PL28))
+    calls = []
+
+    def counting(distance, params):
+        calls.append(params)
+        return linear_gain(distance, params)
+    monkeypatch.setattr(channel, "linear_gain", counting)
+    ch, stats = draw_channels(place, PL28, 9), hop_statistics(place, PL28)
+    assert len(calls) == top.num_groups + 1
+    assert np.array_equal(ch.h_last, want[0].h_last)
+    assert np.array_equal(stats.beta, want[1].beta)
+    los = PathlossParams(carrier_ghz=28.0, model="los")
+    assert not np.array_equal(hop_statistics(place, los).beta, stats.beta)
+    assert len(calls) == 2 * (top.num_groups + 1)
+    with pytest.raises(ValueError, match="read-only"):
+        place.relay_positions[0][0, 0] = 1.0
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-12, np.nan, np.inf])
 def test_hop_statistics_refuse_a_gain_that_is_not_positive_and_finite(bad):
     with pytest.raises(ValueError, match="positive and finite"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otafc import (ChannelSet, NoiseModel, PilotPlan, estimate_all,
                    estimate_hop, inject_error, make_pilots)
@@ -142,6 +144,38 @@ def test_estimate_all_nmse_follows_pilot_energy():
     for i in range(4):
         want = 0.4 / (plan.pilot_power * plan.tau[i])
         assert sq_errs[i] == pytest.approx(want, rel=0.10)
+
+
+def _prime_at_least(n):
+    n = max(n, 2)
+    while any(n % d == 0 for d in range(2, int(n ** 0.5) + 1)):
+        n += 1
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_rx=st.integers(1, 6), m=st.integers(1, 12),
+       kind=st.sampled_from(["square", "prime", "long"]),
+       pilot_power=st.floats(0.1, 10.0), noise_var=st.floats(0.01, 1.0))
+def test_estimate_hop_is_the_pilot_exchange(seed, n_rx, m, kind, pilot_power, noise_var):
+    # the closed form equals Y Phi^* / (sqrt(p) tau), Y = sqrt(p) H Phi^T + N,
+    # on the same draw of N, and leaves the generator where the exchange does
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.5, 1.5, (n_rx, m)) * np.exp(2j * np.pi * rng.random((n_rx, m)))
+    tau = {"square": m, "prime": _prime_at_least(m), "long": 40 * m + 7}[kind]
+    plan = _plan((tau,), pilot_power=pilot_power)
+    got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = estimate_hop(h, plan, 0, noise_var, got_rng)
+    phi = make_pilots(tau, m)
+    y = np.sqrt(pilot_power) * (h @ phi.T) + complex_normal(want_rng, (n_rx, tau), noise_var)
+    want = (y @ phi.conj()) / (np.sqrt(pilot_power) * tau)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(h))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # no draw at zero noise or at infinite pilot power: the estimate is h
+    state = got_rng.bit_generator.state
+    for quiet_plan, var in ((plan, 0.0), (_plan((tau,), pilot_power=np.inf), noise_var)):
+        assert np.array_equal(estimate_hop(h, quiet_plan, 0, var, got_rng), h)
+        assert got_rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------- injection

@@ -306,6 +306,34 @@ def test_emit_csv_line_count_and_roundtrip(tmp_path):
         assert rec["m0"] == f"{row.rep_mean[0]:.9g}"
 
 
+def test_emit_csv_failure_columns(tmp_path, monkeypatch):
+    # failures counts a point's failed trials; converged_frac and overrun_max
+    # are over the trials that did not fail, and nan when every trial failed
+    cfg = config_from_dict(TINY_CFG)
+    low, high = cfg.sweep_points()
+    real = harness.run_trial
+    failing = {derive_trial_seed(cfg.base_seed, low.key, 1),
+               derive_trial_seed(cfg.base_seed, high.key, 0),
+               derive_trial_seed(cfg.base_seed, high.key, 1)}
+
+    def flaky(cfg, point, trial_seed):
+        if trial_seed in failing:
+            raise FloatingPointError("diverged")
+        return real(cfg, point, trial_seed)
+    monkeypatch.setattr(harness, "run_trial", flaky)
+    rows = run_experiment(cfg)
+    path = tmp_path / "out.csv"
+    emit_csv(rows, path)
+    with open(path, newline="") as fh:
+        recs = list(csv.DictReader(fh))
+    assert list(recs[0])[-4:] == ["iters_mean", "failures", "converged_frac", "overrun_max"]
+    ok = rows[0].trials[0]
+    assert [r["failures"] for r in recs] == ["1", "2"]
+    assert recs[0]["converged_frac"] == ("1" if ok.status == "converged" else "0")
+    assert recs[0]["overrun_max"] == f"{ok.relay_power_overrun:.9g}"
+    assert recs[1]["converged_frac"] == recs[1]["overrun_max"] == "nan"
+
+
 def test_budget_sweep_improves_mean_nmse():
     cfg = config_from_dict(dict(topology=dict(n_antennas=8, area_m=200.0),
                                 task=dict(num_samples=128),
@@ -403,6 +431,22 @@ def test_cli_run_reports_failed_trials_on_stderr(tmp_path, monkeypatch, capsys):
     assert captured.err == ("warning: uniform|60|1|2|3: 2 of 2 trials failed, "
                             "first error:FloatingPointError\n")
     assert out_path.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("where", ["missing/res.csv", "."])
+def test_cli_refuses_a_bad_out_before_any_trial(tmp_path, monkeypatch, capsys, where):
+    # a path under a directory that does not exist, or a directory itself,
+    # fails at once, not after the whole sweep has run
+    cfg_path = write_cfg(tmp_path)
+    calls = []
+    monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+    out = tmp_path / where
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out {out}: ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_overrides(tmp_path):

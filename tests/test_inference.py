@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otafc import (ChannelSet, NoiseModel, OtaParams, TargetLayer, accuracy,
-                   digital_forward, imported_forward, load_pipeline,
+from otafc import (ChannelSet, HopStatistics, NoiseModel, OtaParams, PowerBudget,
+                   SolveResult, TargetLayer, Topology, accuracy, digital_forward,
+                   generate_placement, imported_forward, load_pipeline,
                    make_synthetic_task, ota_forward, save_pipeline)
 from otafc import inference
 from otafc.inference import ImportedPipeline, SyntheticTask, _conv2d, _link
@@ -187,9 +188,19 @@ def test_designs_channel_sets_and_pipelines_compare_by_identity():
     params = OtaParams(f1=cn(rng, (3, 3)), f2=cn(rng, (3, 4)), a=(cn(rng, (4,)),))
     ch = random_channel_set(rng, 3, 4, (4,))
     pipe = _random_pipeline(6)
+    top = Topology(n_tx=3, n_rx=3, n_stream=3, num_groups=2, group_sizes=(4, 5))
+    target = TargetLayer(w=cn(rng, (3, 3)), bias=np.zeros(3))
+    trace = np.array([2.0, 1.0])
     twins = ((params, OtaParams(f1=params.f1, f2=params.f2, a=params.a)),
              (ch, ChannelSet(h_direct=ch.h_direct, h_hop=ch.h_hop, h_last=ch.h_last)),
-             (pipe, ImportedPipeline(**{f.name: getattr(pipe, f.name) for f in fields(pipe)})))
+             (pipe, ImportedPipeline(**{f.name: getattr(pipe, f.name) for f in fields(pipe)})),
+             (generate_placement(top, 1), generate_placement(top, 1)),
+             (HopStatistics(beta=[1.0, 2.0, 3.0]), HopStatistics(beta=[1.0, 2.0, 3.0])),
+             (target, TargetLayer(w=target.w, bias=target.bias)),
+             (PowerBudget.uniform((4, 5), 3.0, 1.0), PowerBudget.uniform((4, 5), 3.0, 1.0)),
+             (make_synthetic_task(target, 3, 0.5, 2), make_synthetic_task(target, 3, 0.5, 2)),
+             (SolveResult(params, trace, 1, "converged"),
+              SolveResult(params, trace, 1, "converged")))
     for one, twin in twins:
         assert (one == twin) is False and (one != twin) is True
         assert (one == one) is True

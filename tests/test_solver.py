@@ -9,7 +9,7 @@ from otafc import (Cascade, ChannelSet, NoiseModel, OtaParams, PowerBudget,
 from otafc import channel, solver
 from otafc.channel import project_gains
 from otafc.estimation import PilotPlan
-from otafc.utils import complex_normal
+from otafc.utils import complex_normal, hermitize
 
 from test_channel import effective_channel, noise_covariance, random_channel_set
 
@@ -129,6 +129,24 @@ def test_update_f2_beats_random_combiners_and_is_stationary():
                          target)
     grad = fd_gradient(fun, f2)
     assert np.max(np.abs(grad)) <= 1e-8 * max(1.0, val)
+
+
+@pytest.mark.parametrize("direct", [False, True])
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_f2_move_change_is_the_objective_change(seed, direct):
+    # the F2 quadratic is exact: moving F2 to its minimizer changes the
+    # objective by -tr(E G E^H) <= 0, from a random F2 and from one near
+    # the minimizer
+    rng, ch, noise, target, budget, params = random_instance(seed, direct=direct)
+    best = update_f2(Cascade.of(ch, params, noise), target)
+    for start in (params.f2, best + cn(rng, best.shape, 1e-6)):
+        before = Cascade(ch, params.a, params.f1, start, noise)
+        f2, change = solver._f2_move(before, target)
+        assert np.array_equal(f2, best)
+        after = Cascade(ch, params.a, params.f1, f2, noise)
+        old, new = objective(before, target), objective(after, target)
+        assert change <= 0
+        assert abs(change - (new - old)) <= 1e-12 * old
 
 
 # ---------------------------------------------------------------- update_f1
@@ -456,7 +474,9 @@ def plain_ao(est, target, noise, budget, maps):
     """Unaccelerated AO, the oracle of solve's first two maps: (params, trace,
     status). Each map runs F1 -> a_1..a_L -> F2, and a block move is kept when
     its objective does not rise, scored from update_a's exact change when the
-    candidate keeps every gain it was given (candidates lend nothing here)."""
+    candidate keeps every gain it was given (candidates lend nothing here).
+    The F2 move is scored from its quadratic too: moving F2 to the minimizer
+    F2* changes the objective by -tr(E G E^H), E = F2 - F2*, G = B B^H + R."""
     caps = budget.p_relay
     f1 = np.sqrt(budget.p_max_bs / est.n_tx) * np.eye(est.n_tx, target.in_dim, dtype=complex)
     cur = Cascade(est, [None] * est.num_groups, f1, noise=noise, caps=caps)
@@ -479,7 +499,10 @@ def plain_ao(est, target, noise, budget, maps):
             if a_l is not cur.a[l - 1]:
                 cur, trace_obj = keep(cur.a[:l - 1] + [a_l] + cur.a[l:], cur.f1, cur.f2,
                                       change)
-        cur, trace_obj = keep(cur.a, cur.f1, update_f2(cur, target))
+        f2 = update_f2(cur, target)
+        g = hermitize(cur.b @ cur.b.conj().T + cur.stage_noise(est.num_groups + 1))
+        e = cur.f2 - f2
+        cur, trace_obj = keep(cur.a, cur.f1, f2, -float(np.vdot(e, e @ g).real))
         trace.append(trace_obj)
         if trace[-2] - trace_obj <= 1e-6 * trace[-2]:
             return OtaParams(f1=cur.f1, f2=cur.f2, a=cur.a), trace, "converged"
@@ -568,6 +591,7 @@ def test_solve_calls_each_block_through_the_module(monkeypatch, direct):
     res = solve(ch, target, noise, budget)
     assert all(calls.values()), calls
     assert calls["update_f1"] == res.iterations
+    assert calls["update_f2"] == res.iterations + 1  # the F2 step too, not only the start
 
 
 @pytest.mark.parametrize("direct", [False, True])
