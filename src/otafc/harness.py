@@ -3,9 +3,13 @@
 A trial is one full pipeline pass at a sweep point: place relays, draw
 channels, allocate the training budget, estimate, solve, then evaluate
 emulation error and task accuracy on the true channels. Sweep points are
-the cartesian product of the configured axes; every trial derives its own
-seed from (base_seed, sweep point, trial index) so runs are reproducible
-and trials are independent.
+the cartesian product of the configured axes. The points that differ only
+in their excess budget form a chain, one heuristic's budget curve. Trial i
+of every point of a chain runs on one seed, derived from (base_seed,
+chain, i), so the budgets of a curve share their placement, channels,
+target and task, and runs are reproducible. Budgets run in ascending
+order, and each solve starts from the design of the budget below it, so a
+point's numbers depend on the lower budgets of its chain.
 """
 
 import concurrent.futures
@@ -19,8 +23,8 @@ from .channel import (PathlossParams, default_noise_model, draw_channels,
                       hop_statistics)
 from .estimation import estimate_all, inject_error
 from .inference import accuracy, make_synthetic_task
-from .solver import (PowerBudget, SolverConfig, TargetLayer, evaluate_true,
-                     solve)
+from .solver import (OtaParams, PowerBudget, SolverConfig, TargetLayer,
+                     evaluate_true, solve)
 from .topology import Topology, generate_placement
 from .utils import complex_normal
 
@@ -42,6 +46,12 @@ class SweepPoint:
     @property
     def key(self) -> str:
         return (f"{self.heuristic}|{self.excess_budget}|{self.pilot_power:.9g}"
+                f"|{self.num_groups}|{self.group_size}")
+
+    @property
+    def chain_key(self) -> str:
+        """The key without the excess budget: the same for every budget of a chain."""
+        return (f"{self.heuristic}|{self.pilot_power:.9g}"
                 f"|{self.num_groups}|{self.group_size}")
 
 
@@ -247,10 +257,14 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def derive_trial_seed(base_seed: int, sweep_key: str, trial: int) -> int:
-    """base_seed XOR splitmix chain over (sweep-point hash, trial index)."""
+def derive_trial_seed(base_seed: int, chain_key: str, trial: int) -> int:
+    """base_seed XOR splitmix chain over (chain-key hash, trial index).
+
+    run_experiment keys by SweepPoint.chain_key, so trial i of every budget
+    of a chain gets one seed.
+    """
     h = 0
-    for byte in sweep_key.encode():
+    for byte in chain_key.encode():
         h = _splitmix64(h ^ byte)
     return (base_seed ^ _splitmix64(h ^ _splitmix64(trial))) & _MASK64
 
@@ -266,10 +280,15 @@ class TrialResult:
     iterations: int
     status: str
     relay_power_overrun: float  # of the design on the true channels, as evaluate_true
+    # the solved design, for the next budget to start from; run_experiment
+    # drops it once that budget has started, so no ResultRow holds one
+    design: OtaParams = field(default=None, compare=False, repr=False)
 
 
-def run_trial(cfg: ExperimentConfig, point: SweepPoint, trial_seed: int) -> TrialResult:
-    """Execute one seeded pipeline pass at one sweep point."""
+def run_trial(cfg: ExperimentConfig, point: SweepPoint, trial_seed: int,
+              start: OtaParams = None) -> TrialResult:
+    """Execute one seeded pipeline pass at one sweep point; the solve starts
+    from the design start (see solver.solve), or cold when it is None."""
     n = cfg.n_antennas
     topology = Topology(n_tx=n, n_rx=n, n_stream=n,
                         num_groups=point.num_groups,
@@ -298,7 +317,7 @@ def run_trial(cfg: ExperimentConfig, point: SweepPoint, trial_seed: int) -> Tria
 
     bs_max = float(n) if cfg.bs_max_w is None else cfg.bs_max_w
     budget = PowerBudget.uniform(topology.group_sizes, bs_max, cfg.relay_w)
-    result = solve(est, target, noise, budget, cfg.solver)
+    result = solve(est, target, noise, budget, cfg.solver, start=start)
     ev = evaluate_true(result.params, ch, target, noise, budget)
 
     # scale-matched default keeps task difficulty comparable across sizes
@@ -309,19 +328,32 @@ def run_trial(cfg: ExperimentConfig, point: SweepPoint, trial_seed: int) -> Tria
                        ota_acc=acc["ota_acc"], digital_acc=acc["digital_acc"],
                        tau_tot=plan.tau_total, rep=plan.rep,
                        iterations=result.iterations, status=result.status,
-                       relay_power_overrun=ev.relay_power_overrun)
+                       relay_power_overrun=ev.relay_power_overrun, design=result.params)
 
 
-def _trial_job(args):
+def _trial_job(args, start=None):
     cfg, point, trial_seed = args
     try:
-        return run_trial(cfg, point, trial_seed)
+        return run_trial(cfg, point, trial_seed, start=start)
     except Exception as exc:  # recorded in the row, not fatal
         L = point.num_groups
         return TrialResult(nmse=np.nan, objective_true=np.nan, ota_acc=np.nan,
                            digital_acc=np.nan, tau_tot=0, rep=(0,) * (L + 1),
                            iterations=0, status=f"error:{type(exc).__name__}",
                            relay_power_overrun=np.nan)
+
+
+def _chain_job(args):
+    """Trial i of each point of one chain, budgets ascending: each trial
+    starts from the design of the one before it, and cold after a failure.
+    The results come back without designs."""
+    cfg, points, trial_seed = args
+    results, start = [], None
+    for point in points:
+        res = _trial_job((cfg, point, trial_seed), start)
+        start, res.design = res.design, None
+        results.append(res)
+    return results
 
 
 @dataclass
@@ -367,21 +399,31 @@ def _mean_se(values):
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
-    """Run every sweep point x trial and aggregate into sorted ResultRows."""
+    """Run every sweep point x trial and aggregate into sorted ResultRows.
+
+    One job runs trial i of a chain: its points in ascending budget order
+    (the order of sweep_points), all on the chain's i-th seed, each solve
+    started from the previous budget's design. workers > 1 maps the jobs
+    over a process pool; the rows do not depend on workers.
+    """
     points = cfg.sweep_points()
-    jobs = [(cfg, pt, derive_trial_seed(cfg.base_seed, pt.key, i))
-            for pt in points for i in range(cfg.trials)]
+    chains = {}  # chain key -> indices into points, budgets ascending
+    for idx, pt in enumerate(points):
+        chains.setdefault(pt.chain_key, []).append(idx)
+    jobs = [(cfg, [points[idx] for idx in chain], derive_trial_seed(cfg.base_seed, key, i))
+            for key, chain in chains.items() for i in range(cfg.trials)]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
-            results = list(pool.map(_trial_job, jobs, chunksize=1))
+            results = list(pool.map(_chain_job, jobs, chunksize=1))
     else:
-        results = [_trial_job(j) for j in jobs]
+        results = [_chain_job(j) for j in jobs]
 
-    rows = []
-    for p_idx, pt in enumerate(points):
-        chunk = results[p_idx * cfg.trials:(p_idx + 1) * cfg.trials]
-        rows.append(ResultRow(point=pt, trials=chunk))
-    return rows
+    trials = [[] for _ in points]
+    chain_of_job = [chain for chain in chains.values() for _ in range(cfg.trials)]
+    for chain, chain_results in zip(chain_of_job, results):
+        for idx, res in zip(chain, chain_results):
+            trials[idx].append(res)
+    return [ResultRow(point=pt, trials=t) for pt, t in zip(points, trials)]
 
 
 def _fmt(x) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Cascade, ChannelSet, NoiseModel
+from .channel import Cascade, ChannelSet, NoiseModel, check_gains
 from .utils import hermitize, read_only
 
 
@@ -290,9 +290,44 @@ def _check_budget(ch: ChannelSet, budget: PowerBudget) -> None:
             raise ValueError("per-relay budget lengths must match group sizes")
 
 
+def _check_start(ch: ChannelSet, target: TargetLayer, start: OtaParams) -> None:
+    """ValueError naming the first part of start that does not fit the problem."""
+    for name, arr, shape in (("F1", start.f1, (ch.n_tx, target.in_dim)),
+                             ("F2", start.f2, (target.out_dim, ch.n_rx))):
+        if arr.shape != shape:
+            raise ValueError(f"start {name} must have shape {shape}, got {arr.shape}")
+    try:
+        check_gains(ch, start.a)
+    except ValueError as exc:
+        raise ValueError(f"start gains: {exc}") from None
+    for name, arr in (("F1", start.f1), ("F2", start.f2),
+                      *((f"gain vector {l}", a) for l, a in enumerate(start.a))):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"start {name} has non-finite entries")
+
+
+def _capped(ch: ChannelSet, gains, f1: np.ndarray, f2: np.ndarray,
+            noise: NoiseModel, budget: PowerBudget) -> Cascade:
+    """The capped cascade of a design, its F1 scaled into the power ball."""
+    power = np.vdot(f1, f1).real
+    if power > budget.p_max_bs:
+        f1 = f1 * np.sqrt(budget.p_max_bs / power)
+    return Cascade(ch, gains, f1, f2, noise, budget.p_relay)
+
+
 def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
-          budget: PowerBudget, cfg: SolverConfig = SolverConfig()) -> SolveResult:
+          budget: PowerBudget, cfg: SolverConfig = SolverConfig(),
+          start: OtaParams = None) -> SolveResult:
     """Run the alternating optimization from a feasible starting point.
+
+    With start=None the AO starts cold: F1 at full power on the first
+    in_dim antennas, every relay at its cap. A start design (an OtaParams,
+    say the result of a nearby problem) is made feasible the way an
+    extrapolated point is below: its F1 scaled into the power ball and its
+    gains fitted by a capped Cascade on these estimates. Either way F2 then
+    takes its closed-form update. A start whose shapes do not fit the
+    problem, or that holds a non-finite entry, raises ValueError before
+    any map.
 
     One AO map is an F1 -> a_1..a_L -> F2 pass. A precoder or gain block
     move shifts the incident powers of downstream relays, so each candidate
@@ -319,11 +354,14 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     gain.
     """
     _check_budget(est, budget)
-    # F1 at full power on the first in_dim antennas, every relay at its cap
-    f1 = (np.sqrt(budget.p_max_bs / est.n_tx)
-          * np.eye(est.n_tx, target.in_dim, dtype=complex))
-    cur = Cascade(est, [None] * est.num_groups, f1, noise=noise, caps=budget.p_relay)
-    cur = cur.moved(cur.a, f1, update_f2(cur, target))
+    if start is None:
+        f1 = (np.sqrt(budget.p_max_bs / est.n_tx)
+              * np.eye(est.n_tx, target.in_dim, dtype=complex))
+        cur = Cascade(est, [None] * est.num_groups, f1, noise=noise, caps=budget.p_relay)
+    else:
+        _check_start(est, target, start)
+        cur = _capped(est, start.a, start.f1, start.f2, noise, budget)
+    cur = cur.moved(cur.a, cur.f1, update_f2(cur, target))
     obj = objective(cur, target)
     if not np.isfinite(obj):
         raise SolverDivergenceError("non-finite objective at initialization")
@@ -358,13 +396,10 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
         return np.concatenate([cas.f1.ravel(), *cas.a, cas.f2.ravel()])
 
     def capped(x):
-        """The capped cascade of a flattened design, its F1 scaled into the ball."""
+        """The capped cascade of a flattened design."""
         f1, *a, f2 = np.split(x, np.cumsum([cur.f1.size, *est.group_sizes]))
-        power = np.vdot(f1, f1).real
-        if power > budget.p_max_bs:
-            f1 = f1 * np.sqrt(budget.p_max_bs / power)
-        return Cascade(est, a, f1.reshape(cur.f1.shape), f2.reshape(cur.f2.shape),
-                       noise, budget.p_relay)
+        return _capped(est, a, f1.reshape(cur.f1.shape), f2.reshape(cur.f2.shape),
+                       noise, budget)
 
     x = []  # the flattened starts of this cycle's two plain maps
     while len(trace) <= cfg.max_outer_iters:

@@ -312,14 +312,14 @@ def test_emit_csv_failure_columns(tmp_path, monkeypatch):
     cfg = config_from_dict(TINY_CFG)
     low, high = cfg.sweep_points()
     real = harness.run_trial
-    failing = {derive_trial_seed(cfg.base_seed, low.key, 1),
-               derive_trial_seed(cfg.base_seed, high.key, 0),
-               derive_trial_seed(cfg.base_seed, high.key, 1)}
+    # the budgets of a chain share their seeds, so a failure is keyed by point
+    seed = [derive_trial_seed(cfg.base_seed, low.chain_key, i) for i in range(2)]
+    failing = {(low, seed[1]), (high, seed[0]), (high, seed[1])}
 
-    def flaky(cfg, point, trial_seed):
-        if trial_seed in failing:
+    def flaky(cfg, point, trial_seed, start=None):
+        if (point, trial_seed) in failing:
             raise FloatingPointError("diverged")
-        return real(cfg, point, trial_seed)
+        return real(cfg, point, trial_seed, start)
     monkeypatch.setattr(harness, "run_trial", flaky)
     rows = run_experiment(cfg)
     path = tmp_path / "out.csv"
@@ -392,6 +392,85 @@ def test_worker_pool_matches_serial(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# ---------------------------------------------------------------- chains
+
+# four chains (heuristic x pilot power) of three budgets, given unsorted
+CHAINS_CFG = dict(
+    topology=dict(n_antennas=4, area_m=120.0),
+    sweep=dict(heuristic=["uniform", "all_first"], excess_budget=[60, 0, 30],
+               pilot_power=[1.0, 0.5], num_groups=[2], group_size=[3]),
+    task=dict(num_samples=64),
+    trials=2,
+    base_seed=5,
+)
+
+
+def by_chain(points):
+    chains = {}
+    for pt in points:
+        chains.setdefault(pt.chain_key, []).append(pt)
+    return chains
+
+
+def test_chains_give_the_same_csv_with_a_worker_pool(tmp_path):
+    paths = []
+    for workers in (1, 2):
+        rows = run_experiment(config_from_dict({**CHAINS_CFG, "workers": workers}))
+        assert [r.point.excess_budget for r in rows[:6]] == [0, 0, 30, 30, 60, 60]
+        assert all(t.design is None for r in rows for t in r.trials)
+        paths.append(tmp_path / f"workers{workers}.csv")
+        emit_csv(rows, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_budgets_of_a_chain_share_their_scenario():
+    # digital_acc reads only the target, the task and the sample draw, all
+    # from the chain's seed of that trial
+    rows = run_experiment(config_from_dict(CHAINS_CFG))
+    chains = by_chain(r.point for r in rows)
+    assert len(chains) == 4
+    digital = {}
+    for key, chain in chains.items():
+        per_budget = {tuple(t.digital_acc for t in r.trials)
+                      for r in rows if r.point in chain}
+        assert len(per_budget) == 1
+        digital[key] = per_budget.pop()
+    assert len(set(digital.values())) > 1  # chains do not share a scenario
+
+
+def test_each_budget_starts_from_the_design_below_it(monkeypatch):
+    # the lowest budget starts cold, each higher one from the design of the
+    # budget below it, and the budget after a failed trial cold again
+    cfg = config_from_dict(CHAINS_CFG)
+    broken = SweepPoint("all_first", 30, 1.0, 2, 3)
+    real, seen = harness.run_trial, []
+
+    def recording(cfg, point, trial_seed, start=None):
+        design = None
+        try:
+            if point == broken:
+                raise FloatingPointError("diverged")
+            res = real(cfg, point, trial_seed, start)
+            design = res.design
+            return res
+        finally:
+            seen.append((point, trial_seed, start, design))
+    monkeypatch.setattr(harness, "run_trial", recording)
+    rows = run_experiment(cfg)
+    assert len(seen) == 12 * cfg.trials
+    assert all(t.design is None for r in rows for t in r.trials)
+    for chain in by_chain(cfg.sweep_points()).values():
+        for i in range(cfg.trials):
+            seed = derive_trial_seed(cfg.base_seed, chain[0].chain_key, i)
+            calls = [s for s in seen if s[0] in chain and s[1] == seed]
+            assert [c[0] for c in calls] == chain  # budgets ascending
+            assert calls[0][2] is None
+            for below, (point, _, start, _) in zip(calls, calls[1:]):
+                assert start is below[3]
+                assert (start is None) == (point.excess_budget == 60 and below[0] == broken)
+    assert [r.failures for r in rows if r.point == broken] == [cfg.trials]
+
+
 # ---------------------------------------------------------------- CLI
 
 def test_cli_list_heuristics(capsys):
@@ -417,10 +496,10 @@ def test_cli_run_reports_failed_trials_on_stderr(tmp_path, monkeypatch, capsys):
     cfg_path = write_cfg(tmp_path)
     real = harness.run_trial
 
-    def flaky(cfg, point, trial_seed):
+    def flaky(cfg, point, trial_seed, start=None):
         if point.excess_budget == 60:
             raise FloatingPointError("diverged")
-        return real(cfg, point, trial_seed)
+        return real(cfg, point, trial_seed, start)
     monkeypatch.setattr(harness, "run_trial", flaky)
     want = tmp_path / "want.csv"
     emit_csv(run_experiment(load_config(cfg_path)), want)

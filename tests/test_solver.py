@@ -555,6 +555,102 @@ def test_solve_iterates_feasible_and_trace_monotone(seed, groups, n, direct, cap
     assert_feasible_monotone(solve(ch, target, noise, budget, cfg), ch, noise, budget, cfg)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), groups=st.lists(st.integers(1, 5), min_size=1,
+                                                          max_size=4),
+       n=st.integers(1, 4), direct=st.booleans(), cap_scale=st.floats(0.05, 5.0),
+       maps=st.integers(1, 40))
+def test_solve_from_a_start(seed, groups, n, direct, cap_scale, maps):
+    # from a random feasible start every iterate is feasible and the trace
+    # does not rise; from a converged design of the same problem the AO has
+    # next to nothing left to do
+    rng = np.random.default_rng(seed)
+    ch = random_channel_set(rng, n, n, groups, direct=direct)
+    noise = NoiseModel(relay_noise_var=tuple(0.05 * rng.uniform(0.5, 1.5, len(groups))),
+                       rx_noise_var=0.05)
+    target = TargetLayer(w=cn(rng, (n, n), 1.0 / n), bias=np.zeros(n))
+    budget = PowerBudget.uniform(groups, float(n), 2.0 * cap_scale)
+    f1 = cn(rng, (n, n))
+    f1 *= np.sqrt(rng.uniform(0.01, 1.0) * budget.p_max_bs / np.vdot(f1, f1).real)
+    gains = Cascade(ch, [cn(rng, (k,)) for k in groups], f1, noise=noise,
+                    caps=budget.p_relay).a
+    start = OtaParams(f1=f1, f2=cn(rng, (n, n)), a=gains)
+    cfg = solver.SolverConfig(max_outer_iters=maps)
+    warm = solve(ch, target, noise, budget, cfg, start=start)
+    assert_feasible_monotone(warm, ch, noise, budget, cfg)
+
+    cold = solve(ch, target, noise, budget)
+    if cold.status == "converged":
+        again = solve(ch, target, noise, budget, start=cold.params)
+        # the start is the cold design itself: feasible, with F2 optimal
+        assert again.objective_trace[0] <= cold.terminal_objective * (1 + 1e-12)
+        assert again.terminal_objective <= again.objective_trace[0]
+        # The stopping rule can stop on a slow stretch of the AO: on about one
+        # problem in a thousand the maps from the cold result still lower the
+        # objective by more than the tolerance, and then the warm AO goes on.
+        tol = solver.SolverConfig().objective_tolerance
+        assert (again.iterations <= 2
+                or again.terminal_objective < cold.terminal_objective * (1 - tol))
+
+
+def test_solve_projects_a_start_like_an_extrapolated_point():
+    # a start outside the power ball and the relay caps is scaled into the
+    # ball and fitted by a capped cascade, then F2 takes its closed form
+    rng, ch, noise, target, budget, params = random_instance(19)
+    f1 = 3.0 * np.sqrt(budget.p_max_bs) * params.f1 / np.linalg.norm(params.f1)
+    start = OtaParams(f1=f1, f2=params.f2, a=tuple(10.0 * a for a in params.a))
+    res = solve(ch, target, noise, budget, solver.SolverConfig(max_outer_iters=1),
+                start=start)
+    scaled = f1 * np.sqrt(budget.p_max_bs / np.vdot(f1, f1).real)
+    cas = Cascade(ch, list(start.a), scaled, noise=noise, caps=budget.p_relay)
+    cas = Cascade(ch, cas.a, scaled, update_f2(cas, target), noise, budget.p_relay)
+    assert res.objective_trace[0] == objective(cas, target)
+    assert any(got is not given for got, given in zip(cas.a, start.a))  # caps bind
+
+
+def rectangular_instance():
+    """n_tx=4, n_rx=2, in_dim=5, out_dim=3: no shape is another's transpose."""
+    rng = np.random.default_rng(21)
+    ch = random_channel_set(rng, 4, 2, (5, 6))
+    noise = NoiseModel(relay_noise_var=(0.05, 0.05), rx_noise_var=0.05)
+    target = TargetLayer(w=cn(rng, (3, 5), 0.2), bias=np.zeros(3))
+    budget = PowerBudget.uniform((5, 6), 4.0, 1.0)
+    start = OtaParams(f1=cn(rng, (4, 5)), f2=cn(rng, (3, 2)), a=(cn(rng, (5,)), cn(rng, (6,))))
+    return ch, noise, target, budget, start
+
+
+def _poisoned(arr, at, value):
+    out = np.array(arr)
+    out.flat[at] = value
+    return out
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda s: dict(f1=s.f1.T), r"start F1 must have shape \(4, 5\), got \(5, 4\)"),
+    (lambda s: dict(f1=s.f1[:, :4]), r"start F1 must have shape \(4, 5\)"),
+    (lambda s: dict(f2=s.f2.T), r"start F2 must have shape \(3, 2\), got \(2, 3\)"),
+    (lambda s: dict(a=s.a[:1]), "start gains: expected 2 gain vectors, got 1"),
+    (lambda s: dict(a=s.a + s.a[:1]), "start gains: expected 2 gain vectors, got 3"),
+    (lambda s: dict(a=(s.a[0], s.a[1][:5])), r"start gains: gain vector 1 must have shape \(6,\)"),
+    (lambda s: dict(f1=_poisoned(s.f1, 3, np.nan)), "start F1 has non-finite entries"),
+    (lambda s: dict(f2=_poisoned(s.f2, 0, np.inf)), "start F2 has non-finite entries"),
+    (lambda s: dict(a=(s.a[0], _poisoned(s.a[1], 2, complex(0, np.nan)))),
+     "start gain vector 1 has non-finite entries"),
+], ids=["f1-transposed", "f1-narrow", "f2-transposed", "one-gain-short", "one-gain-extra",
+        "gain-length", "f1-nan", "f2-inf", "gain-nan"])
+def test_solve_refuses_a_malformed_start_before_any_map(monkeypatch, change, message):
+    ch, noise, target, budget, start = rectangular_instance()
+    solve(ch, target, noise, budget, start=start)  # the well-formed start runs
+
+    def never(*args, **kwargs):
+        raise AssertionError("an AO block ran before the start was checked")
+    for name in ("update_f1", "update_a", "update_f2", "objective"):
+        monkeypatch.setattr(solver, name, never)
+    fields = {"f1": start.f1, "f2": start.f2, "a": start.a, **change(start)}
+    with pytest.raises(ValueError, match=message):
+        solve(ch, target, noise, budget, start=OtaParams(**fields))
+
+
 @pytest.mark.parametrize("direct", [False, True])
 def test_solve_survives_a_poisoned_extrapolation(monkeypatch, direct):
     # a wild S3 step lands far outside any sensible design; the safeguard
