@@ -56,16 +56,10 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, base_seed=args.seed)
-        if args.trials is not None:
-            cfg = replace(cfg, trials=args.trials)
-        if args.heuristic is not None:
-            try:
-                cfg = replace(cfg, heuristics=(Heuristic(args.heuristic).value,))
-            except ValueError:
-                raise ConfigError(f"unknown heuristic {args.heuristic!r}") from None
+        # replace checks the flags as the config file's keys are checked
+        flags = {"base_seed": args.seed, "trials": args.trials, "heuristic": args.heuristic}
+        cfg = replace(load_config(args.config),
+                      **{key: value for key, value in flags.items() if value is not None})
         rows = run_experiment(cfg)
         emit_csv(rows, args.out)
         print(f"wrote {len(rows)} rows to {args.out}")

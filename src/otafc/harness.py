@@ -13,6 +13,8 @@ point's numbers depend on the lower budgets of its chain.
 """
 
 import concurrent.futures
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +47,12 @@ class SweepPoint:
 
     @property
     def key(self) -> str:
-        return (f"{self.heuristic}|{self.excess_budget}|{self.pilot_power:.9g}"
-                f"|{self.num_groups}|{self.group_size}")
+        return "|".join(_fmt(v) for v in vars(self).values())
 
     @property
     def chain_key(self) -> str:
         """The key without the excess budget: the same for every budget of a chain."""
-        return (f"{self.heuristic}|{self.pilot_power:.9g}"
-                f"|{self.num_groups}|{self.group_size}")
+        return "|".join(_fmt(v) for axis, v in vars(self).items() if axis != "excess_budget")
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,8 @@ class ExperimentConfig:
     Defaults follow the reference configuration: 49 antennas, 28 GHz over
     300 MHz, a 200 m square area with 3 relay groups of 50, unit relay and
     pilot power, and an excess-budget sweep of 200..1000 channel uses.
+    Every field outside pathloss and solver is read by the reader of its
+    config key, so a config built in code is checked as a file is.
     """
 
     n_antennas: int = 49
@@ -77,67 +79,28 @@ class ExperimentConfig:
     num_classes: int = 10
     sample_noise_var: float = None  # None -> n_antennas / 16 (scale-matched)
     num_samples: int = 256
-    heuristics: tuple = ("uniform",)
-    excess_budgets: tuple = (200, 400, 600, 800, 1000)
-    pilot_powers: tuple = (1.0,)
-    num_groups_list: tuple = (3,)
-    group_sizes_list: tuple = (50,)
+    # the sweep axes, each a tuple of distinct values
+    heuristic: tuple = ("uniform",)
+    excess_budget: tuple = (200, 400, 600, 800, 1000)
+    pilot_power: tuple = (1.0,)
+    num_groups: tuple = (3,)
+    group_size: tuple = (50,)
     trials: int = 40
     base_seed: int = 1
     workers: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("need at least one trial")
-        if self.estimator not in ("ls", "inject", "perfect"):
-            raise ConfigError(f"unknown estimator mode {self.estimator!r}")
-        for name, axis in (("heuristic", self.heuristics),
-                           ("excess_budget", self.excess_budgets),
-                           ("pilot_power", self.pilot_powers),
-                           ("num_groups", self.num_groups_list),
-                           ("group_size", self.group_sizes_list)):
-            if len(tuple(axis)) == 0:
-                raise ConfigError(f"sweep axis {name} must be non-empty")
-        for h in self.heuristics:
-            try:
-                Heuristic(h)
-            except ValueError:
-                raise ConfigError(f"unknown heuristic {h!r}") from None
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        for name, values, low in (("n_antennas", [self.n_antennas], 1),
-                                  ("num_classes", [self.num_classes], 2),
-                                  ("num_samples", [self.num_samples], 1),
-                                  ("excess_budget", self.excess_budgets, 0),
-                                  ("num_groups", self.num_groups_list, 1),
-                                  ("group_size", self.group_sizes_list, 1)):
-            for v in values:
-                if v < low:
-                    raise ConfigError(f"{name} must be >= {low}, got {v}")
-        for name, values in (("pilot_power", self.pilot_powers),
-                             ("relay_w", [self.relay_w]),
-                             ("bs_max_w", [self.bs_max_w]),
-                             ("bandwidth_hz", [self.bandwidth_hz]),
-                             ("area_m", [self.area_m])):
-            for v in values:
-                if v is not None and not 0 < v < np.inf:  # also refuses NaN
-                    raise ConfigError(f"{name} must be positive and finite, got {v}")
-        if not np.isfinite(self.psd_dbm_per_hz):
-            raise ConfigError(f"psd_dbm_per_hz must be finite, got {self.psd_dbm_per_hz}")
-        if self.sample_noise_var is not None and not 0 <= self.sample_noise_var < np.inf:
-            raise ConfigError(
-                f"sample_noise_var must be finite and >= 0, got {self.sample_noise_var}")
+        for section, keys in _KEYS.items():
+            for key in keys if section not in _NESTED else ():
+                value = getattr(self, key)  # None passes where it is the default
+                if value is not None or self.__dataclass_fields__[key].default is not None:
+                    object.__setattr__(self, key, _read(section, key, value))
 
     def sweep_points(self):
         """All sweep coordinates in sorted row order."""
-        pts = []
-        for h in sorted(self.heuristics):
-            for e in sorted(self.excess_budgets):
-                for p in sorted(self.pilot_powers):
-                    for L in sorted(self.num_groups_list):
-                        for k in sorted(self.group_sizes_list):
-                            pts.append(SweepPoint(h, int(e), float(p), int(L), int(k)))
-        return pts
+        axes = tuple(_KEYS["sweep"])
+        return [SweepPoint(**dict(zip(axes, values)))
+                for values in itertools.product(*(sorted(getattr(self, a)) for a in axes))]
 
 
 def _integer(v):
@@ -159,60 +122,69 @@ def _boolean(v):
     return v
 
 
-def _axis(read):
-    """A sweep axis: a scalar or a list, each value read by read."""
-    return lambda v: tuple(read(x) for x in (v if isinstance(v, (list, tuple)) else [v]))
+def _reader(cast, ok=None, want=None):
+    """A key's reader: cast the value (a TypeError or ValueError says why it
+    cannot be), then refuse a value that fails ok, described by want."""
+    def read(label, value):
+        try:
+            value = cast(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{label}: {exc}") from exc
+        if ok is not None and not ok(value):  # NaN fails every comparison
+            raise ConfigError(f"{label} must be {want}, got {value!r}")
+        return value
+    return read
 
 
-# Every key a config file may hold, as section -> key -> (field, reader); ""
-# is the root. A section in _NESTED fills the fields of its own dataclass,
-# every other one those of ExperimentConfig. Floats are read with _real,
-# which refuses booleans but takes the strings YAML leaves for numbers such
-# as 3.0e8.
+def _at_least(low):
+    return _reader(_integer, lambda v: v >= low, f">= {low}")
+
+
+def _one_of(choices):
+    return _reader(str, lambda v: v in choices, "one of " + ", ".join(choices))
+
+
+_POSITIVE = _reader(_real, lambda v: 0 < v < np.inf, "positive and finite")
+
+# Every key a config file may hold, as section -> key -> reader; "" is the
+# root. A reader checks both the type and the range of its key. A section
+# in _NESTED fills the fields of its own dataclass, which checks their
+# ranges; every other key is the name of an ExperimentConfig field. Floats
+# are read with _real, which refuses booleans but takes the strings YAML
+# leaves for numbers such as 3.0e8. The sweep section lists the axes.
 _KEYS = {
-    "": {"estimator": ("estimator", str), "trials": ("trials", _integer),
-         "base_seed": ("base_seed", _integer), "workers": ("workers", _integer)},
-    "topology": {"n_antennas": ("n_antennas", _integer),
-                 "direct_link": ("direct_link", _boolean),
-                 "area_m": ("area_m", _real)},
-    "pathloss": {"carrier_ghz": ("carrier_ghz", _real), "model": ("model", str)},
-    "noise": {"psd_dbm_per_hz": ("psd_dbm_per_hz", _real),
-              "bandwidth_hz": ("bandwidth_hz", _real)},
-    "power": {"bs_max_w": ("bs_max_w", _real), "relay_w": ("relay_w", _real)},
-    "solver": {"max_outer_iters": ("max_outer_iters", _integer),
-               "objective_tolerance": ("objective_tolerance", _real)},
-    "task": {"num_classes": ("num_classes", _integer),
-             "sample_noise_var": ("sample_noise_var", _real),
-             "num_samples": ("num_samples", _integer)},
-    "sweep": {"heuristic": ("heuristics", _axis(str)),
-              "excess_budget": ("excess_budgets", _axis(_integer)),
-              "pilot_power": ("pilot_powers", _axis(_real)),
-              "num_groups": ("num_groups_list", _axis(_integer)),
-              "group_size": ("group_sizes_list", _axis(_integer))},
+    "": {"estimator": _one_of(("ls", "inject", "perfect")), "trials": _at_least(1),
+         "base_seed": _reader(_integer), "workers": _at_least(1)},
+    "topology": {"n_antennas": _at_least(1), "direct_link": _reader(_boolean),
+                 "area_m": _POSITIVE},
+    "pathloss": {"carrier_ghz": _reader(_real), "model": _reader(str)},
+    "noise": {"psd_dbm_per_hz": _reader(_real, np.isfinite, "finite"),
+              "bandwidth_hz": _POSITIVE},
+    "power": {"bs_max_w": _POSITIVE, "relay_w": _POSITIVE},
+    "solver": {"max_outer_iters": _reader(_integer),
+               "objective_tolerance": _reader(_real)},
+    "task": {"num_classes": _at_least(2),
+             "sample_noise_var": _reader(_real, lambda v: 0 <= v < np.inf,
+                                         "finite and >= 0"),
+             "num_samples": _at_least(1)},
+    "sweep": {"heuristic": _one_of(tuple(h.value for h in Heuristic)),
+              "excess_budget": _at_least(0), "pilot_power": _POSITIVE,
+              "num_groups": _at_least(1), "group_size": _at_least(1)},
 }
 _NESTED = {"pathloss": PathlossParams, "solver": SolverConfig}
 
 
-def _read_section(tree: dict, section: str) -> dict:
-    """The keys of one section that are given and not null, read into fields."""
-    keys = _KEYS[section]
-    known = list(keys) + ([] if section else [s for s in _KEYS if s])
-    for key in tree:
-        if key not in known:
-            import difflib  # only on this error path: it costs set-up time and memory
-            close = difflib.get_close_matches(str(key), known, n=1)
-            hint = f"; did you mean {close[0]!r}?" if close else ""
-            where = f"in section {section!r}" if section else "at the config root"
-            raise ConfigError(f"unknown key {key!r} {where}{hint}")
-    given = {}
-    for key, (name, read) in keys.items():
-        if tree.get(key) is not None:
-            try:
-                given[name] = read(tree[key])
-            except (TypeError, ValueError) as exc:
-                label = f"{section}.{key}" if section else key
-                raise ConfigError(f"{label}: {exc}") from exc
-    return given
+def _read(section: str, key: str, value):
+    """value read by the reader of one key, an axis value by value; errors name the key."""
+    label = f"{section}.{key}" if section else key
+    read = _KEYS[section][key]
+    if section != "sweep":
+        return read(label, value)
+    values = tuple(read(label, v)
+                   for v in (value if isinstance(value, (list, tuple)) else [value]))
+    if not values or len(set(values)) < len(values):  # a repeat gives two rows one key
+        raise ConfigError(f"{label} must be a non-empty list of distinct values, got {values!r}")
+    return values
 
 
 def config_from_dict(tree: dict) -> ExperimentConfig:
@@ -223,14 +195,23 @@ def config_from_dict(tree: dict) -> ExperimentConfig:
     if not isinstance(tree, dict):
         raise ConfigError("config root must be a mapping")
     kw = {}
-    for section in _KEYS:
+    for section, keys in _KEYS.items():
         part = tree.get(section) if section else tree
         if part is None:
             part = {}
         if not isinstance(part, dict):
             raise ConfigError(f"config section {section!r} must be a mapping")
-        given = _read_section(part, section)
+        known = list(keys) + ([] if section else [s for s in _KEYS if s])
+        for key in part:
+            if key not in known:
+                import difflib  # only on this error path: it costs set-up time and memory
+                close = difflib.get_close_matches(str(key), known, n=1)
+                hint = f"; did you mean {close[0]!r}?" if close else ""
+                where = f"in section {section!r}" if section else "at the config root"
+                raise ConfigError(f"unknown key {key!r} {where}{hint}")
+        given = {key: part[key] for key in keys if part.get(key) is not None}
         if section in _NESTED:
+            given = {key: _read(section, key, value) for key, value in given.items()}
             try:
                 kw[section] = _NESTED[section](**given)
             except ValueError as exc:
@@ -271,15 +252,17 @@ def derive_trial_seed(base_seed: int, chain_key: str, trial: int) -> int:
 
 @dataclass
 class TrialResult:
-    nmse: float
-    objective_true: float
-    ota_acc: float
-    digital_acc: float
-    tau_tot: int
-    rep: tuple
-    iterations: int
+    """One trial's numbers; a trial that raised keeps the defaults."""
+
     status: str
-    relay_power_overrun: float  # of the design on the true channels, as evaluate_true
+    nmse: float = np.nan
+    objective_true: float = np.nan
+    ota_acc: float = np.nan
+    digital_acc: float = np.nan
+    tau_tot: int = 0
+    rep: tuple = ()
+    iterations: int = 0
+    relay_power_overrun: float = np.nan  # of the design on the true channels, as evaluate_true
     # the solved design, for the next budget to start from; run_experiment
     # drops it once that budget has started, so no ResultRow holds one
     design: OtaParams = field(default=None, compare=False, repr=False)
@@ -331,28 +314,23 @@ def run_trial(cfg: ExperimentConfig, point: SweepPoint, trial_seed: int,
                        relay_power_overrun=ev.relay_power_overrun, design=result.params)
 
 
-def _trial_job(args, start=None):
-    cfg, point, trial_seed = args
+def _trial_job(cfg, point, trial_seed, start=None):
     try:
         return run_trial(cfg, point, trial_seed, start=start)
     except Exception as exc:  # recorded in the row, not fatal
-        L = point.num_groups
-        return TrialResult(nmse=np.nan, objective_true=np.nan, ota_acc=np.nan,
-                           digital_acc=np.nan, tau_tot=0, rep=(0,) * (L + 1),
-                           iterations=0, status=f"error:{type(exc).__name__}",
-                           relay_power_overrun=np.nan)
+        return TrialResult(status=f"error:{type(exc).__name__}")
 
 
 def _chain_job(args):
     """Trial i of each point of one chain, budgets ascending: each trial
     starts from the design of the one before it, and cold after a failure.
-    The results come back without designs."""
+    The (point, result) pairs come back without designs."""
     cfg, points, trial_seed = args
     results, start = [], None
     for point in points:
-        res = _trial_job((cfg, point, trial_seed), start)
+        res = _trial_job(cfg, point, trial_seed, start)
         start, res.design = res.design, None
-        results.append(res)
+        results.append((point, res))
     return results
 
 
@@ -362,18 +340,18 @@ class ResultRow:
 
     point: SweepPoint
     trials: list
-    nmse_mean: float = np.nan
-    nmse_se: float = np.nan
-    acc_ota_mean: float = np.nan
-    acc_ota_se: float = np.nan
-    acc_dig_mean: float = np.nan
-    acc_dig_se: float = np.nan
-    tau_tot_mean: float = np.nan
-    rep_mean: tuple = ()
-    iters_mean: float = np.nan
-    failures: int = 0
-    converged_frac: float = np.nan
-    overrun_max: float = np.nan
+    nmse_mean: float = field(init=False, default=np.nan)
+    nmse_se: float = field(init=False, default=np.nan)
+    acc_ota_mean: float = field(init=False, default=np.nan)
+    acc_ota_se: float = field(init=False, default=np.nan)
+    acc_dig_mean: float = field(init=False, default=np.nan)
+    acc_dig_se: float = field(init=False, default=np.nan)
+    tau_tot_mean: float = field(init=False, default=np.nan)
+    rep_mean: tuple = field(init=False, default=())
+    iters_mean: float = field(init=False, default=np.nan)
+    failures: int = field(init=False)
+    converged_frac: float = field(init=False, default=np.nan)
+    overrun_max: float = field(init=False, default=np.nan)
 
     def __post_init__(self):
         ok = [t for t in self.trials if not t.status.startswith("error")]
@@ -406,24 +384,20 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     started from the previous budget's design. workers > 1 maps the jobs
     over a process pool; the rows do not depend on workers.
     """
-    points = cfg.sweep_points()
-    chains = {}  # chain key -> indices into points, budgets ascending
-    for idx, pt in enumerate(points):
-        chains.setdefault(pt.chain_key, []).append(idx)
-    jobs = [(cfg, [points[idx] for idx in chain], derive_trial_seed(cfg.base_seed, key, i))
+    trials = {pt: [] for pt in cfg.sweep_points()}
+    chains = {}  # chain key -> points, budgets ascending
+    for pt in trials:
+        chains.setdefault(pt.chain_key, []).append(pt)
+    jobs = [(cfg, chain, derive_trial_seed(cfg.base_seed, key, i))
             for key, chain in chains.items() for i in range(cfg.trials)]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
             results = list(pool.map(_chain_job, jobs, chunksize=1))
     else:
         results = [_chain_job(j) for j in jobs]
-
-    trials = [[] for _ in points]
-    chain_of_job = [chain for chain in chains.values() for _ in range(cfg.trials)]
-    for chain, chain_results in zip(chain_of_job, results):
-        for idx, res in zip(chain, chain_results):
-            trials[idx].append(res)
-    return [ResultRow(point=pt, trials=t) for pt, t in zip(points, trials)]
+    for pt, res in itertools.chain.from_iterable(results):
+        trials[pt].append(res)
+    return [ResultRow(point=pt, trials=t) for pt, t in trials.items()]
 
 
 def _fmt(x) -> str:
@@ -434,6 +408,18 @@ def _fmt(x) -> str:
     return f"{float(x):.9g}"
 
 
+# The CSV columns in order, each with the ResultRow attribute it shows; "m"
+# stands for m0..mL, the entries of rep_mean, as many as the longest row has.
+_COLUMNS = (("heuristic", "point.heuristic"), ("excess_budget", "point.excess_budget"),
+            ("pilot_power", "point.pilot_power"), ("L", "point.num_groups"),
+            ("K_per_group", "point.group_size"), ("tau_tot", "tau_tot_mean"),
+            ("m", "rep_mean"), ("nmse_mean", "nmse_mean"), ("nmse_se", "nmse_se"),
+            ("acc_ota_mean", "acc_ota_mean"), ("acc_ota_se", "acc_ota_se"),
+            ("acc_dig_mean", "acc_dig_mean"), ("acc_dig_se", "acc_dig_se"),
+            ("iters_mean", "iters_mean"), ("failures", "failures"),
+            ("converged_frac", "converged_frac"), ("overrun_max", "overrun_max"))
+
+
 def emit_csv(rows: list, path) -> None:
     """Write the result table: stable documented columns, 9 significant digits.
 
@@ -441,25 +427,15 @@ def emit_csv(rows: list, path) -> None:
     (the largest relay power overrun on the true channels) are over the
     trials that did not fail.
     """
-    max_phases = max((len(r.rep_mean) for r in rows), default=0)
-    m_cols = [f"m{l}" for l in range(max_phases)]
-    header = (["heuristic", "excess_budget", "pilot_power", "L", "K_per_group",
-               "tau_tot"] + m_cols
-              + ["nmse_mean", "nmse_se", "acc_ota_mean", "acc_ota_se",
-                 "acc_dig_mean", "acc_dig_se", "iters_mean",
-                 "failures", "converged_frac", "overrun_max"])
+    width = max((len(r.rep_mean) for r in rows), default=0)
+    header = [col for name, _ in _COLUMNS
+              for col in ([f"m{l}" for l in range(width)] if name == "m" else [name])]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for r in rows:
-            reps = [_fmt(v) for v in r.rep_mean]
-            reps += [""] * (max_phases - len(reps))
-            cells = [r.point.heuristic, _fmt(r.point.excess_budget),
-                     _fmt(r.point.pilot_power), _fmt(r.point.num_groups),
-                     _fmt(r.point.group_size), _fmt(r.tau_tot_mean)]
-            cells += reps
-            cells += [_fmt(r.nmse_mean), _fmt(r.nmse_se),
-                      _fmt(r.acc_ota_mean), _fmt(r.acc_ota_se),
-                      _fmt(r.acc_dig_mean), _fmt(r.acc_dig_se),
-                      _fmt(r.iters_mean), _fmt(r.failures),
-                      _fmt(r.converged_frac), _fmt(r.overrun_max)]
+            cells = []
+            for name, attr in _COLUMNS:
+                value = operator.attrgetter(attr)(r)
+                cells += ([_fmt(v) for v in value] + [""] * (width - len(value))
+                          if name == "m" else [_fmt(value)])
             fh.write(",".join(cells) + "\n")

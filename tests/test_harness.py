@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -35,11 +37,16 @@ def test_config_defaults_and_axes():
     assert config_from_dict({"pathloss": {"carrier_ghz": None}}) == cfg
     assert config_from_dict({"solver": {"max_outer_iters": None}}) == cfg
     assert cfg.n_antennas == 49
-    assert cfg.group_sizes_list == (50,)
+    assert cfg.group_size == (50,)
     assert cfg.estimator == "ls"
     pts = cfg.sweep_points()
-    assert len(pts) == len(cfg.excess_budgets)
+    assert len(pts) == len(cfg.excess_budget)
     assert pts[0].excess_budget < pts[-1].excess_budget
+    # one name per axis: the sweep key, the config field and the point field
+    axes = list(harness._KEYS["sweep"])
+    assert [f.name for f in dataclasses.fields(SweepPoint)] == axes
+    for axis in axes:
+        assert sorted({getattr(p, axis) for p in pts}) == sorted(getattr(cfg, axis))
 
 
 def test_config_rejects_bad_values():
@@ -110,6 +117,72 @@ def test_strict_schema_fails_before_any_trial(tmp_path, monkeypatch, tree, messa
     assert ran == [] and not out.exists()
 
 
+# Each case gives the same ConfigError from ExperimentConfig(**kw) as from
+# the file tree, and the file's run stops before any trial.
+@pytest.mark.parametrize("kw,tree,message", [
+    ({"excess_budget": (100.7,)}, {"sweep": {"excess_budget": [100.7]}},
+     "sweep.excess_budget: must be an integer, got 100.7"),
+    ({"group_size": (3.9,)}, {"sweep": {"group_size": [3.9]}},
+     "sweep.group_size: must be an integer, got 3.9"),
+    ({"excess_budget": (30, 30)}, {"sweep": {"excess_budget": [30, 30]}},
+     "sweep.excess_budget must be a non-empty list of distinct values, got (30, 30)"),
+    ({"pilot_power": (1, 1.0)}, {"sweep": {"pilot_power": [1, 1.0]}},
+     "sweep.pilot_power must be a non-empty list of distinct values, got (1.0, 1.0)"),
+    ({"heuristic": ("uniform", "all_first", "uniform")},
+     {"sweep": {"heuristic": ["uniform", "all_first", "uniform"]}},
+     "sweep.heuristic must be a non-empty list of distinct values"),
+    ({"num_groups": (2, 2.0)}, {"sweep": {"num_groups": [2, 2.0]}},
+     "sweep.num_groups must be a non-empty list of distinct values, got (2, 2)"),
+    ({"group_size": ()}, {"sweep": {"group_size": []}},
+     "sweep.group_size must be a non-empty list of distinct values, got ()"),
+    ({"heuristic": "bogus"}, {"sweep": {"heuristic": "bogus"}},
+     "sweep.heuristic must be one of uniform, prop_min, front_loaded, all_first, "
+     "channel_aware, got 'bogus'"),
+    ({"trials": 0}, {"trials": 0}, "trials must be >= 1, got 0"),
+    ({"workers": 0}, {"workers": 0}, "workers must be >= 1, got 0"),
+    ({"estimator": "magic"}, {"estimator": "magic"},
+     "estimator must be one of ls, inject, perfect, got 'magic'"),
+    ({"n_antennas": 2.5}, {"topology": {"n_antennas": 2.5}},
+     "topology.n_antennas: must be an integer, got 2.5"),
+    ({"direct_link": "false"}, {"topology": {"direct_link": "false"}},
+     "topology.direct_link: must be true or false, got 'false'"),
+    ({"bs_max_w": 0.0}, {"power": {"bs_max_w": 0.0}},
+     "power.bs_max_w must be positive and finite, got 0.0"),
+    ({"psd_dbm_per_hz": float("nan")}, {"noise": {"psd_dbm_per_hz": float("nan")}},
+     "noise.psd_dbm_per_hz must be finite, got nan"),
+    ({"sample_noise_var": -0.5}, {"task": {"sample_noise_var": -0.5}},
+     "task.sample_noise_var must be finite and >= 0, got -0.5"),
+])
+def test_config_built_in_code_is_checked_like_a_file(tmp_path, monkeypatch, kw, tree, message):
+    with pytest.raises(ConfigError, match=re.escape(message)) as in_code:
+        ExperimentConfig(**kw)
+    with pytest.raises(ConfigError) as from_file:
+        config_from_dict(tree)
+    assert str(in_code.value) == str(from_file.value)
+    ran = []
+    monkeypatch.setattr(harness, "run_trial", lambda *args: ran.append(args))
+    path = write_cfg(tmp_path, {**TINY_CFG, **tree})
+    out = tmp_path / "out.csv"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert ran == [] and not out.exists()
+
+
+def test_config_built_in_code_is_normalised_like_a_file():
+    # a list reads as a tuple, a scalar as a one-value axis and 60.0 as 60;
+    # None passes only where it is the default
+    kw = dict(excess_budget=[0, 60.0], pilot_power=1, heuristic="all_first", n_antennas=4.0)
+    cfg = ExperimentConfig(**kw)
+    assert cfg == config_from_dict({"sweep": {"excess_budget": [0, 60.0], "pilot_power": 1,
+                                              "heuristic": "all_first"},
+                                    "topology": {"n_antennas": 4.0}})
+    assert (cfg.excess_budget, cfg.pilot_power, cfg.heuristic) == ((0, 60), (1.0,), ("all_first",))
+    assert type(cfg.n_antennas) is int and type(cfg.excess_budget[1]) is int
+    assert dataclasses.replace(cfg, trials=2.0).trials == 2
+    assert ExperimentConfig(bs_max_w=None, sample_noise_var=None) == ExperimentConfig()
+    with pytest.raises(ConfigError, match="trials: must be an integer, got None"):
+        ExperimentConfig(trials=None)
+
+
 def test_float_keys_take_numeric_strings(tmp_path):
     # YAML 1.1 leaves 3.0e8 (no exponent sign) as the string '3.0e8'
     import yaml
@@ -119,7 +192,7 @@ def test_float_keys_take_numeric_strings(tmp_path):
     cfg = config_from_dict(tree)
     assert cfg.bandwidth_hz == 3.0e8
     assert cfg.relay_w == 2.0
-    assert cfg.pilot_powers == (0.01, 0.5)
+    assert cfg.pilot_power == (0.01, 0.5)
     with pytest.raises(ConfigError, match="noise.bandwidth_hz"):
         config_from_dict({"noise": {"bandwidth_hz": "wide"}})
 
@@ -138,7 +211,7 @@ def test_direct_link_must_be_boolean(tmp_path, value):
 def test_load_config_file(tmp_path):
     cfg = load_config(write_cfg(tmp_path))
     assert cfg.n_antennas == 4
-    assert cfg.excess_budgets == (0, 60)
+    assert cfg.excess_budget == (0, 60)
     assert cfg.trials == 2
 
 
@@ -148,7 +221,7 @@ def test_shipped_configs_parse():
     quick = load_config(root / "quick.yaml")
     assert quick.n_antennas == 16 and quick.trials == 10
     ref = load_config(root / "reference.yaml")
-    assert ref.n_antennas == 49 and len(ref.heuristics) == 5
+    assert ref.n_antennas == 49 and len(ref.heuristic) == 5
     assert ref.sample_noise_var is None  # dimension-scaled default
 
 
@@ -166,6 +239,22 @@ def test_readme_schema_matches_parser():
     assert config_from_dict(doc) == config_from_dict({})
 
 
+def test_readme_csv_columns_match_emit_csv(tmp_path):
+    """The README's CSV column block, m0..mL expanded, is the header emit_csv writes."""
+    import pathlib
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").split("CSV columns:", 1)[1]
+    block = text.split("```\n", 1)[1].split("```", 1)[0]
+    point = SweepPoint("uniform", 60, 1.0, 2, 3)
+    names = []
+    for name in "".join(block.split()).split(","):
+        names += ([f"m{l}" for l in range(point.num_groups + 1)] if name == "m0..mL"
+                  else [name])
+    path = tmp_path / "out.csv"
+    emit_csv([ResultRow(point, [TrialResult(status="converged", rep=(2, 1, 1))])], path)
+    assert path.read_text(encoding="utf-8").splitlines()[0] == ",".join(names)
+
+
 def test_sweep_points_sorted():
     cfg = config_from_dict({"sweep": {"heuristic": ["uniform", "all_first"],
                                       "excess_budget": [300, 100]}})
@@ -175,6 +264,14 @@ def test_sweep_points_sorted():
 
 
 # ---------------------------------------------------------------- seeds
+
+def test_point_keys_keep_their_strings():
+    # the chain key seeds a chain's trials, so its string must not move
+    pt = SweepPoint("uniform", 200, 1 / 3, 3, 12)
+    assert pt.key == "uniform|200|0.333333333|3|12"
+    assert pt.chain_key == "uniform|0.333333333|3|12"
+    assert SweepPoint("all_first", 0, 1.0, 1, 50).chain_key == "all_first|1|1|50"
+
 
 def test_trial_seed_derivation_stable_and_distinct():
     s1 = derive_trial_seed(1, "uniform|200|1|3|12", 0)
@@ -269,12 +366,14 @@ def test_trial_job_records_errors(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("no")
     monkeypatch.setattr(harness, "run_trial", boom)
-    res = _trial_job((cfg, pt, 1))
+    res = _trial_job(cfg, pt, 1)
     assert res.status == "error:RuntimeError"
     assert np.isnan(res.nmse) and np.isnan(res.relay_power_overrun)
     row = ResultRow(point=pt, trials=[res])
     assert row.failures == 1
     assert np.isnan(row.nmse_mean)
+    with pytest.raises(TypeError):  # aggregates are computed, never given
+        ResultRow(point=pt, trials=[res], failures=0)
 
 
 # ---------------------------------------------------------------- output
@@ -579,8 +678,10 @@ def test_cli_error_paths(tmp_path, capsys):
     assert cli_main(["run"]) == 1
     assert cli_main(["run", "--config", str(tmp_path / "missing.yaml")]) == 1
     cfg_path = write_cfg(tmp_path)
+    capsys.readouterr()
     assert cli_main(["run", "--config", str(cfg_path),
                      "--heuristic", "bogus"]) == 1
+    assert capsys.readouterr().err.startswith("error: sweep.heuristic must be one of ")
     bad = tmp_path / "bad.yaml"
     bad.write_text("trials: 0\n")
     assert cli_main(["run", "--config", str(bad)]) == 1
