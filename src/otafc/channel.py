@@ -176,31 +176,19 @@ class HopStatistics:
     beta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
+        object.__setattr__(self, "beta", read_only(self.beta, float))
         if not np.all((0 < self.beta) & (self.beta < np.inf)):  # NaN too
             raise ValueError("average hop gains must be positive and finite")
 
 
 def _hop_gains(placement: Placement, params: PathlossParams) -> tuple:
     """Linear large-scale gain of every link, per hop: (K_1,) from the BS,
-    (K_{l+1}, K_l) from group l to group l+1, and (K_L,) to the receiver.
-
-    Read-only, and kept on the placement for the last params it was built
-    for, so draw_channels and hop_statistics of one placement share it.
-    """
-    memo = getattr(placement, "_gains", None)
-    if memo is not None and memo[0] == params:
-        return memo[1]
-    groups = placement.relay_positions
-    stations = ([placement.bs_position[None, :]] + list(groups)
+    (K_{l+1}, K_l) from group l to group l+1, and (K_L,) to the receiver."""
+    stations = ([placement.bs_position[None, :]] + list(placement.relay_positions)
                 + [placement.rx_position[None, :]])
     gains = [linear_gain(np.linalg.norm(q[:, None, :] - p[None, :, :], axis=2), params)
              for p, q in zip(stations[:-1], stations[1:])]
-    gains = (gains[0][:, 0], *gains[1:-1], gains[-1][0, :])
-    for g in gains:
-        g.flags.writeable = False
-    object.__setattr__(placement, "_gains", (params, gains))  # kept out of repr
-    return gains
+    return (gains[0][:, 0], *gains[1:-1], gains[-1][0, :])
 
 
 def draw_channels(placement: Placement, params: PathlossParams, rng_seed) -> ChannelSet:
@@ -289,13 +277,13 @@ class Cascade:
         """The cascade of the design (gains, f1, f2) on these channels, noise
         model and caps, lent every product that depends only on parts of the
         design that are the very same arrays as this one's: u_l, its incident
-        powers, limits and last projection while F1 and a_1..a_{l-1} are, b
-        while F1 and every gain are, N_l while a_1..a_{l-1} are, F2 H_direct
-        while F2 is, the direct residual while F1 and F2 are, and d[l-1]
-        while F2 and a_{l+1}..a_L are. A gain that is this cascade's own a_l
-        on a prefix it lends was fitted here, so the walk keeps it. Products
-        not built here yet are built there on first use; the lists are
-        copied, so the candidate keeps no reference to this cascade. No array
+        powers and limits while F1 and a_1..a_{l-1} are, b while F1 and every
+        gain are, N_l while a_1..a_{l-1} are, F2 H_direct while F2 is, the
+        direct residual while F1 and F2 are, and d[l-1] while F2 and
+        a_{l+1}..a_L are. A gain that is this cascade's own a_l on a prefix
+        it lends was fitted here, so the walk keeps it. Products not built
+        here yet are built there on first use; the lists are copied, so the
+        candidate keeps no reference to this cascade. No array
         of a design or of a product is ever written in place, so the same
         array means the same values.
         """
@@ -367,30 +355,17 @@ class Cascade:
     def limit(self, l: int) -> np.ndarray:
         """sqrt(cap / incident_powers(l)): the largest |a_k| of group l under
         its relay caps."""
-        return self._held(l)[0]
-
-    def project(self, l: int, a: np.ndarray) -> np.ndarray:
-        """project_gains(a, limit(l)): a gain vector for group l that meets
-        its relay caps at these incident powers.
-
-        The cascade remembers the last array it handed back, so projecting
-        that again returns it without a second look.
-        """
-        limit, last = self._held(l)
-        if a is last:
-            return a
-        out = project_gains(a, limit)
-        self._limits[l - 1] = (limit, out)
-        return out
-
-    def _held(self, l):
-        # (limit, last) of group l, as project describes them
         if self._caps is None:
             raise ValueError("the cascade has no relay caps; pass caps= when building it")
         if self._limits[l - 1] is None:
-            limit = np.sqrt(self._caps[l - 1] / self.incident_powers(l))
-            self._limits[l - 1] = (limit, None)
+            self._limits[l - 1] = np.sqrt(self._caps[l - 1] / self.incident_powers(l))
         return self._limits[l - 1]
+
+    def project(self, l: int, a: np.ndarray) -> np.ndarray:
+        """project_gains(a, limit(l)): a gain vector for group l that meets
+        its relay caps at these incident powers; a itself when a was
+        projected against this limit before (see project_gains)."""
+        return project_gains(a, self.limit(l))
 
     @property
     def f2_direct(self) -> np.ndarray:

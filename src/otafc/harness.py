@@ -1,15 +1,18 @@
 """Experiment runner: config loading, seeded trial pipeline, CSV output.
 
-A trial is one full pipeline pass at a sweep point: place relays, draw
-channels, allocate the training budget, estimate, solve, then evaluate
-emulation error and task accuracy on the true channels. Sweep points are
-the cartesian product of the configured axes. The points that differ only
-in their excess budget form a chain, one heuristic's budget curve. Trial i
-of every point of a chain runs on one seed, derived from (base_seed,
-chain, i), so the budgets of a curve share their placement, channels,
-target and task, and runs are reproducible. Budgets run in ascending
-order, and each solve starts from the design of the budget below it, so a
-point's numbers depend on the lower budgets of its chain.
+A trial at a sweep point is Scenario -> design -> score. Scenario.draw
+places relays and draws the true channels, target and task; allocate
+splits the point's training budget into a pilot plan; design estimates the
+channels under that plan and solves; score evaluates the design's emulation
+error and task accuracy on the true channels.
+
+Sweep points are the cartesian product of the configured axes. The points
+that differ only in their excess budget form a chain, one heuristic's
+budget curve. Trial i of every point of a chain runs on one seed, derived
+from (base_seed, chain, i), so the budgets of a curve share their
+scenario, and runs are reproducible. Budgets run in ascending order, and
+each solve starts from the design of the budget below it, so a point's
+numbers depend on the lower budgets of its chain.
 """
 
 import concurrent.futures
@@ -21,12 +24,12 @@ import numpy as np
 import yaml
 
 from .allocation import Heuristic, allocate
-from .channel import (PathlossParams, default_noise_model, draw_channels,
-                      hop_statistics)
-from .estimation import estimate_all, inject_error
-from .inference import accuracy, make_synthetic_task
-from .solver import (OtaParams, PowerBudget, SolverConfig, TargetLayer,
-                     evaluate_true, solve)
+from .channel import (ChannelSet, HopStatistics, NoiseModel, PathlossParams,
+                      default_noise_model, draw_channels, hop_statistics)
+from .estimation import PilotPlan, estimate_all, inject_error
+from .inference import SyntheticTask, accuracy, make_synthetic_task
+from .solver import (OtaParams, PowerBudget, SolveResult, SolverConfig,
+                     TargetLayer, evaluate_true, solve)
 from .topology import Topology, generate_placement
 from .utils import complex_normal
 
@@ -95,6 +98,10 @@ class ExperimentConfig:
                 value = getattr(self, key)  # None passes where it is the default
                 if value is not None or self.__dataclass_fields__[key].default is not None:
                     object.__setattr__(self, key, _read(section, key, value))
+        for section, kind in _NESTED.items():  # a file always builds these
+            if not isinstance(getattr(self, section), kind):
+                raise ConfigError(f"{section} must be a {kind.__name__}, "
+                                  f"got {getattr(self, section)!r}")
 
     def sweep_points(self):
         """All sweep coordinates in sorted row order."""
@@ -268,45 +275,69 @@ class TrialResult:
     design: OtaParams = field(default=None, compare=False, repr=False)
 
 
-def run_trial(cfg: ExperimentConfig, point: SweepPoint, trial_seed: int,
-              start: OtaParams = None) -> TrialResult:
-    """Execute one seeded pipeline pass at one sweep point; the solve starts
-    from the design start (see solver.solve), or cold when it is None."""
-    n = cfg.n_antennas
-    topology = Topology(n_tx=n, n_rx=n, n_stream=n,
-                        num_groups=point.num_groups,
-                        group_sizes=(point.group_size,) * point.num_groups,
-                        direct_link_present=cfg.direct_link,
-                        area_width=cfg.area_m, area_depth=cfg.area_m)
-    seeds = np.random.SeedSequence(trial_seed).spawn(6)
+@dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
+class Scenario:
+    """One trial's world, drawn once: every plan designed and scored on it
+    reads the same channels, target, task and seeds.
 
-    placement = generate_placement(topology, seeds[0])
-    ch = draw_channels(placement, cfg.pathloss, seeds[1])
-    stats = hop_statistics(placement, cfg.pathloss)
-    noise = default_noise_model(point.num_groups, cfg.psd_dbm_per_hz, cfg.bandwidth_hz)
-    plan = allocate(Heuristic(point.heuristic), topology, point.excess_budget,
-                    stats, pilot_power=point.pilot_power)
+    draw spawns six seeds from SeedSequence(trial_seed), in the order
+    placement, channels, target, estimation, task, accuracy. It places the
+    relays, draws the true channels, the target and the synthetic task,
+    and keeps the estimation seed for design and the accuracy seed for
+    score. Every array it holds is read-only.
+    """
 
-    rng_target = np.random.default_rng(seeds[2])
-    w = complex_normal(rng_target, (n, n), 1.0 / n)
-    target = TargetLayer(w=w, bias=np.zeros(n, dtype=complex))
+    cfg: ExperimentConfig
+    topology: Topology
+    ch: ChannelSet  # the true channels
+    stats: HopStatistics
+    noise: NoiseModel
+    target: TargetLayer
+    budget: PowerBudget
+    task: SyntheticTask
+    est_seed: np.random.SeedSequence
+    acc_seed: np.random.SeedSequence
 
-    if cfg.estimator == "ls":
-        est = estimate_all(ch, plan, noise, seeds[3])
-    elif cfg.estimator == "inject":
-        est = inject_error(ch, plan, noise, seeds[3])
-    else:
-        est = ch
+    @classmethod
+    def draw(cls, cfg: ExperimentConfig, num_groups: int, group_size: int,
+             trial_seed: int) -> "Scenario":
+        n = cfg.n_antennas
+        topology = Topology(n_tx=n, n_rx=n, n_stream=n, num_groups=num_groups,
+                            group_sizes=(group_size,) * num_groups,
+                            direct_link_present=cfg.direct_link,
+                            area_width=cfg.area_m, area_depth=cfg.area_m)
+        seeds = np.random.SeedSequence(trial_seed).spawn(6)
+        placement = generate_placement(topology, seeds[0])
+        w = complex_normal(np.random.default_rng(seeds[2]), (n, n), 1.0 / n)
+        target = TargetLayer(w=w, bias=np.zeros(n, dtype=complex))
+        bs_max = float(n) if cfg.bs_max_w is None else cfg.bs_max_w
+        # scale-matched default keeps task difficulty comparable across sizes
+        svar = n / 16.0 if cfg.sample_noise_var is None else cfg.sample_noise_var
+        return cls(cfg, topology, draw_channels(placement, cfg.pathloss, seeds[1]),
+                   hop_statistics(placement, cfg.pathloss),
+                   default_noise_model(num_groups, cfg.psd_dbm_per_hz, cfg.bandwidth_hz),
+                   target, PowerBudget.uniform(topology.group_sizes, bs_max, cfg.relay_w),
+                   make_synthetic_task(target, cfg.num_classes, svar, seeds[4]),
+                   seeds[3], seeds[5])
 
-    bs_max = float(n) if cfg.bs_max_w is None else cfg.bs_max_w
-    budget = PowerBudget.uniform(topology.group_sizes, bs_max, cfg.relay_w)
-    result = solve(est, target, noise, budget, cfg.solver, start=start)
-    ev = evaluate_true(result.params, ch, target, noise, budget)
 
-    # scale-matched default keeps task difficulty comparable across sizes
-    svar = n / 16.0 if cfg.sample_noise_var is None else cfg.sample_noise_var
-    task = make_synthetic_task(target, cfg.num_classes, svar, seeds[4])
-    acc = accuracy(task, target, result.params, ch, noise, cfg.num_samples, seeds[5])
+def design(sc: Scenario, plan: PilotPlan, start: OtaParams = None) -> SolveResult:
+    """Solve the scenario on its channels as cfg.estimator estimates them
+    under plan, from the estimation seed; the solve starts from the design
+    start (see solver.solve), or cold when it is None."""
+    # built per call, so a swap of either module attribute is seen
+    estimate = {"ls": estimate_all, "inject": inject_error}.get(sc.cfg.estimator)
+    est = sc.ch if estimate is None else estimate(sc.ch, plan, sc.noise, sc.est_seed)
+    return solve(est, sc.target, sc.noise, sc.budget, sc.cfg.solver, start=start)
+
+
+def score(sc: Scenario, plan: PilotPlan, result: SolveResult) -> TrialResult:
+    """The trial's record of a design of the scenario: emulation error and
+    relay power overrun on the true channels, and task accuracy from the
+    accuracy seed."""
+    ev = evaluate_true(result.params, sc.ch, sc.target, sc.noise, sc.budget)
+    acc = accuracy(sc.task, sc.target, result.params, sc.ch, sc.noise,
+                   sc.cfg.num_samples, sc.acc_seed)
     return TrialResult(nmse=ev.nmse, objective_true=ev.objective_true,
                        ota_acc=acc["ota_acc"], digital_acc=acc["digital_acc"],
                        tau_tot=plan.tau_total, rep=plan.rep,
@@ -314,21 +345,29 @@ def run_trial(cfg: ExperimentConfig, point: SweepPoint, trial_seed: int,
                        relay_power_overrun=ev.relay_power_overrun, design=result.params)
 
 
-def _trial_job(cfg, point, trial_seed, start=None):
-    try:
-        return run_trial(cfg, point, trial_seed, start=start)
-    except Exception as exc:  # recorded in the row, not fatal
-        return TrialResult(status=f"error:{type(exc).__name__}")
+def run_trial(cfg: ExperimentConfig, point: SweepPoint, trial_seed: int,
+              start: OtaParams = None) -> TrialResult:
+    """One seeded pipeline pass at one sweep point: draw the scenario,
+    allocate the point's pilot plan, design and score; the solve starts
+    from the design start, or cold when it is None."""
+    sc = Scenario.draw(cfg, point.num_groups, point.group_size, trial_seed)
+    plan = allocate(Heuristic(point.heuristic), sc.topology, point.excess_budget,
+                    sc.stats, pilot_power=point.pilot_power)
+    return score(sc, plan, design(sc, plan, start))
 
 
 def _chain_job(args):
     """Trial i of each point of one chain, budgets ascending: each trial
-    starts from the design of the one before it, and cold after a failure.
-    The (point, result) pairs come back without designs."""
+    starts from the design of the one before it, and cold after a failure,
+    which is recorded in its result, not raised. The (point, result) pairs
+    come back without designs."""
     cfg, points, trial_seed = args
     results, start = [], None
     for point in points:
-        res = _trial_job(cfg, point, trial_seed, start)
+        try:
+            res = run_trial(cfg, point, trial_seed, start)
+        except Exception as exc:
+            res = TrialResult(status=f"error:{type(exc).__name__}")
         start, res.design = res.design, None
         results.append((point, res))
     return results

@@ -95,7 +95,8 @@ class SyntheticTask:
     """Gaussian-cluster classification task probing the emulated layer.
 
     Samples are class_means[c] plus CN(0, sample_noise_var) perturbations;
-    decisions take the argmax of Re(classifier_head @ layer_output).
+    decisions take the argmax of Re(classifier_head @ layer_output). Both
+    arrays are read-only copies of the arrays given.
     """
 
     num_classes: int
@@ -104,6 +105,8 @@ class SyntheticTask:
     classifier_head: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "class_means", read_only(self.class_means))
+        object.__setattr__(self, "classifier_head", read_only(self.classifier_head))
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
         if self.class_means.shape[0] != self.num_classes:

@@ -24,14 +24,15 @@ class SolverDivergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
 class TargetLayer:
-    """Target linear layer y = W x + b; the bias is applied digitally."""
+    """Target linear layer y = W x + b; the bias is applied digitally.
+    w and bias are read-only complex copies of the arrays given."""
 
     w: np.ndarray
     bias: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=complex))
-        object.__setattr__(self, "bias", np.asarray(self.bias, dtype=complex))
+        object.__setattr__(self, "w", read_only(self.w, complex))
+        object.__setattr__(self, "bias", read_only(self.bias, complex))
         if self.w.ndim != 2:
             raise ValueError("weight matrix must be 2-D")
         if self.bias.shape != (self.w.shape[0],):
@@ -65,14 +66,15 @@ class OtaParams:
 
 @dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
 class PowerBudget:
-    """Transmit-power cap (watts) and per-relay caps p_relay[l][k]."""
+    """Transmit-power cap (watts) and per-relay caps p_relay[l][k], each
+    group's a read-only copy of the array given."""
 
     p_max_bs: float
     p_relay: tuple
 
     def __post_init__(self):
         object.__setattr__(
-            self, "p_relay", tuple(np.asarray(p, dtype=float) for p in self.p_relay)
+            self, "p_relay", tuple(read_only(p, float) for p in self.p_relay)
         )
         caps = (self.p_max_bs,) + self.p_relay
         if not all(np.all((0 < p) & (p < np.inf)) for p in caps):  # NaN too

@@ -55,8 +55,7 @@ class Topology:
 class Placement:
     """Concrete 3-D coordinates (meters) for one geometry realization.
 
-    The positions are read-only float copies of the arrays given, so the hop
-    gains that channel keeps on a placement cannot go stale."""
+    The positions are read-only float copies of the arrays given."""
 
     topology: Topology
     bs_position: np.ndarray

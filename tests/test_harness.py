@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import otafc.harness as harness
-from otafc import (ConfigError, ExperimentConfig, SweepPoint, config_from_dict,
-                   derive_trial_seed, emit_csv, load_config, run_experiment,
-                   run_trial)
+from otafc import (ConfigError, ExperimentConfig, Heuristic, SweepPoint, allocate,
+                   config_from_dict, derive_trial_seed, emit_csv, load_config,
+                   run_experiment, run_trial)
 from otafc.cli import main as cli_main
-from otafc.harness import ResultRow, TrialResult, _trial_job
+from otafc.harness import ResultRow, Scenario, TrialResult, _chain_job, design, score
 
 TINY_CFG = dict(
     topology=dict(n_antennas=4, area_m=120.0),
@@ -118,7 +118,8 @@ def test_strict_schema_fails_before_any_trial(tmp_path, monkeypatch, tree, messa
 
 
 # Each case gives the same ConfigError from ExperimentConfig(**kw) as from
-# the file tree, and the file's run stops before any trial.
+# the file tree, and the file's run stops before any trial. A case without a
+# tree is one a file cannot hit: config_from_dict builds the nested sections.
 @pytest.mark.parametrize("kw,tree,message", [
     ({"excess_budget": (100.7,)}, {"sweep": {"excess_budget": [100.7]}},
      "sweep.excess_budget: must be an integer, got 100.7"),
@@ -152,10 +153,16 @@ def test_strict_schema_fails_before_any_trial(tmp_path, monkeypatch, tree, messa
      "noise.psd_dbm_per_hz must be finite, got nan"),
     ({"sample_noise_var": -0.5}, {"task": {"sample_noise_var": -0.5}},
      "task.sample_noise_var must be finite and >= 0, got -0.5"),
+    ({"pathloss": {"model": "los"}}, None,
+     "pathloss must be a PathlossParams, got {'model': 'los'}"),
+    ({"solver": {"max_outer_iters": 3}}, None,
+     "solver must be a SolverConfig, got {'max_outer_iters': 3}"),
 ])
 def test_config_built_in_code_is_checked_like_a_file(tmp_path, monkeypatch, kw, tree, message):
     with pytest.raises(ConfigError, match=re.escape(message)) as in_code:
         ExperimentConfig(**kw)
+    if tree is None:
+        return
     with pytest.raises(ConfigError) as from_file:
         config_from_dict(tree)
     assert str(in_code.value) == str(from_file.value)
@@ -366,7 +373,8 @@ def test_trial_job_records_errors(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("no")
     monkeypatch.setattr(harness, "run_trial", boom)
-    res = _trial_job(cfg, pt, 1)
+    [(got, res)] = _chain_job((cfg, [pt], 1))
+    assert got is pt
     assert res.status == "error:RuntimeError"
     assert np.isnan(res.nmse) and np.isnan(res.relay_power_overrun)
     row = ResultRow(point=pt, trials=[res])
@@ -671,6 +679,108 @@ def test_trial_matrix_smoke(estimator, direct, groups):
     t = run_trial(cfg, pt, 5)
     assert not t.status.startswith("error")
     assert np.isfinite(t.nmse)
+    # a trial is its scenario, designed under the point's plan and scored,
+    # from a cold start and from the design of a lower budget
+    low = run_trial(cfg, dataclasses.replace(pt, excess_budget=0), 5)
+    for start in (None, low.design):
+        sc = Scenario.draw(cfg, groups, pt.group_size, 5)
+        plan = allocate(Heuristic(pt.heuristic), sc.topology, pt.excess_budget, sc.stats,
+                        pilot_power=pt.pilot_power)
+        assert_same_trial(score(sc, plan, design(sc, plan, start)),
+                          run_trial(cfg, pt, 5, start))
+
+
+def assert_same_trial(got, want):
+    """Every field of two trial results equal, the designs' arrays bit for bit."""
+    assert got == want  # every field but the design
+    for x, y in zip((got.design.f1, got.design.f2, *got.design.a),
+                    (want.design.f1, want.design.f2, *want.design.a)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def world_arrays(obj):
+    """Every numpy array reachable from obj through dataclass fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from world_arrays(getattr(obj, f.name))
+    elif isinstance(obj, tuple):
+        for x in obj:
+            yield from world_arrays(x)
+
+
+SMALL_WORLD = dict(topology=dict(n_antennas=4, area_m=150.0, direct_link=True),
+                   task=dict(num_samples=32))
+
+
+def test_scenario_arrays_are_read_only():
+    # designs under several plans may share a scenario, so none may write it;
+    # the estimation and accuracy seeds are SeedSequences, not walked
+    sc = Scenario.draw(config_from_dict(SMALL_WORLD), 2, 3, 5)
+    arrays = list(world_arrays(sc))
+    reached = {id(a) for a in arrays}
+    assert reached >= {id(a) for a in (sc.ch.h_direct, sc.ch.h_last, *sc.ch.h_hop,
+                                       sc.stats.beta, sc.target.w, sc.target.bias,
+                                       *sc.budget.p_relay, sc.task.class_means,
+                                       sc.task.classifier_head)}
+    assert [a for a in arrays if a.flags.writeable] == []
+
+
+def test_one_scenario_designed_under_two_plans(monkeypatch):
+    # both designs and scores read the scenario's own channels, noise model,
+    # target, budget and task, and leave every field as it was drawn
+    sc = Scenario.draw(config_from_dict(SMALL_WORLD), 2, 3, 5)
+    fields = dict(vars(sc))
+    before = [a.copy() for a in world_arrays(sc)]
+    read = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            read.extend(args)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("estimate_all", "solve", "evaluate_true", "accuracy"):
+        monkeypatch.setattr(harness, name, recording(getattr(harness, name)))
+    plans = [allocate(Heuristic(h), sc.topology, 60, sc.stats) for h in ("uniform", "all_first")]
+    assert plans[0].rep != plans[1].rep
+    results = [score(sc, plan, design(sc, plan)) for plan in plans]
+    assert results[0].nmse != results[1].nmse
+    world = (sc.ch, sc.noise, sc.target, sc.budget, sc.task)
+    assert [sum(x is w for x in read) for w in world] == [6, 8, 6, 4, 2]
+    assert all(vars(sc)[k] is v for k, v in fields.items()) and vars(sc).keys() == fields.keys()
+    assert all(np.array_equal(a, b) for a, b in zip(world_arrays(sc), before))
+    # the seeds are not used up: the first plan again gives the same trial
+    assert_same_trial(score(sc, plans[0], design(sc, plans[0])), results[0])
+
+
+@pytest.mark.parametrize("estimator", ["ls", "inject", "perfect"])
+def test_trial_calls_each_stage_through_the_module(monkeypatch, estimator):
+    # perfbench's TrialProbe and --trace 1 time the stages of a trial by
+    # swapping these harness attributes; a function captured at import time,
+    # in a dict, a default argument or a closure, would escape the swap
+    cfg = config_from_dict({**TINY_CFG, "estimator": estimator})
+    calls = dict.fromkeys(("run_trial", "generate_placement", "draw_channels", "allocate",
+                           "estimate_all", "inject_error", "solve", "evaluate_true",
+                           "accuracy"), 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    rows = run_experiment(cfg)
+    assert [r.failures for r in rows] == [0, 0]
+    trials = sum(len(r.trials) for r in rows)
+    assert trials == 4
+    want = dict.fromkeys(calls, trials)
+    want["estimate_all"] = trials if estimator == "ls" else 0
+    want["inject_error"] = trials if estimator == "inject" else 0
+    assert calls == want
 
 
 def test_cli_error_paths(tmp_path, capsys):
