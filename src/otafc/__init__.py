@@ -6,14 +6,14 @@ from .channel import (Cascade, ChannelSet, HopStatistics, NoiseModel,
                       PathlossParams, default_noise_model, draw_channels,
                       hop_statistics, linear_gain, noise_power_watts,
                       pathloss_db, relay_input_powers)
-from .estimation import (PilotPlan, estimate_all, estimate_hop, inject_error,
-                         make_pilots)
+from .estimation import PilotPlan, estimate_all, estimate_hop, inject_error
 from .harness import (ConfigError, ExperimentConfig, ResultRow, SweepPoint,
                       TrialResult, config_from_dict, derive_trial_seed,
                       emit_csv, load_config, run_experiment, run_trial)
-from .inference import (ImportedPipeline, SyntheticTask, accuracy,
-                        digital_forward, imported_forward, load_pipeline,
-                        make_synthetic_task, ota_forward, save_pipeline)
+from .inference import (ImportedPipeline, SyntheticTask, TaskSamples, accuracy,
+                        digital_forward, draw_samples, imported_forward,
+                        load_pipeline, make_synthetic_task, ota_accuracy,
+                        ota_forward, save_pipeline)
 from .solver import (OtaParams, PowerBudget, SolveResult, SolverConfig,
                      SolverDivergenceError, TargetLayer, TrueEvaluation,
                      evaluate_true, objective, solve, update_a, update_f1,

@@ -7,9 +7,10 @@ phase uses an orthogonal pilot matrix of length tau[l] = rep[l] * tau_min[l]
 channel uses; repetition is realized as a longer orthogonal block.
 
 The pilot exchange defines the estimate; it is computed in closed form. With
-the truncated DFT pilots of make_pilots, correlating the received block with
-the pilots returns the channel plus the inverse DFT of the slot noise, so no
-pilot matrix and no tau-long product is formed.
+truncated DFT pilots (tau x m, entry (t, k) = exp(-2j pi t k / tau)),
+correlating the received block with the pilots returns the channel plus the
+inverse DFT of the slot noise, so no pilot matrix and no tau-long product is
+formed.
 """
 
 from dataclasses import dataclass
@@ -58,30 +59,17 @@ class PilotPlan:
         return sum(self.tau)
 
 
-def make_pilots(tau: int, m: int) -> np.ndarray:
-    """Orthogonal tau x m pilot matrix with Phi^H Phi = tau * I.
-
-    Truncated DFT columns; every entry has unit modulus so each column
-    carries energy tau.
-    """
-    if tau < m:
-        raise ValueError(f"pilot length {tau} cannot support {m} orthogonal sequences")
-    t = np.arange(tau)[:, None]
-    k = np.arange(m)[None, :]
-    return np.exp(-2j * np.pi * t * k / tau)
-
-
 def estimate_hop(h_true: np.ndarray, plan: PilotPlan, hop: int,
                  noise_var: float, rng_seed) -> np.ndarray:
     """LS estimate of one hop matrix from a pilot exchange.
 
     Transmitters are the columns of h_true. The received block is
     Y = sqrt(p_p) H Phi^T + N with i.i.d. CN(0, noise_var) noise on the tau
-    slots, Phi = make_pilots(tau, n_tx), and the estimate is
-    Y Phi^* / (sqrt(p_p) tau). Since Phi^T Phi^* = tau I and column k of
-    Phi^* / tau is the k-th row of the inverse DFT of length tau, that
-    estimate is H + ifft(N)[:, :n_tx] / sqrt(p_p), which is how it is
-    computed, from the same draw of N: H plus an i.i.d.
+    slots, Phi the tau x n_tx truncated DFT pilots of the module docstring,
+    and the estimate is Y Phi^* / (sqrt(p_p) tau). Since Phi^T Phi^* = tau I
+    and column k of Phi^* / tau is the k-th row of the inverse DFT of length
+    tau, that estimate is H + ifft(N)[:, :n_tx] / sqrt(p_p), which is how it
+    is computed, from the same draw of N: H plus an i.i.d.
     CN(0, noise_var / (p_p tau)) error. At zero noise or infinite pilot power
     (perfect training) the estimate is H itself, and no noise is drawn.
     """

@@ -1,18 +1,18 @@
 """Experiment runner: config loading, seeded trial pipeline, CSV output.
 
 A trial at a sweep point is Scenario -> design -> score. Scenario.draw
-places relays and draws the true channels, target and task; allocate
-splits the point's training budget into a pilot plan; design estimates the
-channels under that plan and solves; score evaluates the design's emulation
-error and task accuracy on the true channels.
+places relays and draws the true channels, target, task and the task's
+sample set; allocate splits the point's training budget into a pilot plan;
+design estimates the channels under that plan and solves; score evaluates
+the design's emulation error and task accuracy on the true channels.
 
 Sweep points are the cartesian product of the configured axes. The points
 that differ only in their excess budget form a chain, one heuristic's
 budget curve. Trial i of every point of a chain runs on one seed, derived
 from (base_seed, chain, i), so the budgets of a curve share their
-scenario, and runs are reproducible. Budgets run in ascending order, and
-each solve starts from the design of the budget below it, so a point's
-numbers depend on the lower budgets of its chain.
+scenario, drawn once for them all, and runs are reproducible. Budgets run
+in ascending order, and each solve starts from the design of the budget
+below it, so a point's numbers depend on the lower budgets of its chain.
 """
 
 import concurrent.futures
@@ -27,7 +27,8 @@ from .allocation import Heuristic, allocate
 from .channel import (ChannelSet, HopStatistics, NoiseModel, PathlossParams,
                       default_noise_model, draw_channels, hop_statistics)
 from .estimation import PilotPlan, estimate_all, inject_error
-from .inference import SyntheticTask, accuracy, make_synthetic_task
+from .inference import (SyntheticTask, TaskSamples, draw_samples, make_synthetic_task,
+                        ota_accuracy)
 from .solver import (OtaParams, PowerBudget, SolveResult, SolverConfig,
                      TargetLayer, evaluate_true, solve)
 from .topology import Topology, generate_placement
@@ -278,13 +279,14 @@ class TrialResult:
 @dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
 class Scenario:
     """One trial's world, drawn once: every plan designed and scored on it
-    reads the same channels, target, task and seeds.
+    reads the same channels, target, task, samples and estimation seed.
 
     draw spawns six seeds from SeedSequence(trial_seed), in the order
     placement, channels, target, estimation, task, accuracy. It places the
-    relays, draws the true channels, the target and the synthetic task,
-    and keeps the estimation seed for design and the accuracy seed for
-    score. Every array it holds is read-only.
+    relays, draws the true channels, the target, the synthetic task and,
+    from the accuracy seed, the task's sample set for score, and keeps the
+    estimation seed for design. Every array it holds is read-only, the
+    estimation seed's pool too.
     """
 
     cfg: ExperimentConfig
@@ -295,8 +297,9 @@ class Scenario:
     target: TargetLayer
     budget: PowerBudget
     task: SyntheticTask
+    samples: TaskSamples
     est_seed: np.random.SeedSequence
-    acc_seed: np.random.SeedSequence
+    trial_seed: int
 
     @classmethod
     def draw(cls, cfg: ExperimentConfig, num_groups: int, group_size: int,
@@ -313,12 +316,14 @@ class Scenario:
         bs_max = float(n) if cfg.bs_max_w is None else cfg.bs_max_w
         # scale-matched default keeps task difficulty comparable across sizes
         svar = n / 16.0 if cfg.sample_noise_var is None else cfg.sample_noise_var
+        task = make_synthetic_task(target, cfg.num_classes, svar, seeds[4])
+        seeds[3].pool.flags.writeable = False  # default_rng only reads it
         return cls(cfg, topology, draw_channels(placement, cfg.pathloss, seeds[1]),
                    hop_statistics(placement, cfg.pathloss),
                    default_noise_model(num_groups, cfg.psd_dbm_per_hz, cfg.bandwidth_hz),
                    target, PowerBudget.uniform(topology.group_sizes, bs_max, cfg.relay_w),
-                   make_synthetic_task(target, cfg.num_classes, svar, seeds[4]),
-                   seeds[3], seeds[5])
+                   task, draw_samples(task, target, cfg.num_samples, seeds[5]),
+                   seeds[3], trial_seed)
 
 
 def design(sc: Scenario, plan: PilotPlan, start: OtaParams = None) -> SolveResult:
@@ -333,39 +338,50 @@ def design(sc: Scenario, plan: PilotPlan, start: OtaParams = None) -> SolveResul
 
 def score(sc: Scenario, plan: PilotPlan, result: SolveResult) -> TrialResult:
     """The trial's record of a design of the scenario: emulation error and
-    relay power overrun on the true channels, and task accuracy from the
-    accuracy seed."""
+    relay power overrun on the true channels, and task accuracy on the
+    scenario's samples."""
     ev = evaluate_true(result.params, sc.ch, sc.target, sc.noise, sc.budget)
-    acc = accuracy(sc.task, sc.target, result.params, sc.ch, sc.noise,
-                   sc.cfg.num_samples, sc.acc_seed)
+    ota_acc = ota_accuracy(sc.task, sc.samples, sc.target, result.params, sc.ch, sc.noise)
     return TrialResult(nmse=ev.nmse, objective_true=ev.objective_true,
-                       ota_acc=acc["ota_acc"], digital_acc=acc["digital_acc"],
+                       ota_acc=ota_acc, digital_acc=sc.samples.digital_acc,
                        tau_tot=plan.tau_total, rep=plan.rep,
                        iterations=result.iterations, status=result.status,
                        relay_power_overrun=ev.relay_power_overrun, design=result.params)
 
 
 def run_trial(cfg: ExperimentConfig, point: SweepPoint, trial_seed: int,
-              start: OtaParams = None) -> TrialResult:
+              start: OtaParams = None, scenario: Scenario = None) -> TrialResult:
     """One seeded pipeline pass at one sweep point: draw the scenario,
     allocate the point's pilot plan, design and score; the solve starts
-    from the design start, or cold when it is None."""
-    sc = Scenario.draw(cfg, point.num_groups, point.group_size, trial_seed)
+    from the design start, or cold when it is None. A scenario, when given,
+    stands in for the draw; ValueError unless it was drawn for cfg, the
+    point's groups and trial_seed."""
+    sc = scenario
+    if sc is None:
+        sc = Scenario.draw(cfg, point.num_groups, point.group_size, trial_seed)
+    elif (sc.cfg, sc.topology.group_sizes, sc.trial_seed) != (
+            cfg, (point.group_size,) * point.num_groups, trial_seed):
+        raise ValueError("scenario was drawn for another config, topology or trial seed")
     plan = allocate(Heuristic(point.heuristic), sc.topology, point.excess_budget,
                     sc.stats, pilot_power=point.pilot_power)
     return score(sc, plan, design(sc, plan, start))
 
 
 def _chain_job(args):
-    """Trial i of each point of one chain, budgets ascending: each trial
-    starts from the design of the one before it, and cold after a failure,
-    which is recorded in its result, not raised. The (point, result) pairs
-    come back without designs."""
+    """Trial i of each point of one chain, budgets ascending, all on one
+    scenario drawn here: each trial starts from the design of the one
+    before it, and cold after a failure, which is recorded in its result,
+    not raised; a draw that raises fails every trial. The (point, result)
+    pairs come back without designs."""
     cfg, points, trial_seed = args
+    try:
+        sc = Scenario.draw(cfg, points[0].num_groups, points[0].group_size, trial_seed)
+    except Exception as exc:
+        return [(point, TrialResult(status=f"error:{type(exc).__name__}")) for point in points]
     results, start = [], None
     for point in points:
         try:
-            res = run_trial(cfg, point, trial_seed, start)
+            res = run_trial(cfg, point, trial_seed, start, scenario=sc)
         except Exception as exc:
             res = TrialResult(status=f"error:{type(exc).__name__}")
         start, res.design = res.design, None

@@ -7,11 +7,13 @@ covariance C = F2 R F2^H, and a circular complex Gaussian is fixed by its
 covariance, so the noise is drawn at the receiver: one out_dim-dimensional
 draw per sample, times S, the Hermitian square root of C over sqrt(2).
 accuracy measures a synthetic classification task through both the OTA layer
-and its digital reference. imported_forward runs an externally trained image
-pipeline with the middle complex FC layer replaced by the OTA link, and
-digital_forward the same pipeline all digital; scoring one image both ways
-runs its front end once, through a one-slot memo on the pipeline keyed by the
-image's shape and bytes and the conv stride and padding.
+and its digital reference, in two steps: draw_samples draws the labelled
+samples, their receiver-noise normals and the digital accuracy once, and
+ota_accuracy scores any design on them. imported_forward runs an externally
+trained image pipeline with the middle complex FC layer replaced by the OTA
+link, and digital_forward the same pipeline all digital; scoring one image
+both ways runs its front end once, through a one-slot memo on the pipeline
+keyed by the image's shape and bytes and the conv stride and padding.
 """
 
 import struct
@@ -83,6 +85,14 @@ def ota_forward(x: np.ndarray, params: OtaParams, true_ch: ChannelSet,
             raise ValueError(f"bias must have shape ({len(m)},), got {bias.shape}")
     shape = (len(m),) + x.shape[1:]
     z = np.random.default_rng(rng_seed).standard_normal(shape[:-1] + (2 * shape[-1],))
+    return _received(m, s, x, z, bias)
+
+
+def _received(m: np.ndarray, s: np.ndarray, x: np.ndarray, z: np.ndarray,
+              bias: np.ndarray = None) -> np.ndarray:
+    """y = M x + S z + bias through the link (M, S): z is real, its
+    consecutive pairs along the last axis the real and imaginary parts of
+    each noise entry; the bias, when given, is added digitally."""
     y = m @ x
     y += s @ z.view(complex)
     if bias is not None:
@@ -132,14 +142,26 @@ def make_synthetic_task(target: TargetLayer, num_classes: int = 10,
                          sample_noise_var=sample_noise_var, classifier_head=head)
 
 
-def accuracy(task: SyntheticTask, target: TargetLayer, params: OtaParams,
-             true_ch: ChannelSet, noise: NoiseModel, num_samples: int,
-             rng_seed) -> dict:
-    """Classification accuracy through the OTA layer and its digital twin.
+@dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
+class TaskSamples:
+    """A labelled sample set of a task, drawn once and scored on any design.
 
-    Returns {"ota_acc": ..., "digital_acc": ...} over num_samples labeled
-    draws; both paths see the same samples.
+    x holds the samples as columns, z the standard normals of their receiver
+    noise as ota_forward draws them for that batch, and digital_acc the
+    target layer's accuracy on them, which no design changes. draw_samples
+    leaves every array read-only.
     """
+
+    labels: np.ndarray  # (S,)
+    x: np.ndarray       # (in_dim, S) complex
+    z: np.ndarray       # (out_dim, 2 S) real
+    digital_acc: float
+
+
+def draw_samples(task: SyntheticTask, target: TargetLayer, num_samples: int,
+                 rng_seed) -> TaskSamples:
+    """num_samples labelled draws of the task: from one generator, the
+    labels, then the sample noise, then the receiver-noise normals."""
     if num_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(rng_seed)
@@ -147,14 +169,36 @@ def accuracy(task: SyntheticTask, target: TargetLayer, params: OtaParams,
     xs = task.class_means[labels].T
     if task.sample_noise_var > 0:
         xs = xs + complex_normal(rng, xs.shape, task.sample_noise_var)
-
+    z = rng.standard_normal((target.out_dim, 2 * num_samples))
     y_dig = target.w @ xs + target.bias[:, None]
-    y_ota = ota_forward(xs, params, true_ch, noise, rng, bias=target.bias)
-
     pred_dig = np.argmax((task.classifier_head @ y_dig).real, axis=0)
-    pred_ota = np.argmax((task.classifier_head @ y_ota).real, axis=0)
-    return {"ota_acc": float(np.mean(pred_ota == labels)),
-            "digital_acc": float(np.mean(pred_dig == labels))}
+    for arr in (labels, xs, z):  # each made here: read-only in place, layout kept
+        arr.flags.writeable = False
+    return TaskSamples(labels, xs, z, float(np.mean(pred_dig == labels)))
+
+
+def ota_accuracy(task: SyntheticTask, samples: TaskSamples, target: TargetLayer,
+                 params: OtaParams, true_ch: ChannelSet, noise: NoiseModel) -> float:
+    """Accuracy of the design on the samples: ota_forward's output with
+    target's bias, on the samples' own receiver-noise normals."""
+    m, s = _link(params, true_ch, noise)
+    y = _received(m, s, samples.x, samples.z, target.bias)
+    pred = np.argmax((task.classifier_head @ y).real, axis=0)
+    return float(np.mean(pred == samples.labels))
+
+
+def accuracy(task: SyntheticTask, target: TargetLayer, params: OtaParams,
+             true_ch: ChannelSet, noise: NoiseModel, num_samples: int,
+             rng_seed) -> dict:
+    """Classification accuracy through the OTA layer and its digital twin.
+
+    Returns {"ota_acc": ..., "digital_acc": ...} over num_samples labeled
+    draws; both paths see the same samples. It is draw_samples, then
+    ota_accuracy of that sample set.
+    """
+    samples = draw_samples(task, target, num_samples, rng_seed)
+    return {"ota_acc": ota_accuracy(task, samples, target, params, true_ch, noise),
+            "digital_acc": samples.digital_acc}
 
 
 # ---------------------------------------------------------------------------

@@ -423,10 +423,10 @@ def test_emit_csv_failure_columns(tmp_path, monkeypatch):
     seed = [derive_trial_seed(cfg.base_seed, low.chain_key, i) for i in range(2)]
     failing = {(low, seed[1]), (high, seed[0]), (high, seed[1])}
 
-    def flaky(cfg, point, trial_seed, start=None):
+    def flaky(cfg, point, trial_seed, start=None, scenario=None):
         if (point, trial_seed) in failing:
             raise FloatingPointError("diverged")
-        return real(cfg, point, trial_seed, start)
+        return real(cfg, point, trial_seed, start, scenario=scenario)
     monkeypatch.setattr(harness, "run_trial", flaky)
     rows = run_experiment(cfg)
     path = tmp_path / "out.csv"
@@ -547,24 +547,32 @@ def test_budgets_of_a_chain_share_their_scenario():
 
 def test_each_budget_starts_from_the_design_below_it(monkeypatch):
     # the lowest budget starts cold, each higher one from the design of the
-    # budget below it, and the budget after a failed trial cold again
+    # budget below it, and the budget after a failed trial cold again; every
+    # budget of a (chain, trial) is handed the one scenario its job drew
     cfg = config_from_dict(CHAINS_CFG)
     broken = SweepPoint("all_first", 30, 1.0, 2, 3)
-    real, seen = harness.run_trial, []
+    real, seen, draws = harness.run_trial, [], []
+    draw = Scenario.draw.__func__
 
-    def recording(cfg, point, trial_seed, start=None):
+    def recording(cfg, point, trial_seed, start=None, scenario=None):
         design = None
         try:
             if point == broken:
                 raise FloatingPointError("diverged")
-            res = real(cfg, point, trial_seed, start)
+            res = real(cfg, point, trial_seed, start, scenario=scenario)
             design = res.design
             return res
         finally:
-            seen.append((point, trial_seed, start, design))
+            seen.append((point, trial_seed, start, design, scenario))
+
+    def counted(cls, *args):
+        draws.append(draw(cls, *args))
+        return draws[-1]
     monkeypatch.setattr(harness, "run_trial", recording)
+    monkeypatch.setattr(Scenario, "draw", classmethod(counted))
     rows = run_experiment(cfg)
     assert len(seen) == 12 * cfg.trials
+    assert len(draws) == 4 * cfg.trials  # one per chain job
     assert all(t.design is None for r in rows for t in r.trials)
     for chain in by_chain(cfg.sweep_points()).values():
         for i in range(cfg.trials):
@@ -572,10 +580,66 @@ def test_each_budget_starts_from_the_design_below_it(monkeypatch):
             calls = [s for s in seen if s[0] in chain and s[1] == seed]
             assert [c[0] for c in calls] == chain  # budgets ascending
             assert calls[0][2] is None
-            for below, (point, _, start, _) in zip(calls, calls[1:]):
+            [sc] = [d for d in draws if d.trial_seed == seed]
+            assert all(c[4] is sc for c in calls)
+            for below, (point, _, start, _, _) in zip(calls, calls[1:]):
                 assert start is below[3]
                 assert (start is None) == (point.excess_budget == 60 and below[0] == broken)
     assert [r.failures for r in rows if r.point == broken] == [cfg.trials]
+
+
+@pytest.mark.parametrize("tree", [
+    CHAINS_CFG,
+    {**CHAINS_CFG, "estimator": "inject",
+     "topology": dict(n_antennas=4, area_m=120.0, direct_link=True)}])
+def test_each_budget_equals_its_standalone_trial(tree):
+    # a chain job's shared scenario changes no number: each budget's result
+    # is run_trial drawing its own, started from the design below it
+    cfg = config_from_dict(tree)
+    trials = {r.point: r.trials for r in run_experiment(cfg)}
+    for chain in by_chain(cfg.sweep_points()).values():
+        for i in range(cfg.trials):
+            seed, start = derive_trial_seed(cfg.base_seed, chain[0].chain_key, i), None
+            for point in chain:
+                want = run_trial(cfg, point, seed, start)
+                assert not want.status.startswith("error")
+                assert trials[point][i] == want  # every field but the design
+                start = want.design
+
+
+def test_run_trial_refuses_a_scenario_drawn_for_another_trial():
+    cfg = config_from_dict(CHAINS_CFG)
+    pt = cfg.sweep_points()[0]
+    sc = Scenario.draw(cfg, 2, 3, 11)
+    assert run_trial(cfg, pt, 11, scenario=sc) == run_trial(cfg, pt, 11)
+    other_cfg = config_from_dict({**CHAINS_CFG, "trials": 3})
+    for args in ((cfg, pt, 12), (other_cfg, pt, 11),
+                 (cfg, dataclasses.replace(pt, group_size=4), 11),
+                 (cfg, dataclasses.replace(pt, num_groups=1), 11)):
+        with pytest.raises(ValueError, match="scenario was drawn for another"):
+            run_trial(*args, scenario=sc)
+
+
+def test_a_draw_that_raises_fails_every_trial_of_its_chain_only(monkeypatch):
+    cfg = config_from_dict(CHAINS_CFG)
+    clean = run_experiment(cfg)
+    chains = by_chain(cfg.sweep_points())
+    bad = list(chains)[1]
+    bad_seeds = {derive_trial_seed(cfg.base_seed, bad, i) for i in range(cfg.trials)}
+    generate = harness.generate_placement
+
+    def failing(topology, seed):
+        if seed.entropy in bad_seeds:  # the trial seed the draw spawned from
+            raise MemoryError
+        return generate(topology, seed)
+    monkeypatch.setattr(harness, "generate_placement", failing)
+    for got, want in zip(run_experiment(cfg), clean):
+        assert got.point == want.point
+        if got.point.chain_key == bad:
+            assert [t.status for t in got.trials] == ["error:MemoryError"] * cfg.trials
+            assert got.failures == cfg.trials and np.isnan(got.nmse_mean)
+        else:
+            assert got.trials == want.trials and got.failures == 0
 
 
 # ---------------------------------------------------------------- CLI
@@ -603,10 +667,10 @@ def test_cli_run_reports_failed_trials_on_stderr(tmp_path, monkeypatch, capsys):
     cfg_path = write_cfg(tmp_path)
     real = harness.run_trial
 
-    def flaky(cfg, point, trial_seed, start=None):
+    def flaky(cfg, point, trial_seed, start=None, scenario=None):
         if point.excess_budget == 60:
             raise FloatingPointError("diverged")
-        return real(cfg, point, trial_seed, start)
+        return real(cfg, point, trial_seed, start, scenario=scenario)
     monkeypatch.setattr(harness, "run_trial", flaky)
     want = tmp_path / "want.csv"
     emit_csv(run_experiment(load_config(cfg_path)), want)
@@ -699,9 +763,12 @@ def assert_same_trial(got, want):
 
 
 def world_arrays(obj):
-    """Every numpy array reachable from obj through dataclass fields and tuples."""
+    """Every numpy array reachable from obj through dataclass fields and
+    tuples, and the pool of a SeedSequence."""
     if isinstance(obj, np.ndarray):
         yield obj
+    elif isinstance(obj, np.random.SeedSequence):
+        yield obj.pool
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             yield from world_arrays(getattr(obj, f.name))
@@ -715,21 +782,26 @@ SMALL_WORLD = dict(topology=dict(n_antennas=4, area_m=150.0, direct_link=True),
 
 
 def test_scenario_arrays_are_read_only():
-    # designs under several plans may share a scenario, so none may write it;
-    # the estimation and accuracy seeds are SeedSequences, not walked
+    # designs under several plans may share a scenario, so none may write it,
+    # nor the pool its estimation draws are seeded from
     sc = Scenario.draw(config_from_dict(SMALL_WORLD), 2, 3, 5)
     arrays = list(world_arrays(sc))
     reached = {id(a) for a in arrays}
     assert reached >= {id(a) for a in (sc.ch.h_direct, sc.ch.h_last, *sc.ch.h_hop,
                                        sc.stats.beta, sc.target.w, sc.target.bias,
                                        *sc.budget.p_relay, sc.task.class_means,
-                                       sc.task.classifier_head)}
+                                       sc.task.classifier_head, sc.samples.labels,
+                                       sc.samples.x, sc.samples.z, sc.est_seed.pool)}
     assert [a for a in arrays if a.flags.writeable] == []
+    # a read-only pool seeds the draws of a fresh one
+    fresh = np.random.SeedSequence(sc.est_seed.entropy, spawn_key=sc.est_seed.spawn_key)
+    assert (np.random.default_rng(sc.est_seed).random(8).tobytes()
+            == np.random.default_rng(fresh).random(8).tobytes())
 
 
 def test_one_scenario_designed_under_two_plans(monkeypatch):
     # both designs and scores read the scenario's own channels, noise model,
-    # target, budget and task, and leave every field as it was drawn
+    # target, budget, task and samples, and leave every field as it was drawn
     sc = Scenario.draw(config_from_dict(SMALL_WORLD), 2, 3, 5)
     fields = dict(vars(sc))
     before = [a.copy() for a in world_arrays(sc)]
@@ -741,17 +813,17 @@ def test_one_scenario_designed_under_two_plans(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for name in ("estimate_all", "solve", "evaluate_true", "accuracy"):
+    for name in ("estimate_all", "solve", "evaluate_true", "ota_accuracy"):
         monkeypatch.setattr(harness, name, recording(getattr(harness, name)))
     plans = [allocate(Heuristic(h), sc.topology, 60, sc.stats) for h in ("uniform", "all_first")]
     assert plans[0].rep != plans[1].rep
     results = [score(sc, plan, design(sc, plan)) for plan in plans]
     assert results[0].nmse != results[1].nmse
-    world = (sc.ch, sc.noise, sc.target, sc.budget, sc.task)
-    assert [sum(x is w for x in read) for w in world] == [6, 8, 6, 4, 2]
+    world = (sc.ch, sc.noise, sc.target, sc.budget, sc.task, sc.samples, sc.est_seed)
+    assert [sum(x is w for x in read) for w in world] == [6, 8, 6, 4, 2, 2, 2]
     assert all(vars(sc)[k] is v for k, v in fields.items()) and vars(sc).keys() == fields.keys()
     assert all(np.array_equal(a, b) for a, b in zip(world_arrays(sc), before))
-    # the seeds are not used up: the first plan again gives the same trial
+    # nothing is used up: the first plan again gives the same trial
     assert_same_trial(score(sc, plans[0], design(sc, plans[0])), results[0])
 
 
@@ -761,9 +833,9 @@ def test_trial_calls_each_stage_through_the_module(monkeypatch, estimator):
     # swapping these harness attributes; a function captured at import time,
     # in a dict, a default argument or a closure, would escape the swap
     cfg = config_from_dict({**TINY_CFG, "estimator": estimator})
-    calls = dict.fromkeys(("run_trial", "generate_placement", "draw_channels", "allocate",
-                           "estimate_all", "inject_error", "solve", "evaluate_true",
-                           "accuracy"), 0)
+    calls = dict.fromkeys(("run_trial", "generate_placement", "draw_channels", "draw_samples",
+                           "allocate", "estimate_all", "inject_error", "solve",
+                           "evaluate_true", "ota_accuracy"), 0)
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -778,6 +850,8 @@ def test_trial_calls_each_stage_through_the_module(monkeypatch, estimator):
     trials = sum(len(r.trials) for r in rows)
     assert trials == 4
     want = dict.fromkeys(calls, trials)
+    # one scenario per chain job: 2 trials of one chain of 2 budgets
+    want.update(dict.fromkeys(("generate_placement", "draw_channels", "draw_samples"), 2))
     want["estimate_all"] = trials if estimator == "ls" else 0
     want["inject_error"] = trials if estimator == "inject" else 0
     assert calls == want

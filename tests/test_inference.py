@@ -12,7 +12,8 @@ from otafc import (ChannelSet, HopStatistics, NoiseModel, OtaParams, PowerBudget
                    generate_placement, imported_forward, load_pipeline,
                    make_synthetic_task, ota_forward, save_pipeline)
 from otafc import inference
-from otafc.inference import ImportedPipeline, SyntheticTask, _conv2d, _link
+from otafc.inference import (ImportedPipeline, SyntheticTask, _conv2d, _link, _received,
+                             draw_samples, ota_accuracy)
 from otafc.utils import complex_normal
 
 from test_channel import noise_covariance, random_channel_set
@@ -379,6 +380,41 @@ def test_accuracy_gap_shrinks_with_pilot_power():
             total += 1
             ok += lo <= hi + 1e-12
     assert ok >= 0.8 * total
+
+
+@pytest.mark.parametrize("svar", [0.0, 0.7])
+def test_accuracy_is_one_drawn_sample_set_scored(svar):
+    # a sample set holds what accuracy's generator gives, in its order: the
+    # labels, the sample noise, then ota_forward's receiver-noise normals;
+    # scoring a design on it is ota_forward on that generator, bit for bit
+    rng = np.random.default_rng(12)
+    ch = random_channel_set(rng, 4, 4, (5, 3), direct=True)
+    noise = NoiseModel(relay_noise_var=(0.01, 0.02), rx_noise_var=0.03)
+    params = OtaParams(f1=cn(rng, (4, 4)), f2=cn(rng, (4, 4)),
+                       a=(cn(rng, (5,)), cn(rng, (3,))))
+    target = TargetLayer(w=cn(rng, (4, 4)), bias=cn(rng, (4,)))
+    task = make_synthetic_task(target, num_classes=3, sample_noise_var=svar, rng_seed=4)
+    gen, oracle = np.random.default_rng(9), np.random.default_rng(9)
+    samples = draw_samples(task, target, 50, gen)
+    labels = oracle.integers(0, 3, size=50)
+    xs = task.class_means[labels].T
+    if svar > 0:
+        xs = xs + complex_normal(oracle, xs.shape, svar)
+    y = ota_forward(xs, params, ch, noise, oracle, bias=target.bias)
+    assert gen.bit_generator.state == oracle.bit_generator.state
+    assert samples.labels.tobytes() == labels.tobytes()
+    assert samples.x.tobytes() == xs.tobytes() and samples.z.shape == (4, 100)
+    assert not any(a.flags.writeable for a in (samples.labels, samples.x, samples.z))
+    got = _received(*_link(params, ch, noise), samples.x, samples.z, target.bias)
+    assert got.tobytes() == y.tobytes()
+    head = task.classifier_head
+    want = {"ota_acc": float(np.mean(np.argmax((head @ y).real, axis=0) == labels)),
+            "digital_acc": float(np.mean(np.argmax(
+                (head @ (target.w @ xs + target.bias[:, None])).real, axis=0) == labels))}
+    assert ota_accuracy(task, samples, target, params, ch, noise) == want["ota_acc"]
+    assert samples.digital_acc == want["digital_acc"]
+    assert accuracy(task, target, params, ch, noise, 50, 9) == want
+    assert 0 < want["ota_acc"] < 1  # the noise decides some samples
 
 
 def test_accuracy_validates_sample_count():

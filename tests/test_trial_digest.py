@@ -19,10 +19,11 @@ def test_one_sweep_digest_is_one_stable_line_per_trial():
     lines = first.stdout.splitlines()
     assert len(lines) == 8  # 2 heuristics x 2 budgets x 2 trials
     for line in lines:
-        name, sweep, key, trial, nmse, obj, acc, iters, status = line.split(" ")
+        name, sweep, key, trial, nmse, obj, acc, dig, overrun, iters, status = line.split(" ")
         assert (name, sweep) == ("deep_cascade", "0") and trial in ("0", "1")
         assert key.split("|")[0] in ("front_loaded", "channel_aware")
         assert 0 < float(nmse) and 0 < float(obj) and 0 <= float(acc) <= 1
+        assert 0 <= float(dig) <= 1 and 0 < float(overrun)
         assert 1 <= int(iters) <= 40 and status in ("converged", "max_iters")
     assert _digest("--workload", "deep_cascade", "--sweeps", "1").stdout == first.stdout
 
@@ -81,11 +82,12 @@ def test_against_refuses_a_line_that_is_no_digest_line(tmp_path):
     other.write_text("w 0 1 2\n")
     proc = subprocess.run([sys.executable, str(TOOL), str(this), "--against", str(other)],
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2 and "trial lines of 9 fields, image lines of 6" in proc.stderr
+    assert proc.returncode == 2 and "trial lines of 11 fields, image lines of 6" in proc.stderr
 
 
 def _line(workload, trial, nmse, acc, iters, status="converged"):
-    return f"{workload} 0 uniform|200|1|3|50 {trial} {nmse!r} 1.0 {acc!r} {iters} {status}\n"
+    return (f"{workload} 0 uniform|200|1|3|50 {trial} {nmse!r} 1.0 {acc!r} 0.875 0.5 "
+            f"{iters} {status}\n")
 
 
 def test_against_prints_paired_differences_per_workload(tmp_path):

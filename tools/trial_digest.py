@@ -11,10 +11,11 @@ Each sweep workload of CHECKOUT/perfbench/workloads.py runs its first N
 sweeps (by default the sweeps an untraced perfbench run always finishes)
 through `harness.run_experiment`, with the package of CHECKOUT/src and sweep
 i at the base seed perfbench gives it. A line holds the workload, the sweep,
-the point key, the trial index, the `repr` of nmse, objective_true and
-ota_acc, the iteration count and the status. BLAS runs single-threaded, as
-in perfbench, so `cmp` of the output of two checkouts tells whether they
-give bit-identical trials. workloads.py is imported, never written.
+the point key, the trial index, the `repr` of nmse, objective_true,
+ota_acc, digital_acc and relay_power_overrun, the iteration count and the
+status. BLAS runs single-threaded, as in perfbench, so `cmp` of the output
+of two checkouts tells whether they give bit-identical trials. workloads.py
+is imported, never written.
 
 The image workload is digested only when named. Its first N images (by
 default the images an untraced perfbench run always finishes) go through
@@ -62,10 +63,10 @@ def _import(checkout):
     return harness, workloads
 
 
-# the compared fields of a trial line, by their position in it; 8 is the status
-METRICS = {"nmse": 4, "ota_acc": 6, "iterations": 7}
+# the compared fields of a trial line, by their position in it; the last is the status
+METRICS = {"nmse": 4, "ota_acc": 6, "iterations": 9}
 # fields of a trial line and of an image line, and how many of them key the join
-TRIAL, IMAGE = (9, 4), (6, 2)
+TRIAL, IMAGE = (11, 4), (6, 2)
 
 
 def _table(lines, kind):
@@ -104,7 +105,7 @@ def paired_summary(this, other) -> list:
         for name in dict.fromkeys(key[0] for key in joined):
             keys = [key for key in joined if key[0] == name]
             ok = [k for k in keys
-                  if not any(t[k][8].startswith("error") for t in (this_t, other_t))]
+                  if not any(t[k][-1].startswith("error") for t in (this_t, other_t))]
             for metric, i in METRICS.items():
                 diff = [float(this_t[k][i]) - float(other_t[k][i]) for k in ok]
                 out.append(f"{_paired(name, metric, diff)} ({len(keys) - len(ok)} failed)")
@@ -146,7 +147,8 @@ def main(argv=None) -> int:
         other = f.read().splitlines()
     this = list(this)
     if any(len(line.split()) not in (TRIAL[0], IMAGE[0]) for line in this + other):
-        p.error("--against joins digest lines: trial lines of 9 fields, image lines of 6")
+        p.error(f"--against joins digest lines: trial lines of {TRIAL[0]} fields, "
+                f"image lines of {IMAGE[0]}")
     print("\n".join(paired_summary(this, other)))
     return 0
 
@@ -169,8 +171,8 @@ def _digest(p, args):
             for row in harness.run_experiment(harness.config_from_dict(tree)):
                 for t, res in enumerate(row.trials):
                     yield (f"{name} {i} {row.point.key} {t} {res.nmse!r} "
-                           f"{res.objective_true!r} {res.ota_acc!r} {res.iterations} "
-                           f"{res.status}")
+                           f"{res.objective_true!r} {res.ota_acc!r} {res.digital_acc!r} "
+                           f"{res.relay_power_overrun!r} {res.iterations} {res.status}")
 
 
 def _image_lines(name, spec, args, workloads):
