@@ -7,10 +7,10 @@ from .channel import (Cascade, ChannelSet, HopStatistics, NoiseModel,
                       hop_statistics, linear_gain, noise_power_watts,
                       pathloss_db, relay_input_powers)
 from .estimation import PilotPlan, estimate_all, estimate_hop, inject_error
-from .harness import (ConfigError, ExperimentConfig, ResultRow, SweepPoint,
-                      TrialResult, config_from_dict, derive_trial_seed,
+from .harness import (ConfigError, ExperimentConfig, ResultRow, Scenario,
+                      SweepPoint, TrialResult, config_from_dict, derive_trial_seed,
                       emit_csv, load_config, run_experiment, run_trial)
-from .inference import (ImportedPipeline, SyntheticTask, TaskSamples, accuracy,
+from .inference import (ImportedPipeline, SyntheticTask, TaskSamples,
                         digital_forward, draw_samples, imported_forward,
                         load_pipeline, make_synthetic_task, ota_accuracy,
                         ota_forward, save_pipeline)

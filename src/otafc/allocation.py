@@ -82,13 +82,9 @@ def allocate(heuristic: Heuristic, topology: Topology, excess_budget: int,
     remaining = int(excess_budget)
     while True:
         w = heuristic_weights(heuristic, rep, tau_min, stats)
-        order = np.lexsort((np.arange(w.size), -w))
-        chosen = -1
-        for idx in order:
-            if w[idx] > 0 and tau_min[idx] <= remaining:
-                chosen = idx
-                break
-        if chosen < 0:
+        w[tau_min > remaining] = 0.0  # a block that no longer fits; w is this step's own
+        chosen = np.argmax(w)  # the first of equal weights: ties go to the earliest hop
+        if not w[chosen] > 0:
             break
         rep[chosen] += 1
         remaining -= int(tau_min[chosen])

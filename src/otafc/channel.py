@@ -259,7 +259,7 @@ class Cascade:
     f2_direct is F2 H_direct, direct_residual(W) is W - F2 H_direct F1, and
     f2_gram is B B^H + R.
     The prefixes are walked on construction; the rest is built on first
-    use, so f2 and noise may be left out when not read. suffix(l) builds
+    use, so f2 may be None when no product of it is read. suffix(l) builds
     d[l-1] and the suffixes downstream of it only; d builds them all.
 
     With caps, the per-relay power caps of each group, the walk fits each
@@ -267,9 +267,9 @@ class Cascade:
     sqrt(cap_l / incident_powers(l)); a gain of None starts at limit(l).
     """
 
-    def __init__(self, ch: ChannelSet, gains, f1: np.ndarray, f2: np.ndarray = None,
-                 noise: NoiseModel = None, caps=None):
-        if noise is not None and len(noise.relay_noise_var) != ch.num_groups:
+    def __init__(self, ch: ChannelSet, gains, f1: np.ndarray, f2: np.ndarray,
+                 noise: NoiseModel, caps=None):
+        if len(noise.relay_noise_var) != ch.num_groups:
             raise ValueError("noise model group count must match the channel set")
         self._walk(ch, gains, f1, f2, noise, caps, None)
 
@@ -288,12 +288,12 @@ class Cascade:
         array means the same values.
         """
         cand = Cascade.__new__(Cascade)
-        cand._walk(self.ch, gains, f1, f2, self._noise_model, self._caps, self)
+        cand._walk(self.ch, gains, f1, f2, self.noise, self._caps, self)
         return cand
 
     def _walk(self, ch, gains, f1, f2, noise, caps, base):
         # the prefixes, each gain fitted to its caps; base lends as moved says
-        self.ch, self.f1, self.f2, self._noise_model = ch, f1, f2, noise
+        self.ch, self.f1, self.f2, self.noise = ch, f1, f2, noise
         self._caps = caps
         self.a = list(gains)
         self.u, self._p_in, self._limits, same = [], [], [], []
@@ -334,13 +334,6 @@ class Cascade:
     def of(cls, ch: ChannelSet, params, noise: NoiseModel) -> "Cascade":
         """The cascade of a design (f1, f2 and gains a, as in OtaParams) on ch."""
         return cls(ch, check_gains(ch, params.a), params.f1, params.f2, noise)
-
-    @property
-    def noise(self) -> NoiseModel:
-        """The noise model; ValueError when the cascade was built without one."""
-        if self._noise_model is None:
-            raise ValueError("the cascade has no noise model; pass noise= when building it")
-        return self._noise_model
 
     def incident_powers(self, l: int) -> np.ndarray:
         if self._p_in[l - 1] is None:
@@ -429,7 +422,7 @@ def relay_input_powers(ch: ChannelSet, gains, f1: np.ndarray,
     """
     if not 1 <= l <= ch.num_groups:
         raise ValueError(f"hop index {l} out of range 1..{ch.num_groups}")
-    return Cascade(ch, check_gains(ch, gains), f1, noise=noise).incident_powers(l)
+    return Cascade(ch, check_gains(ch, gains), f1, None, noise).incident_powers(l)
 
 
 def hop_statistics(placement: Placement, params: PathlossParams) -> HopStatistics:

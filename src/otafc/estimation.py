@@ -36,8 +36,8 @@ class PilotPlan:
     def __post_init__(self):
         object.__setattr__(self, "rep", tuple(int(m) for m in self.rep))
         object.__setattr__(self, "tau_min", tuple(int(t) for t in self.tau_min))
-        if not self.pilot_power > 0:  # NaN too; +inf is perfect training
-            raise ValueError("pilot power must be positive")
+        if not 0 < self.pilot_power < np.inf:  # NaN too; perfect CSI is estimator: perfect
+            raise ValueError("pilot power must be positive and finite")
         if len(self.rep) != len(self.tau_min):
             raise ValueError("rep and tau_min must have equal length")
         if any(t < 1 for t in self.tau_min):
@@ -70,8 +70,7 @@ def estimate_hop(h_true: np.ndarray, plan: PilotPlan, hop: int,
     and column k of Phi^* / tau is the k-th row of the inverse DFT of length
     tau, that estimate is H + ifft(N)[:, :n_tx] / sqrt(p_p), which is how it
     is computed, from the same draw of N: H plus an i.i.d.
-    CN(0, noise_var / (p_p tau)) error. At zero noise or infinite pilot power
-    (perfect training) the estimate is H itself, and no noise is drawn.
+    CN(0, noise_var / (p_p tau)) error.
     """
     if not 0 <= hop < plan.num_phases:
         raise ValueError(f"phase index {hop} out of range")
@@ -81,8 +80,6 @@ def estimate_hop(h_true: np.ndarray, plan: PilotPlan, hop: int,
         raise ValueError(
             f"phase {hop}: pilot length {tau} shorter than {n_tx} transmitters"
         )
-    if plan.pilot_power == np.inf or noise_var == 0:
-        return h_true.copy()
     slot_noise = complex_normal(np.random.default_rng(rng_seed), (n_rx, tau), noise_var)
     return h_true + np.fft.ifft(slot_noise, axis=1)[:, :n_tx] / np.sqrt(plan.pilot_power)
 
@@ -133,8 +130,5 @@ def inject_error(ch: ChannelSet, plan: PilotPlan, noise: NoiseModel,
     errors are exactly i.i.d. complex Gaussian at that variance.
     """
     def perturbed(h, phase, var, rng):
-        err_var = var / (plan.pilot_power * plan.tau[phase])
-        if err_var == 0:
-            return h.copy()
-        return h + complex_normal(rng, h.shape, err_var)
+        return h + complex_normal(rng, h.shape, var / (plan.pilot_power * plan.tau[phase]))
     return _per_phase(ch, plan, noise, rng_seed, perturbed)

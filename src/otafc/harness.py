@@ -299,7 +299,6 @@ class Scenario:
     task: SyntheticTask
     samples: TaskSamples
     est_seed: np.random.SeedSequence
-    trial_seed: int
 
     @classmethod
     def draw(cls, cfg: ExperimentConfig, num_groups: int, group_size: int,
@@ -323,7 +322,7 @@ class Scenario:
                    default_noise_model(num_groups, cfg.psd_dbm_per_hz, cfg.bandwidth_hz),
                    target, PowerBudget.uniform(topology.group_sizes, bs_max, cfg.relay_w),
                    task, draw_samples(task, target, cfg.num_samples, seeds[5]),
-                   seeds[3], trial_seed)
+                   seeds[3])
 
 
 def design(sc: Scenario, plan: PilotPlan, start: OtaParams = None) -> SolveResult:
@@ -349,19 +348,10 @@ def score(sc: Scenario, plan: PilotPlan, result: SolveResult) -> TrialResult:
                        relay_power_overrun=ev.relay_power_overrun, design=result.params)
 
 
-def run_trial(cfg: ExperimentConfig, point: SweepPoint, trial_seed: int,
-              start: OtaParams = None, scenario: Scenario = None) -> TrialResult:
-    """One seeded pipeline pass at one sweep point: draw the scenario,
-    allocate the point's pilot plan, design and score; the solve starts
-    from the design start, or cold when it is None. A scenario, when given,
-    stands in for the draw; ValueError unless it was drawn for cfg, the
-    point's groups and trial_seed."""
-    sc = scenario
-    if sc is None:
-        sc = Scenario.draw(cfg, point.num_groups, point.group_size, trial_seed)
-    elif (sc.cfg, sc.topology.group_sizes, sc.trial_seed) != (
-            cfg, (point.group_size,) * point.num_groups, trial_seed):
-        raise ValueError("scenario was drawn for another config, topology or trial seed")
+def run_trial(sc: Scenario, point: SweepPoint, start: OtaParams) -> TrialResult:
+    """One pipeline pass at one sweep point on the scenario sc: allocate the
+    point's pilot plan, design and score; the solve starts from the design
+    start, or cold when it is None."""
     plan = allocate(Heuristic(point.heuristic), sc.topology, point.excess_budget,
                     sc.stats, pilot_power=point.pilot_power)
     return score(sc, plan, design(sc, plan, start))
@@ -381,7 +371,7 @@ def _chain_job(args):
     results, start = [], None
     for point in points:
         try:
-            res = run_trial(cfg, point, trial_seed, start, scenario=sc)
+            res = run_trial(sc, point, start)  # three positionals, as perfbench wraps it
         except Exception as exc:
             res = TrialResult(status=f"error:{type(exc).__name__}")
         start, res.design = res.design, None

@@ -6,12 +6,12 @@ the signal. The relay and receiver noise reach the output only through its
 covariance C = F2 R F2^H, and a circular complex Gaussian is fixed by its
 covariance, so the noise is drawn at the receiver: one out_dim-dimensional
 draw per sample, times S, the Hermitian square root of C over sqrt(2).
-accuracy measures a synthetic classification task through both the OTA layer
-and its digital reference, in two steps: draw_samples draws the labelled
-samples, their receiver-noise normals and the digital accuracy once, and
-ota_accuracy scores any design on them. imported_forward runs an externally
-trained image pipeline with the middle complex FC layer replaced by the OTA
-link, and digital_forward the same pipeline all digital; scoring one image
+A synthetic classification task measures the OTA layer against its digital
+reference in two steps: draw_samples draws the labelled samples, their
+receiver-noise normals and the digital accuracy once, and ota_accuracy
+scores any design on them. imported_forward runs an externally trained
+image pipeline with the middle complex FC layer replaced by the OTA link,
+and digital_forward the same pipeline all digital; scoring one image
 both ways runs its front end once, through a one-slot memo on the pipeline
 keyed by the image's shape and bytes and the conv stride and padding.
 """
@@ -123,8 +123,8 @@ class SyntheticTask:
             raise ValueError("one mean vector per class required")
         if self.classifier_head.shape[0] != self.num_classes:
             raise ValueError("one classifier row per class required")
-        if self.sample_noise_var < 0:
-            raise ValueError("sample noise variance cannot be negative")
+        if not 0 <= self.sample_noise_var < np.inf:  # NaN too
+            raise ValueError("sample noise variance must be finite and >= 0")
 
 
 def make_synthetic_task(target: TargetLayer, num_classes: int = 10,
@@ -185,20 +185,6 @@ def ota_accuracy(task: SyntheticTask, samples: TaskSamples, target: TargetLayer,
     y = _received(m, s, samples.x, samples.z, target.bias)
     pred = np.argmax((task.classifier_head @ y).real, axis=0)
     return float(np.mean(pred == samples.labels))
-
-
-def accuracy(task: SyntheticTask, target: TargetLayer, params: OtaParams,
-             true_ch: ChannelSet, noise: NoiseModel, num_samples: int,
-             rng_seed) -> dict:
-    """Classification accuracy through the OTA layer and its digital twin.
-
-    Returns {"ota_acc": ..., "digital_acc": ...} over num_samples labeled
-    draws; both paths see the same samples. It is draw_samples, then
-    ota_accuracy of that sample set.
-    """
-    samples = draw_samples(task, target, num_samples, rng_seed)
-    return {"ota_acc": ota_accuracy(task, samples, target, params, true_ch, noise),
-            "digital_acc": samples.digital_acc}
 
 
 # ---------------------------------------------------------------------------

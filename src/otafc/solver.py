@@ -94,8 +94,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.objective_tolerance < np.inf:  # NaN too
             raise ValueError("tolerances must be positive and finite")
-        if self.max_outer_iters < 1:
-            raise ValueError("need at least one outer iteration")
+        n = self.max_outer_iters
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"max_outer_iters must be an integer >= 1, got {n!r}")
 
 
 @dataclass(eq=False)  # == is identity: fields are arrays
@@ -359,7 +360,7 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     if start is None:
         f1 = (np.sqrt(budget.p_max_bs / est.n_tx)
               * np.eye(est.n_tx, target.in_dim, dtype=complex))
-        cur = Cascade(est, [None] * est.num_groups, f1, noise=noise, caps=budget.p_relay)
+        cur = Cascade(est, [None] * est.num_groups, f1, None, noise, budget.p_relay)
     else:
         _check_start(est, target, start)
         cur = _capped(est, start.a, start.f1, start.f2, noise, budget)
@@ -444,25 +445,23 @@ class TrueEvaluation:
 
 
 def evaluate_true(params: OtaParams, true_ch: ChannelSet, target: TargetLayer,
-                  noise: NoiseModel, budget: PowerBudget = None) -> TrueEvaluation:
+                  noise: NoiseModel, budget: PowerBudget) -> TrueEvaluation:
     """Re-evaluate a design on the true channels.
 
     nmse is ||F2 Heff F1 - W||_F^2 / ||W||_F^2; objective_true re-runs the
-    design objective on the true channels. When a budget is given,
-    relay_power_overrun reports how far the true incident powers push any
-    relay past its cap (diagnostic only, never enforced).
+    design objective on the true channels. relay_power_overrun reports how
+    far the true incident powers push any relay past its cap in budget
+    (diagnostic only, never enforced).
     """
-    if budget is not None:
-        _check_budget(true_ch, budget)
+    _check_budget(true_ch, budget)
     cas = Cascade.of(true_ch, params, noise)
     resid = cas.f2 @ cas.b - target.w
     nmse = float(np.sum(np.abs(resid) ** 2) / np.sum(np.abs(target.w) ** 2))
     obj = objective(cas, target)
 
     overrun = 0.0
-    if budget is not None:
-        for l in range(1, true_ch.num_groups + 1):
-            used = np.abs(cas.a[l - 1]) ** 2 * cas.incident_powers(l)
-            ratio = float(np.max(used / budget.p_relay[l - 1]))
-            overrun = max(overrun, ratio - 1.0)
+    for l in range(1, true_ch.num_groups + 1):
+        used = np.abs(cas.a[l - 1]) ** 2 * cas.incident_powers(l)
+        ratio = float(np.max(used / budget.p_relay[l - 1]))
+        overrun = max(overrun, ratio - 1.0)
     return TrueEvaluation(nmse=nmse, objective_true=obj, relay_power_overrun=overrun)

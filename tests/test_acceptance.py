@@ -10,7 +10,7 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from otafc import (Cascade, ChannelSet, Heuristic, NoiseModel, OtaParams,
-                   PilotPlan, PowerBudget, TargetLayer, allocate,
+                   PilotPlan, PowerBudget, Scenario, TargetLayer, allocate,
                    config_from_dict, emit_csv, estimate_all, evaluate_true,
                    inject_error, objective, pilot_dictionary_size,
                    relay_input_powers, run_trial, solve, tau_min_total,
@@ -253,7 +253,8 @@ def _trend_point(heuristic, excess, pilot_power):
 def _trend_means(cfg, points):
     acc = {}
     for pt in points:
-        vals = [run_trial(cfg, pt, seed).ota_acc for seed in range(TREND_SEEDS)]
+        vals = [run_trial(Scenario.draw(cfg, 3, 12, seed), pt, None).ota_acc
+                for seed in range(TREND_SEEDS)]
         acc[pt] = float(np.mean(vals))
     return acc
 
@@ -316,8 +317,8 @@ def test_c08_multi_hop_benefit():
                      num_groups=1, group_size=36)
     wins = 0
     for seed in range(40):
-        nmse3 = run_trial(cfg, pt3, seed).nmse
-        nmse1 = run_trial(cfg, pt1, seed).nmse
+        nmse3 = run_trial(Scenario.draw(cfg, 3, 12, seed), pt3, None).nmse
+        nmse1 = run_trial(Scenario.draw(cfg, 1, 36, seed), pt1, None).nmse
         wins += nmse3 < nmse1
     elapsed = time.time() - t0
     report("C8 multi-hop benefit", wins >= 32,

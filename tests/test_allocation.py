@@ -151,6 +151,34 @@ def test_budget_feasibility_and_slack():
             assert excess - spent < tmin.min()
 
 
+def _greedy_reference(heuristic, top, excess, stats):
+    """The greedy rule as a plain loop: among the hops of positive weight
+    whose block still fits, the highest weight, the earliest on a tie."""
+    tmin = tau_minimums(top)
+    rep, remaining = [1] * len(tmin), excess
+    while True:
+        w = heuristic_weights(heuristic, rep, tmin, stats)
+        fits = [l for l in range(len(tmin)) if w[l] > 0 and tmin[l] <= remaining]
+        if not fits:
+            return tuple(rep)
+        chosen = min(fits, key=lambda l: (-w[l], l))
+        rep[chosen] += 1
+        remaining -= tmin[chosen]
+
+
+def test_allocate_is_the_greedy_loop():
+    # repeated group sizes and gains give tied weights
+    rng = np.random.default_rng(1)
+    for _ in range(60):
+        sizes = tuple(int(k) for k in rng.choice([3, 7, 12], size=rng.integers(1, 6)))
+        top = _top(int(rng.choice([3, 7, 20])), sizes)
+        stats = HopStatistics(rng.choice([1e-12, 2e-12], size=len(sizes) + 1))
+        for h in Heuristic:
+            for excess in (0, 5, 40, 333):
+                assert (allocate(h, top, excess, stats).rep
+                        == _greedy_reference(h, top, excess, stats)), (h, sizes, excess)
+
+
 def test_allocation_deterministic():
     stats = HopStatistics(np.array([2e-12, 1e-12, 3e-12, 1.5e-12]))
     p1 = allocate(Heuristic.CHANNEL_AWARE, TOP_3HOP, 500, stats)

@@ -147,7 +147,7 @@ def relay_caps(ch, params, noise, level, rng):
     """Per-relay caps at which the gains of a design near params clip
     nowhere ("none"), everywhere ("all"), or at about half of the relays
     ("some")."""
-    cas = Cascade(ch, params.a, params.f1, noise=noise)
+    cas = Cascade(ch, params.a, params.f1, None, noise)
     caps = []
     for l, a in enumerate(cas.a, start=1):
         used = np.abs(a) ** 2 * cas.incident_powers(l)
@@ -264,7 +264,7 @@ def test_uncapped_cascade_has_no_limits():
     ch = random_channel_set(rng, 2, 2, (3, 2))
     noise = NoiseModel(relay_noise_var=(1.0, 1.0), rx_noise_var=1.0)
     with pytest.raises(ValueError, match="no relay caps"):
-        Cascade(ch, [np.ones(3), np.ones(2)], np.eye(2, dtype=complex), noise=noise).limit(1)
+        Cascade(ch, [np.ones(3), np.ones(2)], np.eye(2, dtype=complex), None, noise).limit(1)
 
 
 @SETTINGS

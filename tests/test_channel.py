@@ -30,14 +30,16 @@ def random_channel_set(rng, n_tx, n_rx, group_sizes, direct=False, scale=1.0):
 
 
 def effective_channel(ch, gains):
-    """H_direct + H_last A_L H_L ... A_1 H_1: the cascade's b for F1 = I."""
-    return Cascade(ch, gains, np.eye(ch.n_tx, dtype=complex)).b
+    """H_direct + H_last A_L H_L ... A_1 H_1: the cascade's b for F1 = I,
+    which reads no noise variance."""
+    unit = NoiseModel((1.0,) * ch.num_groups, 1.0)
+    return Cascade(ch, gains, np.eye(ch.n_tx, dtype=complex), None, unit).b
 
 
 def noise_covariance(ch, gains, noise):
     """Receiver noise covariance R, the cascade's last stage noise (F1 plays no part)."""
     no_signal = np.zeros((ch.n_tx, 0), dtype=complex)
-    return hermitize(Cascade(ch, gains, no_signal, noise=noise).stage_noise(ch.num_groups + 1))
+    return hermitize(Cascade(ch, gains, no_signal, None, noise).stage_noise(ch.num_groups + 1))
 
 
 def transfer_matrix(ch, gains, j):

@@ -51,7 +51,9 @@ def test_plan_validation():
         PilotPlan(pilot_power=0.0, rep=(1,), tau_min=(4,))
     with pytest.raises(ValueError, match="pilot power"):
         PilotPlan(pilot_power=float("nan"), rep=(1,), tau_min=(4,))
-    assert PilotPlan(pilot_power=np.inf, rep=(1,), tau_min=(4,)).pilot_power == np.inf
+    # perfect CSI is the estimator "perfect", not an infinite pilot power
+    with pytest.raises(ValueError, match="pilot power must be positive and finite"):
+        PilotPlan(pilot_power=np.inf, rep=(1,), tau_min=(4,))
     plan = _plan((3, 5), rep=(2, 1))
     assert plan.tau == (6, 5)
     assert plan.tau_total == 11
@@ -183,42 +185,9 @@ def test_estimate_hop_is_the_pilot_exchange(seed, n_rx, m, kind, pilot_power, no
     want = (y @ phi.conj()) / (np.sqrt(pilot_power) * tau)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(h))
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    # no draw at zero noise or at infinite pilot power: the estimate is h
-    state = got_rng.bit_generator.state
-    for quiet_plan, var in ((plan, 0.0), (_plan((tau,), pilot_power=np.inf), noise_var)):
-        assert np.array_equal(estimate_hop(h, quiet_plan, 0, var, got_rng), h)
-        assert got_rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------- injection
-
-def test_inject_error_zero_variance_copies():
-    rng = np.random.default_rng(8)
-    ch = random_channel_set(rng, 3, 3, (4,), direct=True)
-    noise = NoiseModel(relay_noise_var=(0.5,), rx_noise_var=0.5)
-    est = inject_error(ch, _plan((3, 4), pilot_power=np.inf), noise, 3)
-    assert np.array_equal(est.h_hop[0], ch.h_hop[0])
-    assert np.array_equal(est.h_last, ch.h_last)
-    assert np.array_equal(est.h_direct, ch.h_direct)
-
-
-def test_estimate_at_infinite_pilot_power_is_exact():
-    # perfect training: the LS estimate is the channel itself, as with
-    # inject_error, and the pilot exchange draws no noise
-    got = estimate_hop(np.ones((2, 2), complex), _plan((2, 2), pilot_power=np.inf), 0, 1e-3, 1)
-    assert np.array_equal(got, np.ones((2, 2)))
-    rng = np.random.default_rng(8)
-    ch = random_channel_set(rng, 3, 3, (4,), direct=True)
-    noise = NoiseModel(relay_noise_var=(0.5,), rx_noise_var=0.5)
-    plan = _plan((3, 4), pilot_power=np.inf)
-    est = estimate_all(ch, plan, noise, 3)
-    for got, want in zip([*est.h_hop, est.h_last, est.h_direct],
-                         [*ch.h_hop, ch.h_last, ch.h_direct]):
-        assert np.array_equal(got, want) and got is not want
-    state = rng.bit_generator.state
-    estimate_hop(ch.h_hop[0], plan, 0, 0.5, rng)
-    assert rng.bit_generator.state == state
-
 
 def test_inject_error_variance_by_construction():
     rng = np.random.default_rng(9)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import otafc.harness as harness
-from otafc import (ConfigError, ExperimentConfig, Heuristic, SweepPoint, allocate,
+from otafc import (ConfigError, ExperimentConfig, Heuristic, OtaParams, SweepPoint, allocate,
                    config_from_dict, derive_trial_seed, emit_csv, load_config,
                    run_experiment, run_trial)
 from otafc.cli import main as cli_main
@@ -20,6 +20,11 @@ TINY_CFG = dict(
     trials=2,
     base_seed=7,
 )
+
+
+def drawn(cfg, point, seed):
+    """The scenario of trial seed at the point's groups."""
+    return Scenario.draw(cfg, point.num_groups, point.group_size, seed)
 
 
 def write_cfg(tmp_path, tree=TINY_CFG, name="cfg.yaml"):
@@ -310,8 +315,8 @@ def test_single_point_single_trial_row():
 def test_run_trial_deterministic():
     cfg = config_from_dict(TINY_CFG)
     pt = cfg.sweep_points()[0]
-    t1 = run_trial(cfg, pt, 12345)
-    t2 = run_trial(cfg, pt, 12345)
+    t1 = run_trial(drawn(cfg, pt, 12345), pt, None)
+    t2 = run_trial(drawn(cfg, pt, 12345), pt, None)
     assert t1 == t2
 
 
@@ -338,7 +343,7 @@ GOLDEN_TRIALS = [
 
 @pytest.mark.parametrize("tree,point,seed,want", GOLDEN_TRIALS)
 def test_run_trial_golden(tree, point, seed, want):
-    t = run_trial(config_from_dict(tree), point, seed)
+    t = run_trial(drawn(config_from_dict(tree), point, seed), point, None)
     status, iterations, nmse, ota_acc = want
     assert (t.status, t.iterations) == (status, iterations)
     assert t.nmse == pytest.approx(nmse, rel=1e-10)
@@ -354,7 +359,7 @@ def test_run_trial_keeps_the_relay_power_overrun_of_its_design(monkeypatch):
         return seen[-1]
     monkeypatch.setattr(harness, "evaluate_true", evaluate)
     tree, point, seed, _ = GOLDEN_TRIALS[1]
-    t = run_trial(config_from_dict(tree), point, seed)
+    t = run_trial(drawn(config_from_dict(tree), point, seed), point, None)
     assert len(seen) == 1 and t.relay_power_overrun == seen[0].relay_power_overrun
     assert t.relay_power_overrun > 0  # this design overruns a relay cap on the truth
 
@@ -418,15 +423,16 @@ def test_emit_csv_failure_columns(tmp_path, monkeypatch):
     # are over the trials that did not fail, and nan when every trial failed
     cfg = config_from_dict(TINY_CFG)
     low, high = cfg.sweep_points()
-    real = harness.run_trial
-    # the budgets of a chain share their seeds, so a failure is keyed by point
-    seed = [derive_trial_seed(cfg.base_seed, low.chain_key, i) for i in range(2)]
-    failing = {(low, seed[1]), (high, seed[0]), (high, seed[1])}
+    real, ran = harness.run_trial, []
+    # the budgets of a chain share their scenarios, so a failure is keyed by
+    # point and trial index, the count of the point's earlier (serial) trials
+    failing = {(low, 1), (high, 0), (high, 1)}
 
-    def flaky(cfg, point, trial_seed, start=None, scenario=None):
-        if (point, trial_seed) in failing:
+    def flaky(sc, point, start):
+        ran.append(point)
+        if (point, ran.count(point) - 1) in failing:
             raise FloatingPointError("diverged")
-        return real(cfg, point, trial_seed, start, scenario=scenario)
+        return real(sc, point, start)
     monkeypatch.setattr(harness, "run_trial", flaky)
     rows = run_experiment(cfg)
     path = tmp_path / "out.csv"
@@ -475,9 +481,9 @@ def test_emit_csv_mixed_group_counts(tmp_path):
 
 def test_sample_noise_default_scales_with_dimension():
     cfg = config_from_dict({**TINY_CFG, "task": {"num_samples": 32}})
-    assert cfg.sample_noise_var is None  # resolved to n/16 inside run_trial
+    assert cfg.sample_noise_var is None  # resolved to n/16 inside Scenario.draw
     pt = cfg.sweep_points()[0]
-    t = run_trial(cfg, pt, 0)
+    t = run_trial(drawn(cfg, pt, 0), pt, None)
     assert 0.0 <= t.ota_acc <= 1.0 and 0.0 <= t.digital_acc <= 1.0
 
 
@@ -554,20 +560,20 @@ def test_each_budget_starts_from_the_design_below_it(monkeypatch):
     real, seen, draws = harness.run_trial, [], []
     draw = Scenario.draw.__func__
 
-    def recording(cfg, point, trial_seed, start=None, scenario=None):
+    def recording(sc, point, start):
         design = None
         try:
             if point == broken:
                 raise FloatingPointError("diverged")
-            res = real(cfg, point, trial_seed, start, scenario=scenario)
+            res = real(sc, point, start)
             design = res.design
             return res
         finally:
-            seen.append((point, trial_seed, start, design, scenario))
+            seen.append((point, sc, start, design))
 
     def counted(cls, *args):
-        draws.append(draw(cls, *args))
-        return draws[-1]
+        draws.append((args[-1], draw(cls, *args)))  # (trial seed, scenario)
+        return draws[-1][1]
     monkeypatch.setattr(harness, "run_trial", recording)
     monkeypatch.setattr(Scenario, "draw", classmethod(counted))
     rows = run_experiment(cfg)
@@ -577,12 +583,11 @@ def test_each_budget_starts_from_the_design_below_it(monkeypatch):
     for chain in by_chain(cfg.sweep_points()).values():
         for i in range(cfg.trials):
             seed = derive_trial_seed(cfg.base_seed, chain[0].chain_key, i)
-            calls = [s for s in seen if s[0] in chain and s[1] == seed]
+            [sc] = [d for s, d in draws if s == seed]
+            calls = [s for s in seen if s[1] is sc]
             assert [c[0] for c in calls] == chain  # budgets ascending
             assert calls[0][2] is None
-            [sc] = [d for d in draws if d.trial_seed == seed]
-            assert all(c[4] is sc for c in calls)
-            for below, (point, _, start, _, _) in zip(calls, calls[1:]):
+            for below, (point, _, start, _) in zip(calls, calls[1:]):
                 assert start is below[3]
                 assert (start is None) == (point.excess_budget == 60 and below[0] == broken)
     assert [r.failures for r in rows if r.point == broken] == [cfg.trials]
@@ -594,30 +599,41 @@ def test_each_budget_starts_from_the_design_below_it(monkeypatch):
      "topology": dict(n_antennas=4, area_m=120.0, direct_link=True)}])
 def test_each_budget_equals_its_standalone_trial(tree):
     # a chain job's shared scenario changes no number: each budget's result
-    # is run_trial drawing its own, started from the design below it
+    # is run_trial on a scenario drawn for it alone, started from the design
+    # below it
     cfg = config_from_dict(tree)
     trials = {r.point: r.trials for r in run_experiment(cfg)}
     for chain in by_chain(cfg.sweep_points()).values():
         for i in range(cfg.trials):
             seed, start = derive_trial_seed(cfg.base_seed, chain[0].chain_key, i), None
             for point in chain:
-                want = run_trial(cfg, point, seed, start)
+                want = run_trial(drawn(cfg, point, seed), point, start)
                 assert not want.status.startswith("error")
                 assert trials[point][i] == want  # every field but the design
                 start = want.design
 
 
-def test_run_trial_refuses_a_scenario_drawn_for_another_trial():
+def test_chain_job_calls_run_trial_with_three_positionals(monkeypatch):
+    # perfbench wraps the module attribute as run_trial(cfg, point,
+    # trial_seed, *args, **kwargs) and passes the arguments through, so a
+    # keyword such as start= would fail every trial of the benchmark
     cfg = config_from_dict(CHAINS_CFG)
-    pt = cfg.sweep_points()[0]
-    sc = Scenario.draw(cfg, 2, 3, 11)
-    assert run_trial(cfg, pt, 11, scenario=sc) == run_trial(cfg, pt, 11)
-    other_cfg = config_from_dict({**CHAINS_CFG, "trials": 3})
-    for args in ((cfg, pt, 12), (other_cfg, pt, 11),
-                 (cfg, dataclasses.replace(pt, group_size=4), 11),
-                 (cfg, dataclasses.replace(pt, num_groups=1), 11)):
-        with pytest.raises(ValueError, match="scenario was drawn for another"):
-            run_trial(*args, scenario=sc)
+    real, calls = harness.run_trial, []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(harness, "run_trial", recording)
+    chain = next(iter(by_chain(cfg.sweep_points()).values()))
+    results = _chain_job((cfg, chain, 11))
+    assert [pt for pt, _ in results] == chain and len(calls) == len(chain) == 3
+    starts = []
+    for (args, kwargs), point in zip(calls, chain):
+        assert kwargs == {} and len(args) == 3
+        sc, got, start = args
+        assert isinstance(sc, Scenario) and sc is calls[0][0][0] and got is point
+        starts.append(start)
+    assert starts[0] is None and all(isinstance(s, OtaParams) for s in starts[1:])
 
 
 def test_a_draw_that_raises_fails_every_trial_of_its_chain_only(monkeypatch):
@@ -667,10 +683,10 @@ def test_cli_run_reports_failed_trials_on_stderr(tmp_path, monkeypatch, capsys):
     cfg_path = write_cfg(tmp_path)
     real = harness.run_trial
 
-    def flaky(cfg, point, trial_seed, start=None, scenario=None):
+    def flaky(sc, point, start):
         if point.excess_budget == 60:
             raise FloatingPointError("diverged")
-        return real(cfg, point, trial_seed, start, scenario=scenario)
+        return real(sc, point, start)
     monkeypatch.setattr(harness, "run_trial", flaky)
     want = tmp_path / "want.csv"
     emit_csv(run_experiment(load_config(cfg_path)), want)
@@ -740,18 +756,18 @@ def test_trial_matrix_smoke(estimator, direct, groups):
                                 estimator=estimator))
     pt = SweepPoint(heuristic="front_loaded", excess_budget=30, pilot_power=1.0,
                     num_groups=groups, group_size=3)
-    t = run_trial(cfg, pt, 5)
+    t = run_trial(drawn(cfg, pt, 5), pt, None)
     assert not t.status.startswith("error")
     assert np.isfinite(t.nmse)
     # a trial is its scenario, designed under the point's plan and scored,
     # from a cold start and from the design of a lower budget
-    low = run_trial(cfg, dataclasses.replace(pt, excess_budget=0), 5)
+    low = run_trial(drawn(cfg, pt, 5), dataclasses.replace(pt, excess_budget=0), None)
     for start in (None, low.design):
-        sc = Scenario.draw(cfg, groups, pt.group_size, 5)
+        sc = drawn(cfg, pt, 5)
         plan = allocate(Heuristic(pt.heuristic), sc.topology, pt.excess_budget, sc.stats,
                         pilot_power=pt.pilot_power)
         assert_same_trial(score(sc, plan, design(sc, plan, start)),
-                          run_trial(cfg, pt, 5, start))
+                          run_trial(drawn(cfg, pt, 5), pt, start))
 
 
 def assert_same_trial(got, want):

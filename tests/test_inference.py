@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otafc import (ChannelSet, HopStatistics, NoiseModel, OtaParams, PowerBudget,
-                   SolveResult, TargetLayer, Topology, accuracy, digital_forward,
+                   SolveResult, TargetLayer, Topology, digital_forward,
                    generate_placement, imported_forward, load_pipeline,
                    make_synthetic_task, ota_forward, save_pipeline)
 from otafc import inference
@@ -243,7 +243,7 @@ def test_malformed_design_fails_loudly(case):
     with pytest.raises(ValueError, match="gain vector"):
         ota_forward(cn(rng, (n,)), params, ch, noise, 1)
     with pytest.raises(ValueError, match="gain vector"):
-        accuracy(task, target, params, ch, noise, 8, 2)
+        ota_accuracy(task, draw_samples(task, target, 8, 2), target, params, ch, noise)
     with pytest.raises(ValueError, match="gain vector"):
         imported_forward(_random_pipeline(1), rng.standard_normal((28, 28)), params,
                          ch, noise, 3)
@@ -331,17 +331,17 @@ def test_accuracy_perfect_emulation_matches_digital():
     ch, params, noise, target = perfect_setup(6)
     task = make_synthetic_task(target, num_classes=4, sample_noise_var=0.2,
                                rng_seed=0)
-    got = accuracy(task, target, params, ch, noise, 400, 1)
-    assert got["ota_acc"] == got["digital_acc"]
+    samples = draw_samples(task, target, 400, 1)
+    assert ota_accuracy(task, samples, target, params, ch, noise) == samples.digital_acc
 
 
 def test_accuracy_noiseless_separated_means_is_one():
     ch, params, noise, target = perfect_setup(6, seed=3)
     task = make_synthetic_task(target, num_classes=5, sample_noise_var=0.0,
                                rng_seed=2)
-    got = accuracy(task, target, params, ch, noise, 500, 3)
-    assert got["digital_acc"] == 1.0
-    assert got["ota_acc"] == 1.0
+    samples = draw_samples(task, target, 500, 3)
+    assert samples.digital_acc == 1.0
+    assert ota_accuracy(task, samples, target, params, ch, noise) == 1.0
 
 
 def test_accuracy_head_scaling_invariance():
@@ -356,15 +356,16 @@ def test_accuracy_head_scaling_invariance():
                            class_means=task.class_means,
                            sample_noise_var=task.sample_noise_var,
                            classifier_head=3.7 * task.classifier_head)
-    a1 = accuracy(task, target, params, ch, noise, 300, 5)
-    a2 = accuracy(scaled, target, params, ch, noise, 300, 5)
-    assert a1 == a2
+    s1, s2 = draw_samples(task, target, 300, 5), draw_samples(scaled, target, 300, 5)
+    assert s1.digital_acc == s2.digital_acc
+    assert (ota_accuracy(task, s1, target, params, ch, noise)
+            == ota_accuracy(scaled, s2, target, params, ch, noise))
 
 
 def test_accuracy_gap_shrinks_with_pilot_power():
     # more pilot energy -> lower deployed NMSE -> smaller digital-OTA gap,
     # in at least 80% of paired (seed, adjacent pilot power) comparisons
-    from otafc import SweepPoint, config_from_dict, run_trial
+    from otafc import Scenario, SweepPoint, config_from_dict, run_trial
     cfg = config_from_dict(dict(topology=dict(n_antennas=8, area_m=200.0),
                                 task=dict(num_samples=256),
                                 sweep=dict(num_groups=[2], group_size=[8])))
@@ -374,7 +375,7 @@ def test_accuracy_gap_shrinks_with_pilot_power():
         for pp in (0.01, 0.1, 1.0):
             pt = SweepPoint(heuristic="uniform", excess_budget=100,
                             pilot_power=pp, num_groups=2, group_size=8)
-            t = run_trial(cfg, pt, seed)
+            t = run_trial(Scenario.draw(cfg, 2, 8, seed), pt, None)
             gaps.append(t.digital_acc - t.ota_acc)
         for lo, hi in zip(gaps[1:], gaps[:-1]):
             total += 1
@@ -384,9 +385,9 @@ def test_accuracy_gap_shrinks_with_pilot_power():
 
 @pytest.mark.parametrize("svar", [0.0, 0.7])
 def test_accuracy_is_one_drawn_sample_set_scored(svar):
-    # a sample set holds what accuracy's generator gives, in its order: the
-    # labels, the sample noise, then ota_forward's receiver-noise normals;
-    # scoring a design on it is ota_forward on that generator, bit for bit
+    # a sample set holds what one generator gives, in its order: the labels,
+    # the sample noise, then ota_forward's receiver-noise normals; scoring a
+    # design on it is ota_forward on that generator, bit for bit
     rng = np.random.default_rng(12)
     ch = random_channel_set(rng, 4, 4, (5, 3), direct=True)
     noise = NoiseModel(relay_noise_var=(0.01, 0.02), rx_noise_var=0.03)
@@ -413,21 +414,28 @@ def test_accuracy_is_one_drawn_sample_set_scored(svar):
                 (head @ (target.w @ xs + target.bias[:, None])).real, axis=0) == labels))}
     assert ota_accuracy(task, samples, target, params, ch, noise) == want["ota_acc"]
     assert samples.digital_acc == want["digital_acc"]
-    assert accuracy(task, target, params, ch, noise, 50, 9) == want
     assert 0 < want["ota_acc"] < 1  # the noise decides some samples
 
 
 def test_accuracy_validates_sample_count():
     ch, params, noise, target = perfect_setup(3)
     task = make_synthetic_task(target, num_classes=2, rng_seed=0)
-    with pytest.raises(ValueError):
-        accuracy(task, target, params, ch, noise, 0, 1)
+    with pytest.raises(ValueError, match="at least one sample"):
+        draw_samples(task, target, 0, 1)
 
 
 def test_synthetic_task_validation():
     with pytest.raises(ValueError):
         SyntheticTask(num_classes=1, class_means=np.zeros((1, 3), dtype=complex),
                       sample_noise_var=0.1, classifier_head=np.zeros((1, 3), dtype=complex))
+    # NaN would draw noise-free samples (NaN > 0 is false) and inf infinite ones
+    for var in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sample noise variance must be finite and >= 0"):
+            SyntheticTask(num_classes=2, class_means=np.zeros((2, 3), dtype=complex),
+                          sample_noise_var=var, classifier_head=np.zeros((2, 3), dtype=complex))
+    assert SyntheticTask(num_classes=2, class_means=np.zeros((2, 3), dtype=complex),
+                         sample_noise_var=0.0,
+                         classifier_head=np.zeros((2, 3), dtype=complex)).sample_noise_var == 0
 
 
 # ---------------------------------------------------------------- pipeline

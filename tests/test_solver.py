@@ -366,14 +366,24 @@ def test_update_a_respects_caps():
 
 
 def test_cascade_without_noise_model_refuses_scoring():
+    # the noise model is a required argument, so there is no cascade
+    # without one to score
     rng, ch, noise, target, budget, params = random_instance(13)
-    cas = Cascade(ch, params.a, params.f1, params.f2)
-    assert np.isfinite(cas.b).all()  # the noise-free products still build
-    for call in (lambda: objective(cas, target), lambda: update_f2(cas, target),
-                 lambda: update_a(cas, target, 1), lambda: cas.incident_powers(1),
+    for call in (lambda: Cascade(ch, params.a, params.f1, params.f2),
                  lambda: Cascade(ch, params.a, params.f1, caps=budget.p_relay)):
-        with pytest.raises(ValueError, match="no noise model"):
+        with pytest.raises(TypeError, match="noise"):
             call()
+    with pytest.raises(ValueError, match="noise model group count"):
+        Cascade(ch, params.a, params.f1, params.f2, NoiseModel((0.1,), 0.1))
+
+
+@pytest.mark.parametrize("iters", [0, 2.5, True])
+def test_solver_config_refuses_a_bad_iteration_count(iters):
+    # solve compares len(trace) with max_outer_iters, so 2.5 would run as 2
+    # maps and True as 1
+    with pytest.raises(ValueError, match=f"max_outer_iters must be an integer >= 1, got {iters!r}"):
+        solver.SolverConfig(max_outer_iters=iters)
+    assert solver.SolverConfig(max_outer_iters=np.int64(3)).max_outer_iters == 3
 
 
 # ---------------------------------------------------------------- solve
@@ -421,7 +431,7 @@ def test_evaluate_true_degenerate_values():
     rng, ch, noise, target, budget, params = random_instance(10)
     zero = OtaParams(f1=params.f1, f2=np.zeros_like(params.f2),
                      a=tuple(np.zeros_like(v) for v in params.a))
-    ev = evaluate_true(zero, ch, target, noise)
+    ev = evaluate_true(zero, ch, target, noise, budget)
     assert ev.nmse == pytest.approx(1.0, rel=1e-12)
 
 
@@ -450,7 +460,7 @@ def test_pilot_power_ordering_of_nmse():
             plan = PilotPlan(pilot_power=p_p, rep=(1, 1, 1), tau_min=(4, 5, 6))
             est = inject_error(ch, plan, noise, 500 + seed)
             res = solve(est, target, noise, budget)
-            nmses.append(evaluate_true(res.params, ch, target, noise).nmse)
+            nmses.append(evaluate_true(res.params, ch, target, noise, budget).nmse)
         wins += nmses[1] <= nmses[0]
     assert wins >= 0.8 * total
 
@@ -479,7 +489,7 @@ def plain_ao(est, target, noise, budget, maps):
     F2* changes the objective by -tr(E G E^H), E = F2 - F2*, G = B B^H + R."""
     caps = budget.p_relay
     f1 = np.sqrt(budget.p_max_bs / est.n_tx) * np.eye(est.n_tx, target.in_dim, dtype=complex)
-    cur = Cascade(est, [None] * est.num_groups, f1, noise=noise, caps=caps)
+    cur = Cascade(est, [None] * est.num_groups, f1, None, noise, caps)
     cur = Cascade(est, cur.a, f1, update_f2(cur, target), noise, caps)
     trace = [objective(cur, target)]
 
@@ -572,8 +582,7 @@ def test_solve_from_a_start(seed, groups, n, direct, cap_scale, maps):
     budget = PowerBudget.uniform(groups, float(n), 2.0 * cap_scale)
     f1 = cn(rng, (n, n))
     f1 *= np.sqrt(rng.uniform(0.01, 1.0) * budget.p_max_bs / np.vdot(f1, f1).real)
-    gains = Cascade(ch, [cn(rng, (k,)) for k in groups], f1, noise=noise,
-                    caps=budget.p_relay).a
+    gains = Cascade(ch, [cn(rng, (k,)) for k in groups], f1, None, noise, budget.p_relay).a
     start = OtaParams(f1=f1, f2=cn(rng, (n, n)), a=gains)
     cfg = solver.SolverConfig(max_outer_iters=maps)
     warm = solve(ch, target, noise, budget, cfg, start=start)
@@ -602,7 +611,7 @@ def test_solve_projects_a_start_like_an_extrapolated_point():
     res = solve(ch, target, noise, budget, solver.SolverConfig(max_outer_iters=1),
                 start=start)
     scaled = f1 * np.sqrt(budget.p_max_bs / np.vdot(f1, f1).real)
-    cas = Cascade(ch, list(start.a), scaled, noise=noise, caps=budget.p_relay)
+    cas = Cascade(ch, list(start.a), scaled, None, noise, budget.p_relay)
     cas = Cascade(ch, cas.a, scaled, update_f2(cas, target), noise, budget.p_relay)
     assert res.objective_trace[0] == objective(cas, target)
     assert any(got is not given for got, given in zip(cas.a, start.a))  # caps bind
