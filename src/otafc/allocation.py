@@ -13,6 +13,7 @@ import numpy as np
 from .channel import HopStatistics
 from .estimation import PilotPlan
 from .topology import Topology
+from .utils import integer
 
 
 class Heuristic(str, Enum):
@@ -75,11 +76,9 @@ def allocate(heuristic: Heuristic, topology: Topology, excess_budget: int,
     discarded.
     """
     heuristic = Heuristic(heuristic)
-    if excess_budget < 0:
-        raise ValueError("excess budget cannot be negative")
+    remaining = integer(excess_budget, 0, "excess budget")
     tau_min = tau_minimums(topology)
     rep = np.ones(tau_min.size, dtype=int)
-    remaining = int(excess_budget)
     while True:
         w = heuristic_weights(heuristic, rep, tau_min, stats)
         w[tau_min > remaining] = 0.0  # a block that no longer fits; w is this step's own

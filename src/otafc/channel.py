@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .topology import BS_RX_HEIGHT_M, RELAY_HEIGHT_M, Placement
-from .utils import complex_normal, hermitize, read_only
+from .utils import complex_normal, hermitize, positive, positive_real, read_only
 
 SPEED_OF_LIGHT = 299_792_458.0
 RICEAN_KAPPA_DB = 0.0  # Ricean K-factor of the direct link
@@ -33,8 +33,8 @@ class PathlossParams:
     model: str = "nlos"
 
     def __post_init__(self):
-        if not 0 < self.carrier_ghz < np.inf:  # NaN too
-            raise ValueError("carrier frequency must be positive and finite")
+        object.__setattr__(self, "carrier_ghz",
+                           positive_real(self.carrier_ghz, "carrier frequency"))
         if self.model not in ("nlos", "los", "mixed"):
             raise ValueError(f"unknown pathloss model {self.model!r}")
 
@@ -47,12 +47,10 @@ class NoiseModel:
     rx_noise_var: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "relay_noise_var", tuple(float(v) for v in self.relay_noise_var)
-        )
-        # `not 0 < v < inf` also refuses NaN
-        if not all(0 < v < np.inf for v in self.relay_noise_var + (self.rx_noise_var,)):
-            raise ValueError("noise variances must be positive and finite")
+        object.__setattr__(self, "relay_noise_var", tuple(
+            positive_real(v, "noise variances") for v in self.relay_noise_var))
+        object.__setattr__(self, "rx_noise_var",
+                           positive_real(self.rx_noise_var, "noise variances"))
 
 
 def noise_power_watts(psd_dbm_per_hz: float = -174.0, bandwidth_hz: float = 300e6) -> float:
@@ -177,7 +175,7 @@ class HopStatistics:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", read_only(self.beta, float))
-        if not np.all((0 < self.beta) & (self.beta < np.inf)):  # NaN too
+        if not positive(self.beta):
             raise ValueError("average hop gains must be positive and finite")
 
 
@@ -231,6 +229,12 @@ def check_gains(ch: ChannelSet, gains) -> tuple:
     return tuple(np.asarray(a) for a in gains)
 
 
+def check_noise_model(ch: ChannelSet, noise: NoiseModel) -> None:
+    """ValueError unless noise has one relay variance per group of ch."""
+    if len(noise.relay_noise_var) != ch.num_groups:
+        raise ValueError("noise model group count must match the channel set")
+
+
 # A gain within 8 ulps of its limit sits at the limit: one rounding of the
 # clip a * limit / |a| can leave |a| an ulp or two above the limit.
 _CLIP_SLACK = 1.0 + 8.0 * np.finfo(float).eps
@@ -269,8 +273,7 @@ class Cascade:
 
     def __init__(self, ch: ChannelSet, gains, f1: np.ndarray, f2: np.ndarray,
                  noise: NoiseModel, caps=None):
-        if len(noise.relay_noise_var) != ch.num_groups:
-            raise ValueError("noise model group count must match the channel set")
+        check_noise_model(ch, noise)
         self._walk(ch, gains, f1, f2, noise, caps, None)
 
     def moved(self, gains, f1: np.ndarray, f2: np.ndarray) -> "Cascade":

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, NoiseModel
-from .utils import complex_normal
+from .channel import ChannelSet, NoiseModel, check_noise_model
+from .utils import complex_normal, integer, positive_real
 
 
 @dataclass(frozen=True)
@@ -34,16 +34,12 @@ class PilotPlan:
     tau_min: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rep", tuple(int(m) for m in self.rep))
-        object.__setattr__(self, "tau_min", tuple(int(t) for t in self.tau_min))
-        if not 0 < self.pilot_power < np.inf:  # NaN too; perfect CSI is estimator: perfect
-            raise ValueError("pilot power must be positive and finite")
+        # perfect CSI is the estimator "perfect", not an infinite pilot power
+        object.__setattr__(self, "pilot_power", positive_real(self.pilot_power, "pilot power"))
+        for key in ("rep", "tau_min"):
+            object.__setattr__(self, key, tuple(integer(v, 1, key) for v in getattr(self, key)))
         if len(self.rep) != len(self.tau_min):
             raise ValueError("rep and tau_min must have equal length")
-        if any(t < 1 for t in self.tau_min):
-            raise ValueError("minimum pilot lengths must be >= 1")
-        if any(m < 1 for m in self.rep):
-            raise ValueError("repetition factors must be >= 1")
 
     @property
     def tau(self) -> tuple:
@@ -92,6 +88,7 @@ def _per_phase(ch: ChannelSet, plan: PilotPlan, noise: NoiseModel, rng_seed,
     present, hops 2..L, the last hop), so a seed maps to the same draws.
     A blocked direct link stays exactly zero.
     """
+    check_noise_model(ch, noise)
     L = ch.num_groups
     if plan.num_phases != L + 1:
         raise ValueError(f"plan has {plan.num_phases} phases, channel needs {L + 1}")

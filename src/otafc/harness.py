@@ -32,7 +32,7 @@ from .inference import (SyntheticTask, TaskSamples, draw_samples, make_synthetic
 from .solver import (OtaParams, PowerBudget, SolveResult, SolverConfig,
                      TargetLayer, evaluate_true, solve)
 from .topology import Topology, generate_placement
-from .utils import complex_normal
+from .utils import complex_normal, integer, positive, real
 
 _MASK64 = (1 << 64) - 1
 
@@ -111,19 +111,6 @@ class ExperimentConfig:
                 for values in itertools.product(*(sorted(getattr(self, a)) for a in axes))]
 
 
-def _integer(v):
-    if isinstance(v, bool) or not (isinstance(v, (int, np.integer))
-                                   or isinstance(v, float) and v.is_integer()):
-        raise ValueError(f"must be an integer, got {v!r}")
-    return int(v)
-
-
-def _real(v):
-    if isinstance(v, bool):  # float(True) is 1.0
-        raise ValueError(f"must be a number, got {v!r}")
-    return float(v)
-
-
 def _boolean(v):
     if not isinstance(v, bool):  # bool("false") is True
         raise ValueError(f"must be true or false, got {v!r}")
@@ -131,12 +118,13 @@ def _boolean(v):
 
 
 def _reader(cast, ok=None, want=None):
-    """A key's reader: cast the value (a TypeError or ValueError says why it
-    cannot be), then refuse a value that fails ok, described by want."""
+    """A key's reader: cast the value (a TypeError, ValueError or, for an
+    integer too large for a float, OverflowError says why it cannot be),
+    then refuse a value that fails ok, described by want."""
     def read(label, value):
         try:
             value = cast(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{label}: {exc}") from exc
         if ok is not None and not ok(value):  # NaN fails every comparison
             raise ConfigError(f"{label} must be {want}, got {value!r}")
@@ -145,34 +133,35 @@ def _reader(cast, ok=None, want=None):
 
 
 def _at_least(low):
-    return _reader(_integer, lambda v: v >= low, f">= {low}")
+    return _reader(integer, lambda v: v >= low, f">= {low}")
 
 
 def _one_of(choices):
     return _reader(str, lambda v: v in choices, "one of " + ", ".join(choices))
 
 
-_POSITIVE = _reader(_real, lambda v: 0 < v < np.inf, "positive and finite")
+_POSITIVE = _reader(real, positive, "positive and finite")
 
 # Every key a config file may hold, as section -> key -> reader; "" is the
 # root. A reader checks both the type and the range of its key. A section
 # in _NESTED fills the fields of its own dataclass, which checks their
-# ranges; every other key is the name of an ExperimentConfig field. Floats
-# are read with _real, which refuses booleans but takes the strings YAML
+# ranges; every other key is the name of an ExperimentConfig field. Counts
+# are read with utils.integer and floats with utils.real, as the library
+# constructors read them; real refuses booleans but takes the strings YAML
 # leaves for numbers such as 3.0e8. The sweep section lists the axes.
 _KEYS = {
     "": {"estimator": _one_of(("ls", "inject", "perfect")), "trials": _at_least(1),
-         "base_seed": _reader(_integer), "workers": _at_least(1)},
+         "base_seed": _reader(integer), "workers": _at_least(1)},
     "topology": {"n_antennas": _at_least(1), "direct_link": _reader(_boolean),
                  "area_m": _POSITIVE},
-    "pathloss": {"carrier_ghz": _reader(_real), "model": _reader(str)},
-    "noise": {"psd_dbm_per_hz": _reader(_real, np.isfinite, "finite"),
+    "pathloss": {"carrier_ghz": _reader(real), "model": _reader(str)},
+    "noise": {"psd_dbm_per_hz": _reader(real, np.isfinite, "finite"),
               "bandwidth_hz": _POSITIVE},
     "power": {"bs_max_w": _POSITIVE, "relay_w": _POSITIVE},
-    "solver": {"max_outer_iters": _reader(_integer),
-               "objective_tolerance": _reader(_real)},
+    "solver": {"max_outer_iters": _reader(integer),
+               "objective_tolerance": _reader(real)},
     "task": {"num_classes": _at_least(2),
-             "sample_noise_var": _reader(_real, lambda v: 0 <= v < np.inf,
+             "sample_noise_var": _reader(real, lambda v: positive(v, zero=True),
                                          "finite and >= 0"),
              "num_samples": _at_least(1)},
     "sweep": {"heuristic": _one_of(tuple(h.value for h in Heuristic)),
@@ -190,7 +179,9 @@ def _read(section: str, key: str, value):
         return read(label, value)
     values = tuple(read(label, v)
                    for v in (value if isinstance(value, (list, tuple)) else [value]))
-    if not values or len(set(values)) < len(values):  # a repeat gives two rows one key
+    # rows, chains and seeds are keyed by the _fmt text, so two values that
+    # print alike would give two rows one key
+    if not values or len({_fmt(v) for v in values}) < len(values):
         raise ConfigError(f"{label} must be a non-empty list of distinct values, got {values!r}")
     return values
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import Cascade, ChannelSet, NoiseModel
 from .solver import OtaParams, TargetLayer
-from .utils import complex_normal, read_only
+from .utils import complex_normal, integer, positive_real, read_only
 
 
 def _link(params: OtaParams, true_ch: ChannelSet, noise: NoiseModel) -> tuple:
@@ -117,14 +117,13 @@ class SyntheticTask:
     def __post_init__(self):
         object.__setattr__(self, "class_means", read_only(self.class_means))
         object.__setattr__(self, "classifier_head", read_only(self.classifier_head))
-        if self.num_classes < 2:
-            raise ValueError("need at least two classes")
+        object.__setattr__(self, "num_classes", integer(self.num_classes, 2, "num_classes"))
+        object.__setattr__(self, "sample_noise_var", positive_real(
+            self.sample_noise_var, "sample noise variance", zero=True))
         if self.class_means.shape[0] != self.num_classes:
             raise ValueError("one mean vector per class required")
         if self.classifier_head.shape[0] != self.num_classes:
             raise ValueError("one classifier row per class required")
-        if not 0 <= self.sample_noise_var < np.inf:  # NaN too
-            raise ValueError("sample noise variance must be finite and >= 0")
 
 
 def make_synthetic_task(target: TargetLayer, num_classes: int = 10,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Cascade, ChannelSet, NoiseModel, check_gains
-from .utils import hermitize, read_only
+from .utils import hermitize, integer, positive, positive_real, read_only
 
 
 class SolverDivergenceError(RuntimeError):
@@ -73,11 +73,9 @@ class PowerBudget:
     p_relay: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "p_relay", tuple(read_only(p, float) for p in self.p_relay)
-        )
-        caps = (self.p_max_bs,) + self.p_relay
-        if not all(np.all((0 < p) & (p < np.inf)) for p in caps):  # NaN too
+        object.__setattr__(self, "p_max_bs", positive_real(self.p_max_bs, "power budgets"))
+        object.__setattr__(self, "p_relay", tuple(read_only(p, float) for p in self.p_relay))
+        if not all(positive(p) for p in self.p_relay):
             raise ValueError("power budgets must be positive and finite")
 
     @classmethod
@@ -92,11 +90,10 @@ class SolverConfig:
     objective_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not 0 < self.objective_tolerance < np.inf:  # NaN too
-            raise ValueError("tolerances must be positive and finite")
-        n = self.max_outer_iters
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"max_outer_iters must be an integer >= 1, got {n!r}")
+        object.__setattr__(self, "objective_tolerance",
+                           positive_real(self.objective_tolerance, "tolerances"))
+        object.__setattr__(self, "max_outer_iters",
+                           integer(self.max_outer_iters, 1, "max_outer_iters"))
 
 
 @dataclass(eq=False)  # == is identity: fields are arrays

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .utils import read_only
+from .utils import integer, positive_real, read_only
 
 BS_RX_HEIGHT_M = 5.0
 RELAY_HEIGHT_M = 1.5
@@ -36,19 +36,16 @@ class Topology:
     area_depth: float = 100.0
 
     def __post_init__(self):
-        object.__setattr__(self, "group_sizes", tuple(int(k) for k in self.group_sizes))
-        if min(self.n_tx, self.n_rx, self.n_stream) < 1:
-            raise ValueError("antenna and stream counts must be >= 1")
-        if self.num_groups < 1:
-            raise ValueError(f"need at least one relay group, got {self.num_groups}")
+        for name in ("n_tx", "n_rx", "n_stream", "num_groups"):
+            object.__setattr__(self, name, integer(getattr(self, name), 1, name))
+        object.__setattr__(self, "group_sizes",
+                           tuple(integer(k, 1, "group size") for k in self.group_sizes))
         if len(self.group_sizes) != self.num_groups:
             raise ValueError(
                 f"expected {self.num_groups} group sizes, got {len(self.group_sizes)}"
             )
-        if any(k < 1 for k in self.group_sizes):
-            raise ValueError(f"every group needs >= 1 relay, got {self.group_sizes}")
-        if not (0 < self.area_width < np.inf and 0 < self.area_depth < np.inf):  # NaN too
-            raise ValueError("area dimensions must be positive and finite")
+        for name in ("area_width", "area_depth"):
+            object.__setattr__(self, name, positive_real(getattr(self, name), name))
 
 
 @dataclass(frozen=True, eq=False)  # == is identity: fields are arrays

@@ -1,6 +1,46 @@
-"""Shared numeric helpers: complex Gaussian draws, Hermitization, read-only copies."""
+"""Shared helpers: the reading rules for counts and reals, complex Gaussian
+draws, Hermitization, read-only copies.
+
+The config readers and the library constructors read a count with integer
+and a real with real, and check a range with positive, so a value is read
+the same way wherever it enters.
+"""
 
 import numpy as np
+
+
+def integer(v, low=None, name="") -> int:
+    """v as an int: an int, a numpy integer or an integral float, never a
+    bool (int(True) is 1), and >= low when low is given; else ValueError."""
+    if (isinstance(v, bool) or not (isinstance(v, (int, np.integer))
+                                    or isinstance(v, float) and v.is_integer())
+            or low is not None and v < low):
+        at_least = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{at_least}, got {v!r}".lstrip())
+    return int(v)
+
+
+def real(v, name="") -> float:
+    """v as a float, never a bool (float(True) is 1.0); a numeric string reads."""
+    if isinstance(v, bool):
+        raise ValueError(f"{name} must be a number, got {v!r}".lstrip())
+    return float(v)
+
+
+def positive(v, zero=False) -> bool:
+    """Whether every entry of v, a number or an array, is finite and > 0, or
+    >= 0 with zero; NaN is neither."""
+    v = np.asarray(v, dtype=float)
+    return bool((((v >= 0) if zero else (v > 0)) & (v < np.inf)).all())
+
+
+def positive_real(v, name: str, zero=False) -> float:
+    """v read by real and checked by positive; a ValueError starts with name."""
+    v = real(v, name)
+    if not positive(v, zero):
+        want = "finite and >= 0" if zero else "positive and finite"
+        raise ValueError(f"{name} must be {want}, got {v!r}")
+    return v
 
 
 def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndarray:
@@ -9,8 +49,7 @@ def complex_normal(rng: np.random.Generator, shape, var: float = 1.0) -> np.ndar
     Real and imaginary parts each carry var/2 so the per-entry second
     moment E|x|^2 equals var.
     """
-    if var < 0:
-        raise ValueError(f"variance must be nonnegative, got {var}")
+    var = positive_real(var, "variance", zero=True)
     if isinstance(shape, (int, np.integer)):
         shape = (shape,)
     z = rng.standard_normal((2, *shape))  # real parts first, as two draws of `shape`

@@ -244,3 +244,14 @@ def test_phase_count_mismatch_rejected():
         estimate_all(ch, _plan((3, 4)), noise, 0)
     with pytest.raises(ValueError):
         inject_error(ch, _plan((3, 4)), noise, 0)
+
+
+@pytest.mark.parametrize("estimator", [estimate_all, inject_error])
+@pytest.mark.parametrize("groups", [1, 3])
+def test_estimators_refuse_a_noise_model_for_another_group_count(estimator, groups):
+    # three relay variances on two groups would estimate the last hop at the
+    # third relay's variance, not the receiver's; one would index past it
+    ch = random_channel_set(np.random.default_rng(11), 3, 3, (4, 4))
+    noise = NoiseModel(relay_noise_var=(5.0,) * groups, rx_noise_var=1e-12)
+    with pytest.raises(ValueError, match="noise model group count must match the channel set"):
+        estimator(ch, _plan((3, 4, 4)), noise, 0)

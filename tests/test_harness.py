@@ -110,6 +110,7 @@ def test_config_rejects_bad_values():
     ({"task": {"sample_noise_var": float("inf")}}, "sample_noise_var must be finite"),
     ({"pathloss": {"carrier_ghz": float("inf")}}, "carrier frequency must be positive and finite"),
     ({"solver": {"objective_tolerance": float("inf")}}, "tolerances must be positive and finite"),
+    ({"sweep": {"pilot_power": [10 ** 400]}}, "sweep.pilot_power: int too large to convert"),
 ])
 def test_strict_schema_fails_before_any_trial(tmp_path, monkeypatch, tree, message):
     with pytest.raises(ConfigError, match=message):
@@ -134,6 +135,9 @@ def test_strict_schema_fails_before_any_trial(tmp_path, monkeypatch, tree, messa
      "sweep.excess_budget must be a non-empty list of distinct values, got (30, 30)"),
     ({"pilot_power": (1, 1.0)}, {"sweep": {"pilot_power": [1, 1.0]}},
      "sweep.pilot_power must be a non-empty list of distinct values, got (1.0, 1.0)"),
+    # rows, chains and trial seeds are keyed by 9 significant digits
+    ({"pilot_power": (0.1, 0.1000000001)}, {"sweep": {"pilot_power": [0.1, 0.1000000001]}},
+     "sweep.pilot_power must be a non-empty list of distinct values, got (0.1, 0.1000000001)"),
     ({"heuristic": ("uniform", "all_first", "uniform")},
      {"sweep": {"heuristic": ["uniform", "all_first", "uniform"]}},
      "sweep.heuristic must be a non-empty list of distinct values"),
