@@ -135,9 +135,6 @@ def test_strict_schema_fails_before_any_trial(tmp_path, monkeypatch, tree, messa
      "sweep.excess_budget must be a non-empty list of distinct values, got (30, 30)"),
     ({"pilot_power": (1, 1.0)}, {"sweep": {"pilot_power": [1, 1.0]}},
      "sweep.pilot_power must be a non-empty list of distinct values, got (1.0, 1.0)"),
-    # rows, chains and trial seeds are keyed by 9 significant digits
-    ({"pilot_power": (0.1, 0.1000000001)}, {"sweep": {"pilot_power": [0.1, 0.1000000001]}},
-     "sweep.pilot_power must be a non-empty list of distinct values, got (0.1, 0.1000000001)"),
     ({"heuristic": ("uniform", "all_first", "uniform")},
      {"sweep": {"heuristic": ["uniform", "all_first", "uniform"]}},
      "sweep.heuristic must be a non-empty list of distinct values"),
@@ -166,6 +163,9 @@ def test_strict_schema_fails_before_any_trial(tmp_path, monkeypatch, tree, messa
      "pathloss must be a PathlossParams, got {'model': 'los'}"),
     ({"solver": {"max_outer_iters": 3}}, None,
      "solver must be a SolverConfig, got {'max_outer_iters': 3}"),
+    # rows, chains and trial seeds are keyed by 9 significant digits
+    ({"pilot_power": (0.1, 0.1000000001)}, {"sweep": {"pilot_power": [0.1, 0.1000000001]}},
+     "sweep.pilot_power must be a non-empty list of distinct values, got (0.1, 0.1000000001)"),
 ])
 def test_config_built_in_code_is_checked_like_a_file(tmp_path, monkeypatch, kw, tree, message):
     with pytest.raises(ConfigError, match=re.escape(message)) as in_code:
