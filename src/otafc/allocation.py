@@ -58,10 +58,9 @@ def heuristic_weights(heuristic: Heuristic, rep, tau_min,
     if heuristic is Heuristic.CHANNEL_AWARE:
         if stats is None:
             raise ValueError("channel_aware weights need hop statistics")
-        beta = np.asarray(stats.beta, dtype=float)
-        if beta.size != m.size:
-            raise ValueError(f"expected {m.size} hop gains, got {beta.size}")
-        return 1.0 / (beta * m * tau_min)
+        if stats.beta.size != m.size:
+            raise ValueError(f"expected {m.size} hop gains, got {stats.beta.size}")
+        return 1.0 / (stats.beta * m * tau_min)
     w = np.zeros(m.size)
     w[0] = 1.0
     return w

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .topology import BS_RX_HEIGHT_M, RELAY_HEIGHT_M, Placement
-from .utils import complex_normal, hermitize, positive, positive_real, read_only
+from .utils import complex_normal, hermitize, positive_real, read_each, read_only
 
 SPEED_OF_LIGHT = 299_792_458.0
 RICEAN_KAPPA_DB = 0.0  # Ricean K-factor of the direct link
@@ -132,9 +132,9 @@ class ChannelSet:
     chain: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "h_direct", read_only(self.h_direct, complex))
-        object.__setattr__(self, "h_hop", tuple(read_only(h, complex) for h in self.h_hop))
-        object.__setattr__(self, "h_last", read_only(self.h_last, complex))
+        object.__setattr__(self, "h_direct", read_only(self.h_direct, complex, "h_direct"))
+        object.__setattr__(self, "h_hop", read_each(self.h_hop, complex, "h_hop"))
+        object.__setattr__(self, "h_last", read_only(self.h_last, complex, "h_last"))
         if not self.h_hop:
             raise ValueError("need at least one hop matrix")
         for l in range(len(self.h_hop) - 1):
@@ -174,9 +174,7 @@ class HopStatistics:
     beta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", read_only(self.beta, float))
-        if not positive(self.beta):
-            raise ValueError("average hop gains must be positive and finite")
+        object.__setattr__(self, "beta", read_only(self.beta, float, "beta", True))
 
 
 def _hop_gains(placement: Placement, params: PathlossParams) -> tuple:

@@ -115,8 +115,8 @@ class SyntheticTask:
     classifier_head: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "class_means", read_only(self.class_means))
-        object.__setattr__(self, "classifier_head", read_only(self.classifier_head))
+        for name in ("class_means", "classifier_head"):
+            object.__setattr__(self, name, read_only(getattr(self, name), None, name))
         object.__setattr__(self, "num_classes", integer(self.num_classes, 2, "num_classes"))
         object.__setattr__(self, "sample_noise_var", positive_real(
             self.sample_noise_var, "sample noise variance", zero=True))
@@ -230,7 +230,7 @@ class ImportedPipeline:
 
     def __post_init__(self):
         for name, code in _TENSOR_SPECS:
-            wide = read_only(getattr(self, name), complex if code == _C64 else float)
+            wide = read_only(getattr(self, name), complex if code == _C64 else float, name)
             object.__setattr__(self, name, wide)
         if self.conv_kernel.ndim != 4 or self.conv_kernel.shape[0] != 2:
             raise ValueError("conv kernel must be (2, in_ch, kh, kw)")
@@ -304,7 +304,10 @@ def load_pipeline(path) -> ImportedPipeline:
     missing = codes.keys() - tensors.keys()
     if missing:
         raise ValueError(f"{path}: missing tensors {sorted(missing)}")
-    return ImportedPipeline(**{k: v for k, v in tensors.items() if k in codes})
+    try:
+        return ImportedPipeline(**{k: v for k, v in tensors.items() if k in codes})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @lru_cache(maxsize=32)

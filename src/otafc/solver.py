@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Cascade, ChannelSet, NoiseModel, check_gains
-from .utils import hermitize, integer, positive, positive_real, read_only
+from .utils import hermitize, integer, positive_real, read_each, read_only
 
 
 class SolverDivergenceError(RuntimeError):
@@ -31,14 +31,12 @@ class TargetLayer:
     bias: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "w", read_only(self.w, complex))
-        object.__setattr__(self, "bias", read_only(self.bias, complex))
+        object.__setattr__(self, "w", read_only(self.w, complex, "w"))
+        object.__setattr__(self, "bias", read_only(self.bias, complex, "bias"))
         if self.w.ndim != 2:
             raise ValueError("weight matrix must be 2-D")
         if self.bias.shape != (self.w.shape[0],):
             raise ValueError("bias length must match the output dimension")
-        if not (np.isfinite(self.w).all() and np.isfinite(self.bias).all()):
-            raise ValueError("target layer entries must be finite")
 
     @property
     def out_dim(self) -> int:
@@ -59,9 +57,9 @@ class OtaParams:
     a: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "f1", read_only(self.f1))
-        object.__setattr__(self, "f2", read_only(self.f2))
-        object.__setattr__(self, "a", tuple(read_only(v, complex) for v in self.a))
+        object.__setattr__(self, "f1", read_only(self.f1, None, "f1"))
+        object.__setattr__(self, "f2", read_only(self.f2, None, "f2"))
+        object.__setattr__(self, "a", read_each(self.a, complex, "a"))
 
 
 @dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
@@ -74,9 +72,7 @@ class PowerBudget:
 
     def __post_init__(self):
         object.__setattr__(self, "p_max_bs", positive_real(self.p_max_bs, "power budgets"))
-        object.__setattr__(self, "p_relay", tuple(read_only(p, float) for p in self.p_relay))
-        if not all(positive(p) for p in self.p_relay):
-            raise ValueError("power budgets must be positive and finite")
+        object.__setattr__(self, "p_relay", read_each(self.p_relay, float, "p_relay", True))
 
     @classmethod
     def uniform(cls, group_sizes, p_max_bs: float, relay_w: float) -> "PowerBudget":
@@ -300,10 +296,6 @@ def _check_start(ch: ChannelSet, target: TargetLayer, start: OtaParams) -> None:
         check_gains(ch, start.a)
     except ValueError as exc:
         raise ValueError(f"start gains: {exc}") from None
-    for name, arr in (("F1", start.f1), ("F2", start.f2),
-                      *((f"gain vector {l}", a) for l, a in enumerate(start.a))):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"start {name} has non-finite entries")
 
 
 def _capped(ch: ChannelSet, gains, f1: np.ndarray, f2: np.ndarray,
@@ -326,8 +318,8 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     extrapolated point is below: its F1 scaled into the power ball and its
     gains fitted by a capped Cascade on these estimates. Either way F2 then
     takes its closed-form update. A start whose shapes do not fit the
-    problem, or that holds a non-finite entry, raises ValueError before
-    any map.
+    problem raises ValueError before any map (its OtaParams has already
+    refused a non-finite entry).
 
     One AO map is an F1 -> a_1..a_L -> F2 pass. A precoder or gain block
     move shifts the incident powers of downstream relays, so each candidate

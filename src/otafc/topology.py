@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .utils import integer, positive_real, read_only
+from .utils import integer, positive_real, read_each, read_only
 
 BS_RX_HEIGHT_M = 5.0
 RELAY_HEIGHT_M = 1.5
@@ -60,10 +60,10 @@ class Placement:
     relay_positions: tuple  # one (K_l, 3) array per group
 
     def __post_init__(self):
-        object.__setattr__(self, "bs_position", read_only(self.bs_position, float))
-        object.__setattr__(self, "rx_position", read_only(self.rx_position, float))
+        for name in ("bs_position", "rx_position"):
+            object.__setattr__(self, name, read_only(getattr(self, name), float, name))
         object.__setattr__(self, "relay_positions",
-                           tuple(read_only(p, float) for p in self.relay_positions))
+                           read_each(self.relay_positions, float, "relay_positions"))
 
 
 def region_bounds(topology: Topology, group: int):

@@ -1,9 +1,10 @@
-"""Shared helpers: the reading rules for counts and reals, complex Gaussian
-draws, Hermitization, read-only copies.
+"""Shared helpers: the reading rules for counts, reals and arrays, complex
+Gaussian draws, Hermitization.
 
 The config readers and the library constructors read a count with integer
-and a real with real, and check a range with positive, so a value is read
-the same way wherever it enters.
+and a real with real, and check a range with positive; the constructors
+keep every array as read by read_only. So a value is read the same way
+wherever it enters.
 """
 
 import numpy as np
@@ -64,8 +65,26 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def read_only(a, dtype=None) -> np.ndarray:
-    """A read-only copy of a, as dtype when given; a itself is not touched."""
-    out = np.array(a, dtype=dtype)
+def _numeric(a) -> bool:
+    """Whether a is a number or a numeric array, or a list or tuple of them;
+    a bool is not a number (np.asarray([True, 2.0]) hides it, so lists are
+    scanned)."""
+    return (all(map(_numeric, a)) if isinstance(a, (list, tuple))
+            else np.asarray(a).dtype.kind in "iufc")
+
+
+def read_only(a, dtype, name: str, above_zero=False) -> np.ndarray:
+    """A read-only copy of a, as dtype unless None; a itself is not touched.
+    ValueError naming name unless every entry is a finite number, never a
+    bool, and with above_zero also > 0."""
+    out = np.array(a, dtype=dtype) if _numeric(a) else None
+    if out is None or not (positive(out) if above_zero else np.isfinite(out).all()):
+        want = "positive and finite" if above_zero else "finite"
+        raise ValueError(f"{name} entries must be {want} numbers, not booleans")
     out.flags.writeable = False
     return out
+
+
+def read_each(arrays, dtype, name: str, above_zero=False) -> tuple:
+    """read_only of each array in turn, the l-th named name[l]."""
+    return tuple(read_only(a, dtype, f"{name}[{l}]", above_zero) for l, a in enumerate(arrays))

@@ -570,13 +570,15 @@ def _corrupt(raw, case):
         return _with_record(raw, "conv_bias", [5, 6])
     if case == "a byte after the last tensor":
         return raw + b"\0"
+    if case == "a NaN in the last tensor":  # fc_out_bias, float32, ends the file
+        return raw[:-4] + np.float32(np.nan).tobytes()
     code = {"code 7": 7, "complex code on a float tensor": 1}[case]
     return raw[:code_at] + bytes([code]) + raw[code_at + 1:]
 
 
 @pytest.mark.parametrize("case", ["cut at 6 bytes", "cut in the last tensor", "code 7",
                                   "complex code on a float tensor", "conv_bias twice",
-                                  "a byte after the last tensor"])
+                                  "a byte after the last tensor", "a NaN in the last tensor"])
 def test_pipeline_rejects_corrupt_file_naming_it(tmp_path, case):
     path = tmp_path / "weights.otaw"
     save_pipeline(_random_pipeline(4), path)

@@ -641,10 +641,10 @@ def _poisoned(arr, at, value):
     (lambda s: dict(a=s.a[:1]), "start gains: expected 2 gain vectors, got 1"),
     (lambda s: dict(a=s.a + s.a[:1]), "start gains: expected 2 gain vectors, got 3"),
     (lambda s: dict(a=(s.a[0], s.a[1][:5])), r"start gains: gain vector 1 must have shape \(6,\)"),
-    (lambda s: dict(f1=_poisoned(s.f1, 3, np.nan)), "start F1 has non-finite entries"),
-    (lambda s: dict(f2=_poisoned(s.f2, 0, np.inf)), "start F2 has non-finite entries"),
+    (lambda s: dict(f1=_poisoned(s.f1, 3, np.nan)), "f1 entries must be finite numbers"),
+    (lambda s: dict(f2=_poisoned(s.f2, 0, np.inf)), "f2 entries must be finite numbers"),
     (lambda s: dict(a=(s.a[0], _poisoned(s.a[1], 2, complex(0, np.nan)))),
-     "start gain vector 1 has non-finite entries"),
+     r"a\[1\] entries must be finite numbers"),
 ], ids=["f1-transposed", "f1-narrow", "f2-transposed", "one-gain-short", "one-gain-extra",
         "gain-length", "f1-nan", "f2-inf", "gain-nan"])
 def test_solve_refuses_a_malformed_start_before_any_map(monkeypatch, change, message):

@@ -11,8 +11,13 @@ pair, the side, the checkout's directory name, its commit (when it is a
 git work tree), and the JSON object that perfbench
 printed last; `run` names the invocation by its start time. `summary`
 reads such lines and prints, for each invocation, per metric, the median
-and quartiles of each side and how many pairs the change wins, taking the
-direction of each metric from the BENCHMARK.json beside this directory.
+and quartiles of each side, how many pairs the change wins (a tie wins for
+neither side) and a verdict, taking the direction and bound of each metric
+from the BENCHMARK.json beside this directory. The verdict is `gain` when
+the change wins at least 9 in 10 pairs and its median beats the base median
+by more than the base side's quartile distance; `worse` when its median is
+worse than the base median by more than the metric's bound, a share of the
+base median (per-layer metrics have none); `no change` otherwise.
 """
 
 import argparse
@@ -70,10 +75,13 @@ def run_pairs(args):
             out.close()
 
 
-def _better():
+def _metrics():
+    """name -> (better, bound) of every BENCHMARK.json metric; bound None
+    for the per-layer ones."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return {m["name"]: (m["better"], m.get("bound"))
+            for m in spec["end_to_end"] + spec["per_layer"]}
 
 
 def _quartiles(values):
@@ -83,8 +91,17 @@ def _quartiles(values):
     return q1, q2, q3
 
 
+def _verdict(wins, pairs, gain, base_iqr, base_median, bound):
+    """gain is the change's median minus the base's, signed so > 0 is better."""
+    if 10 * wins >= 9 * pairs and gain > base_iqr:
+        return "gain"
+    if bound is not None and -gain > bound * abs(base_median):
+        return "worse"
+    return "no change"
+
+
 def summarise(args):
-    better = _better()
+    metrics = _metrics()
     groups = {}  # (run, workload, seed, trace) -> pair -> side -> record
     for path in args.files:
         with open(path, encoding="utf-8") as fh:
@@ -110,12 +127,15 @@ def summarise(args):
             vals = {s: [p[s].get(name) for p in full] for s in SIDES}
             if any(v is None for s in SIDES for v in vals[s]):
                 continue
-            sign = 1.0 if better.get(name, "lower") == "higher" else -1.0
+            better, bound = metrics.get(name, ("lower", None))
+            sign = 1.0 if better == "higher" else -1.0
             wins = sum(sign * (c - b) > 0 for b, c in zip(vals["base"], vals["change"]))
             (b1, b2, b3), (c1, c2, c3) = (_quartiles(vals[s]) for s in SIDES)
+            verdict = _verdict(wins, len(full), sign * (c2 - b2), b3 - b1, b2, bound)
             print(f"  {name}: base {b2:.6g} [{b1:.6g}, {b3:.6g}]  "
                   f"change {c2:.6g} [{c1:.6g}, {c3:.6g}]  "
-                  f"ratio {c2 / b2 if b2 else float('nan'):.4f}  wins {wins}/{len(full)}")
+                  f"ratio {c2 / b2 if b2 else float('nan'):.4f}  wins {wins}/{len(full)}  "
+                  f"{verdict}")
 
 
 def main(argv=None):
@@ -130,7 +150,7 @@ def main(argv=None):
     r.add_argument("--seconds", type=float, default=30.0)
     r.add_argument("--trace", type=int, choices=(0, 1), default=0)
     r.add_argument("--out", help="append the JSON lines here instead of stdout")
-    s = sub.add_parser("summary", help="medians, quartiles and wins per metric")
+    s = sub.add_parser("summary", help="medians, quartiles, wins and verdict per metric")
     s.add_argument("files", nargs="+")
     args = p.parse_args(argv)
     if args.command == "run":
