@@ -132,7 +132,9 @@ def make_synthetic_task(target: TargetLayer, num_classes: int = 10,
 
     The head is the pseudo-inverse of the digital class templates
     W mu_c + b, so noiseless digital samples score as one-hot vectors.
+    num_classes is read by utils.integer (>= 2) before any draw.
     """
+    num_classes = integer(num_classes, 2, "num_classes")
     rng = np.random.default_rng(rng_seed)
     means = complex_normal(rng, (num_classes, target.in_dim))
     templates = target.w @ means.T + target.bias[:, None]
@@ -160,7 +162,9 @@ class TaskSamples:
 def draw_samples(task: SyntheticTask, target: TargetLayer, num_samples: int,
                  rng_seed) -> TaskSamples:
     """num_samples labelled draws of the task: from one generator, the
-    labels, then the sample noise, then the receiver-noise normals."""
+    labels, then the sample noise, then the receiver-noise normals.
+    num_samples is read by utils.integer before any draw."""
+    num_samples = integer(num_samples, None, "num_samples")
     if num_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(rng_seed)
@@ -217,6 +221,11 @@ class ImportedPipeline:
     complex FC (the OTA-replaceable layer) -> complex ReLU ->
     complex-to-real -> real FC head. Each tensor is a read-only float64 or
     complex128 copy of the one given; the weight file holds float32/complex64.
+    fc_out_weight's columns read [Re; Im] of the FC output: Re_0 .. Re_{M-1},
+    then Im_0 .. Im_{M-1}. head is the same matrix with its columns
+    interleaved (Re_0, Im_0, Re_1, ...), the order of a complex vector's
+    float view. It is derived by every construction, read-only, and neither
+    a dataclass field nor part of the weight file.
     """
 
     conv_kernel: np.ndarray   # (2, in_channels, kh, kw) real
@@ -242,10 +251,15 @@ class ImportedPipeline:
         m = self.fc_mid_weight.shape[0]
         if self.fc_mid_bias.shape != (m,):
             raise ValueError("middle FC bias length must match its output")
-        if self.fc_out_weight.shape[1] != 2 * m:
+        if self.fc_out_weight.ndim != 2 or self.fc_out_weight.shape[1] != 2 * m:
             raise ValueError("output FC must consume 2x the complex feature count")
-        if self.fc_out_bias.shape != (self.fc_out_weight.shape[0],):
+        classes = self.fc_out_weight.shape[0]
+        if self.fc_out_bias.shape != (classes,):
             raise ValueError("output FC bias length mismatch")
+        head = self.fc_out_weight.reshape(classes, 2, m).transpose(0, 2, 1)
+        head = head.reshape(classes, 2 * m)
+        head.flags.writeable = False
+        object.__setattr__(self, "head", head)  # kept out of repr, fields and the file
 
     @property
     def target_layer(self) -> TargetLayer:
@@ -313,40 +327,47 @@ def load_pipeline(path) -> ImportedPipeline:
 @lru_cache(maxsize=32)
 def _window_index(in_ch: int, height: int, width: int, kh: int, kw: int,
                   stride: int, padding: int) -> np.ndarray:
-    """Flat pixel index of every (channel, kernel tap, output row, output column).
+    """Flat pixel index of every (output pixel, channel, kernel tap).
 
-    The result has shape (in_ch * kh * kw, out_h, out_w), channel c and tap
-    (i, j) at (c * kh + i) * kw + j. Entries index the image flattened
-    channel-major; a tap that falls in the zero padding points at
-    in_ch * height * width, the zero appended after the last pixel.
+    The result has shape (out_h * out_w, in_ch * kh * kw): one row per output
+    pixel, in row-major order, and channel c and tap (i, j) in column
+    (c * kh + i) * kw + j, the column order of the kernel's rows. Entries
+    index the image flattened channel-major; a tap that falls in the zero
+    padding points at in_ch * height * width, the zero appended after the
+    last pixel.
     """
     out_h = (height + 2 * padding - kh) // stride + 1
     out_w = (width + 2 * padding - kw) // stride + 1
     if out_h < 1 or out_w < 1:
         raise ValueError(f"{kh}x{kw} kernel does not fit a {height}x{width} "
                          f"image padded by {padding}")
-    r = (np.arange(kh)[:, None] + stride * np.arange(out_h) - padding)[:, None, :, None]
-    c = (np.arange(kw)[:, None] + stride * np.arange(out_w) - padding)[None, :, None, :]
+    r = stride * np.arange(out_h)[:, None] + np.arange(kh) - padding  # (out_h, kh)
+    c = stride * np.arange(out_w)[:, None] + np.arange(kw) - padding  # (out_w, kw)
+    r, c = r[:, None, None, :, None], c[None, :, None, None, :]
     inside = (r >= 0) & (r < height) & (c >= 0) & (c < width)
-    chan = height * width * np.arange(in_ch)[:, None, None, None, None]
+    chan = height * width * np.arange(in_ch)[:, None, None]
     idx = np.where(inside, chan + r * width + c, in_ch * height * width)
-    idx = idx.reshape(in_ch * kh * kw, out_h, out_w)
+    idx = idx.reshape(out_h * out_w, in_ch * kh * kw)
     idx.flags.writeable = False
     return idx
 
 
 def _conv2d(image: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
             stride: int, padding: int) -> np.ndarray:
-    """Strided valid convolution (cross-correlation) after zero padding."""
+    """Strided valid convolution (cross-correlation) after zero padding.
+
+    Channels last: the result is (out_h * out_w, out_ch), one row per output
+    pixel in row-major order.
+    """
     image = image[None] if image.ndim == 2 else image
     out_ch, in_ch, kh, kw = kernel.shape
     if image.shape[0] != in_ch:
         raise ValueError(f"expected {in_ch} input channels, got {image.shape[0]}")
     idx = _window_index(in_ch, image.shape[1], image.shape[2], kh, kw, stride, padding)
     flat = np.concatenate((image.reshape(-1), np.zeros(1, image.dtype)))
-    out = kernel.reshape(out_ch, -1) @ flat[idx].reshape(len(idx), -1)
-    out += bias[:, None]
-    return out.reshape(out_ch, *idx.shape[1:])
+    out = flat[idx] @ kernel.reshape(out_ch, -1).T
+    out += bias
+    return out
 
 
 def _power_normalize(z: np.ndarray) -> None:
@@ -372,12 +393,10 @@ def _pre_layers(pipeline: ImportedPipeline, image: np.ndarray) -> np.ndarray:
     conv = _conv2d(image, pipeline.conv_kernel, pipeline.conv_bias, CONV_STRIDE,
                    CONV_PADDING)
     features = pipeline.fc_mid_weight.shape[1]
-    if conv[0].size != features:
-        raise ValueError(f"conv produced {conv[0].size} complex features, "
+    if len(conv) != features:
+        raise ValueError(f"conv produced {len(conv)} complex features, "
                          f"pipeline expects {features}")
-    z = np.empty(features, dtype=complex)
-    z.real = conv[0].reshape(-1)
-    z.imag = conv[1].reshape(-1)
+    z = conv.view(complex).reshape(-1)  # each pixel's two channels: Re, Im
     z = pipeline.bn_scale * z  # a new array: in place, numpy may take z * scale,
     z += pipeline.bn_shift     # which can round apart from scale * z
     _power_normalize(z)
@@ -387,10 +406,15 @@ def _pre_layers(pipeline: ImportedPipeline, image: np.ndarray) -> np.ndarray:
 
 
 def _post_layers(pipeline: ImportedPipeline, y: np.ndarray) -> np.ndarray:
-    """Complex ReLU, [Re; Im] and the real FC head; overwrites y, (M,) complex."""
+    """Complex ReLU and the real FC head; overwrites y, (M,) complex.
+
+    The ReLU works on the float view of y, whose real and imaginary parts
+    interleave, and the head reads that view: pipeline.head is fc_out_weight
+    with its columns in the same order.
+    """
     parts = y.view(float)
     np.maximum(parts, 0.0, out=parts)
-    scores = pipeline.fc_out_weight @ parts.reshape(-1, 2).T.reshape(-1)
+    scores = pipeline.head @ parts
     scores += pipeline.fc_out_bias
     return scores
 

@@ -65,22 +65,25 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _numeric(a) -> bool:
-    """Whether a is a number or a numeric array, or a list or tuple of them;
-    a bool is not a number (np.asarray([True, 2.0]) hides it, so lists are
-    scanned)."""
-    return (all(map(_numeric, a)) if isinstance(a, (list, tuple))
-            else np.asarray(a).dtype.kind in "iufc")
+def _numeric(a, kinds) -> bool:
+    """Whether a is a number or a numeric array, or a list or tuple of them,
+    of a dtype kind in kinds; a bool is not a number (np.asarray([True, 2.0])
+    hides it, so lists are scanned)."""
+    return (all(_numeric(x, kinds) for x in a) if isinstance(a, (list, tuple))
+            else np.asarray(a).dtype.kind in kinds)
 
 
 def read_only(a, dtype, name: str, above_zero=False) -> np.ndarray:
     """A read-only copy of a, as dtype unless None; a itself is not touched.
     ValueError naming name unless every entry is a finite number, never a
-    bool, and with above_zero also > 0."""
-    out = np.array(a, dtype=dtype) if _numeric(a) else None
+    bool, real when dtype is real (a cast would drop the imaginary part), and
+    with above_zero also > 0."""
+    real = dtype is not None and np.dtype(dtype).kind != "c"
+    out = np.array(a, dtype=dtype) if _numeric(a, "iuf" if real else "iufc") else None
     if out is None or not (positive(out) if above_zero else np.isfinite(out).all()):
         want = "positive and finite" if above_zero else "finite"
-        raise ValueError(f"{name} entries must be {want} numbers, not booleans")
+        raise ValueError(f"{name} entries must be {want}{' real' if real else ''} numbers, "
+                         f"not booleans")
     out.flags.writeable = False
     return out
 

@@ -1,6 +1,6 @@
 import re
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -461,8 +461,8 @@ def test_conv_geometry_produces_49_complex_features():
     img = rng.standard_normal((28, 28))
     kernel = rng.standard_normal((2, 1, 3, 3))
     out = _conv2d(img, kernel, np.zeros(2), stride=4, padding=1)
-    assert out.shape == (2, 7, 7)
-    assert out[0].size == 49  # == N_t in the reference configuration
+    assert out.shape == (49, 2)  # one row per output pixel, channels last
+    assert len(out) == 49  # == N_t in the reference configuration
 
 
 def test_conv_matches_naive_loops():
@@ -472,15 +472,17 @@ def test_conv_matches_naive_loops():
     bias = rng.standard_normal(2)
     out = _conv2d(img, kernel, bias, stride=4, padding=1)
     padded = np.pad(img, 1)
+    assert out.shape == (9, 2)
     for c in range(2):
-        for i in range(out.shape[1]):
-            for j in range(out.shape[2]):
+        for i in range(3):
+            for j in range(3):
                 want = np.sum(padded[4 * i:4 * i + 3, 4 * j:4 * j + 3] * kernel[c, 0]) + bias[c]
-                assert out[c, i, j] == pytest.approx(want, rel=1e-12)
+                assert out[3 * i + j, c] == pytest.approx(want, rel=1e-12)
 
 
 def _naive_conv(img, kernel, bias, stride, padding):
-    """Padded loops: the conv and, per output, the sum of absolute terms."""
+    """Padded loops: the conv and, per output, the sum of absolute terms,
+    each (out_ch, out_h, out_w)."""
     padded = np.pad(img, ((0, 0), (padding, padding), (padding, padding)))
     kh, kw = kernel.shape[2:]
     out_h = (padded.shape[1] - kh) // stride + 1
@@ -513,8 +515,8 @@ def test_conv_matches_naive_padded_loops_property(data):
     bias = rng.standard_normal(out_ch)
     want, mag = _naive_conv(img, kernel, bias, stride, padding)
     out = _conv2d(img[0] if in_ch == 1 else img, kernel, bias, stride, padding)
-    assert out.shape == want.shape
-    assert np.all(np.abs(out - want) <= 1e-12 * mag)
+    assert out.shape == (want[0].size, out_ch)
+    assert np.all(np.abs(out.T - want.reshape(out_ch, -1)) <= 1e-12 * mag.reshape(out_ch, -1))
     wrong = data.draw(st.sampled_from([c for c in (1, 2, 3, 4) if c != in_ch]))
     with pytest.raises(ValueError, match="input channels"):
         _conv2d(rng.standard_normal((wrong, height, width)), kernel, bias,
@@ -602,6 +604,9 @@ def test_pipeline_shape_validation():
                          bn_scale=pipe.bn_scale[:-1], bn_shift=pipe.bn_shift,
                          fc_mid_weight=pipe.fc_mid_weight, fc_mid_bias=pipe.fc_mid_bias,
                          fc_out_weight=pipe.fc_out_weight, fc_out_bias=pipe.fc_out_bias)
+    for weight in (pipe.fc_out_weight[0], pipe.fc_out_weight[..., None]):  # not (C, 2M)
+        with pytest.raises(ValueError, match="output FC must consume"):
+            replace(pipe, fc_out_weight=weight)
 
 
 def test_imported_forward_layer_substitution_identity():
@@ -639,39 +644,13 @@ def test_imported_forward_deterministic_batch():
     assert all(np.array_equal(a, b) for a, b in zip(s1, s2))
 
 
-# The front end and head as the image pipeline ran them before each conv
-# became one gather over all channels and the pairing and the complex ReLU
-# worked in place: the bit-exact oracle of _pre_layers and _post_layers.
+# The plain form of the image pipeline after the conv: the reference the
+# library's front end and head are compared with, stage by stage. Its conv
+# reference is _naive_conv above.
 
-def oracle_window_index(height, width, kh, kw, stride, padding):
-    """Flat index, into one channel with a zero appended, of every tap."""
-    out_h = (height + 2 * padding - kh) // stride + 1
-    out_w = (width + 2 * padding - kw) // stride + 1
-    rows = np.arange(kh)[:, None] + stride * np.arange(out_h) - padding
-    cols = np.arange(kw)[:, None] + stride * np.arange(out_w) - padding
-    r = rows[:, None, :, None]
-    c = cols[None, :, None, :]
-    inside = (r >= 0) & (r < height) & (c >= 0) & (c < width)
-    return np.where(inside, r * width + c, height * width).reshape(kh * kw, out_h, out_w)
-
-
-def oracle_conv2d(image, kernel, bias, stride, padding):
-    if image.ndim == 2:
-        image = image[None, :, :]
-    out_ch, in_ch, kh, kw = kernel.shape
-    height, width = image.shape[1], image.shape[2]
-    idx = oracle_window_index(height, width, kh, kw, stride, padding)
-    flat = np.zeros((in_ch, height * width + 1), dtype=image.dtype)
-    flat[:, :-1] = image.reshape(in_ch, -1)
-    taps = flat[:, idx].reshape(in_ch * kh * kw, -1)
-    out = kernel.reshape(out_ch, -1) @ taps + bias[:, None]
-    return out.reshape(out_ch, *idx.shape[1:])
-
-
-def oracle_features(pipe, image, stride, padding):
-    """Conv, conv[0] + 1j conv[1], batch norm and power normalization."""
-    conv = oracle_conv2d(np.asarray(image, dtype=float), pipe.conv_kernel,
-                         pipe.conv_bias, stride, padding)
+def oracle_features(pipe, conv):
+    """conv[0] + 1j conv[1] of a (2, ...) conv output, batch norm and power
+    normalization."""
     z = (conv[0] + 1j * conv[1]).ravel()
     z = pipe.bn_scale * z + pipe.bn_shift
     mean_power = np.vdot(z, z).real / z.size
@@ -684,9 +663,19 @@ def oracle_head(pipe, y):
     return pipe.fc_out_weight @ np.concatenate([y.real, y.imag]) + pipe.fc_out_bias
 
 
+def head_bound(pipe, y):
+    """2 n eps (|W| @ |v| + |b|), v the ReLU'd [Re; Im] of y and n = 2M + 1
+    the terms of each score: twice the rounding bound of a sum of n terms
+    added in any order, so any two orders of the head's sums differ by less."""
+    v = np.concatenate([np.maximum(y.real, 0.0), np.maximum(y.imag, 0.0)])
+    n = v.size + 1
+    return 2 * n * np.finfo(float).eps * (np.abs(pipe.fc_out_weight) @ v
+                                         + np.abs(pipe.fc_out_bias))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_image_pipeline_matches_the_oracle_bit_for_bit_property(data):
+def test_image_pipeline_matches_the_plain_form_stage_by_stage_property(data):
     # random pipelines: 1-3 input channels, kernels of 1-4, stride 1-4,
     # padding 0-2, the feature count matched to the middle FC layer, and
     # random OTA designs; some images are all zero with a zero conv bias and
@@ -720,43 +709,102 @@ def test_image_pipeline_matches_the_oracle_bit_for_bit_property(data):
     noise = NoiseModel(relay_noise_var=tuple(rng.uniform(0.01, 1.0, len(sizes))),
                        rx_noise_var=rng.uniform(0.01, 1.0))
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
-    z = oracle_features(pipe, img, stride, padding)
-    assert not zero or not z.any()
+    seen = {}  # the features and the FC output each forward pass hands on
+
+    def pre(p, image):
+        seen["z"] = pre_layers(p, image)
+        return seen["z"]
+
+    def post(p, y):
+        seen["y"] = y.copy()  # before the ReLU overwrites it
+        return post_layers(p, y)
 
     def check(image, way):
-        """Score image one way; equal to the oracle bit for bit."""
-        z = oracle_features(pipe, image, stride, padding)
+        """Score image one way, comparing each stage with the plain form."""
+        conv = _conv2d(image, pipe.conv_kernel, pipe.conv_bias, stride, padding)
+        want_conv, mag = _naive_conv(image.reshape(in_ch, height, width), pipe.conv_kernel,
+                                     pipe.conv_bias, stride, padding)
+        assert np.all(np.abs(conv.T - want_conv.reshape(2, -1)) <= 1e-12 * mag.reshape(2, -1))
+        z = oracle_features(pipe, conv.T)  # from the library's conv output
         if way == "dig":
-            want_dig = oracle_head(pipe, pipe.fc_mid_weight @ z + pipe.fc_mid_bias)
-            assert np.array_equal(digital_forward(pipe, image), want_dig)
-            return
-        # a single vector runs as the batch of one it used to be run as
-        want_gen, got_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-        want_ota = oracle_head(pipe, ota_forward(z[:, None], params, ch, noise, want_gen,
-                                                 bias=pipe.fc_mid_bias)[:, 0])
-        got_ota = imported_forward(pipe, image, params, ch, noise, got_gen)
-        assert np.array_equal(got_ota, want_ota)
-        assert got_gen.bit_generator.state == want_gen.bit_generator.state
+            got = digital_forward(pipe, image)
+            want_y = pipe.fc_mid_weight @ z + pipe.fc_mid_bias
+        else:
+            # a single vector runs as the batch of one it used to be run as
+            want_gen, got_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = imported_forward(pipe, image, params, ch, noise, got_gen)
+            want_y = ota_forward(z[:, None], params, ch, noise, want_gen,
+                                 bias=pipe.fc_mid_bias)[:, 0]
+            assert got_gen.bit_generator.state == want_gen.bit_generator.state
+        assert np.array_equal(seen.pop("z"), z)
+        assert np.array_equal(seen.pop("y"), want_y)
+        assert np.all(np.abs(got - oracle_head(pipe, want_y)) <= head_bound(pipe, want_y))
+        return z
 
     # the image both ways in both orders, each way twice in a row, then once
     # more after an in-place edit of the image between two calls
+    pre_layers, post_layers = inference._pre_layers, inference._post_layers
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inference, "CONV_STRIDE", stride)
         mp.setattr(inference, "CONV_PADDING", padding)
+        mp.setattr(inference, "_pre_layers", pre)
+        mp.setattr(inference, "_post_layers", post)
         for way in ("ota", "dig", "dig", "ota", "ota", "dig"):
-            check(img, way)
+            z = check(img, way)
+        assert not zero or not z.any()
         img.flat[data.draw(st.integers(0, img.size - 1))] += 1.0
         for way in ("dig", "ota"):
             check(img, way)
 
 
+@settings(max_examples=200, deadline=None)
+@given(classes=st.integers(1, 12), m=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_interleaved_head_matches_the_concatenated_head_property(classes, m, seed):
+    # random (classes, M) heads on FC outputs with parts of either sign and
+    # of mixed scale, so the ReLU zeroes some and the sums cancel in part
+    rng = np.random.default_rng(seed)
+    pipe = replace(
+        _random_pipeline(0, n=m, classes=classes),
+        fc_out_weight=rng.standard_normal((classes, 2 * m)) * 10.0 ** rng.uniform(-3, 3),
+        fc_out_bias=rng.standard_normal(classes))
+    y = cn(rng, (m,)) * 10.0 ** rng.uniform(-3, 3, m)
+    assert np.all(np.abs(inference._post_layers(pipe, y.copy()) - oracle_head(pipe, y))
+                  <= head_bound(pipe, y))
 
-def oracle_scores(pipe, image, ch, params, noise, seed):
-    """The oracle's OTA scores for noise seed seed, and its digital scores,
-    at the default conv geometry."""
-    z = oracle_features(pipe, image, inference.CONV_STRIDE, inference.CONV_PADDING)
-    y = ota_forward(z[:, None], params, ch, noise, seed, bias=pipe.fc_mid_bias)[:, 0]
-    return oracle_head(pipe, y), oracle_head(pipe, pipe.fc_mid_weight @ z + pipe.fc_mid_bias)
+
+def test_the_head_is_derived_read_only_and_never_written(tmp_path):
+    pipe = _random_pipeline(12, n=5, classes=3)
+    w = pipe.fc_out_weight
+    assert np.array_equal(pipe.head[:, 0::2], w[:, :5]) and np.array_equal(pipe.head[:, 1::2],
+                                                                          w[:, 5:])
+    assert not pipe.head.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        pipe.head[0, 0] = 1.0
+    assert "head" not in repr(pipe) and "head" not in {f.name for f in fields(pipe)}
+    # every construction derives its own from its own fc_out_weight
+    other = replace(pipe, fc_out_weight=-w)
+    assert np.array_equal(other.head, -pipe.head)
+    path, again = tmp_path / "weights.otaw", tmp_path / "again.otaw"
+    save_pipeline(pipe, path)
+    raw = path.read_bytes()
+    assert struct.unpack_from("<I", raw, 8) == (8,) and b"head" not in raw
+    back = load_pipeline(path)
+    assert back.head is not pipe.head and np.array_equal(back.head, pipe.head)
+    assert not back.head.flags.writeable
+    save_pipeline(back, again)  # save -> load -> save: the same bytes
+    assert again.read_bytes() == raw
+
+
+def cold(pipe):
+    """A fresh pipeline of the same tensors: its front-end memo is empty."""
+    return replace(pipe)
+
+
+def cold_scores(pipe, image, ch, params, noise, seed):
+    """The OTA scores for noise seed seed, and the digital scores, of image
+    on a fresh pipeline of pipe's tensors, each scored with nothing memoized."""
+    return (imported_forward(cold(pipe), image, params, ch, noise, seed),
+            digital_forward(cold(pipe), image))
 
 
 def small_design(rng, n=49):
@@ -773,8 +821,7 @@ def test_front_end_features_are_read_only_and_shared_by_content():
     with pytest.raises(ValueError):
         z[0] = 0
     assert inference._pre_layers(pipe, img.copy()) is z
-    assert np.array_equal(z, oracle_features(pipe, img, inference.CONV_STRIDE,
-                                             inference.CONV_PADDING))
+    assert np.array_equal(z, inference._pre_layers(cold(pipe), img))
 
 
 def test_a_pipeline_never_reads_another_pipelines_front_end():
@@ -783,7 +830,7 @@ def test_a_pipeline_never_reads_another_pipelines_front_end():
     img = rng.standard_normal((28, 28))
     ch, params, noise = small_design(rng)
     for pipe in pipes + pipes:
-        want_ota, want_dig = oracle_scores(pipe, img, ch, params, noise, 5)
+        want_ota, want_dig = cold_scores(pipe, img, ch, params, noise, 5)
         assert np.array_equal(imported_forward(pipe, img, params, ch, noise, 5), want_ota)
         assert np.array_equal(digital_forward(pipe, img), want_dig)
 
@@ -793,7 +840,7 @@ def test_a_2d_image_and_its_one_channel_twin_both_score_right():
     pipe = _random_pipeline(10)
     img = rng.standard_normal((28, 28))
     ch, params, noise = small_design(rng)
-    want_ota, want_dig = oracle_scores(pipe, img, ch, params, noise, 6)
+    want_ota, want_dig = cold_scores(pipe, img, ch, params, noise, 6)
     for image in (img, img[None], img, img[None]):
         assert np.array_equal(digital_forward(pipe, image), want_dig)
         assert np.array_equal(imported_forward(pipe, image, params, ch, noise, 6), want_ota)
@@ -807,9 +854,7 @@ def test_front_end_follows_the_conv_geometry_in_force(monkeypatch):
     for stride, padding in ((1, 0), (2, 3), (1, 0)):
         monkeypatch.setattr(inference, "CONV_STRIDE", stride)
         monkeypatch.setattr(inference, "CONV_PADDING", padding)
-        z = oracle_features(pipe, img, stride, padding)
-        assert np.array_equal(digital_forward(pipe, img),
-                              oracle_head(pipe, pipe.fc_mid_weight @ z + pipe.fc_mid_bias))
+        assert np.array_equal(digital_forward(pipe, img), digital_forward(cold(pipe), img))
 
 # Captured on the pipeline, channel draw, image and noise seed below: the
 # digital scores from the pad-and-window conv the gather replaced, the OTA

@@ -2,7 +2,7 @@
 config readers use (otafc.utils.integer, real and positive): a value a
 config file may not hold is refused in code too, never truncated. Every
 array a constructor keeps is read by otafc.utils.read_only: finite numbers,
-never booleans."""
+never booleans, and never complex for a real field."""
 
 import re
 
@@ -14,7 +14,9 @@ from hypothesis.extra import numpy as hnp
 
 from otafc import (ChannelSet, Heuristic, HopStatistics, ImportedPipeline, NoiseModel,
                    OtaParams, PilotPlan, Placement, PowerBudget, SolverConfig,
-                   SyntheticTask, TargetLayer, Topology, allocate, config_from_dict)
+                   SyntheticTask, TargetLayer, Topology, allocate, config_from_dict,
+                   make_synthetic_task)
+from otafc.inference import draw_samples
 from otafc.utils import complex_normal, read_only
 
 
@@ -88,6 +90,30 @@ _ARRAY_REFUSALS = [
                       ("nan", _poisoned(good, 0, np.nan)),
                       ("inf", _poisoned(good, -1, -np.inf)))]
 
+def _imaginary(good):
+    """good as a complex array with 1j added to its first entry."""
+    out = np.array(good, dtype=complex)
+    out.flat[0] += 1j
+    return out
+
+
+# a complex entry for a real field is refused, not cast to its real part
+_COMPLEX_REFUSALS = [
+    pytest.param(_refused(field, _ARRAYS[field][1], bad), id=f"{field}-{case}")
+    for field in ("p_relay[0]", "beta", "bs_position", "relay_positions[0]", "conv_bias")
+    for case, bad in (("complex-array", _imaginary(_ARRAYS[field][0])),
+                      ("complex-zero-imag", _ARRAYS[field][0].astype(complex)),
+                      ("complex-in-list", [1j, *_ARRAYS[field][0].tolist()[1:]]))]
+
+
+def _target():
+    return TargetLayer(np.ones((2, 3)), np.zeros(2))
+
+
+def _draw(num_samples):
+    target = _target()
+    return draw_samples(make_synthetic_task(target, 2, rng_seed=0), target, num_samples, 1)
+
 
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: PilotPlan(1.0, (1.5, 1), (4, 3)), id="rep-1.5"),
@@ -120,6 +146,13 @@ _ARRAY_REFUSALS = [
     pytest.param(_refused("bias", lambda v: TargetLayer(np.ones((1, 1)), v), [None]),
                  id="bias-None"),
     *_ARRAY_REFUSALS,
+    *_COMPLEX_REFUSALS,
+    pytest.param(_refused("num_classes", lambda v: make_synthetic_task(_target(), v), 3.5),
+                 id="num_classes-3.5"),
+    pytest.param(_refused("num_classes", lambda v: make_synthetic_task(_target(), v), True),
+                 id="num_classes-True"),
+    pytest.param(_refused("num_samples", _draw, 2.5), id="num_samples-2.5"),
+    pytest.param(_refused("num_samples", _draw, True), id="num_samples-True"),
 ])
 def test_constructors_refuse_what_the_readers_refuse(build):
     with pytest.raises(ValueError):
@@ -134,6 +167,11 @@ def test_integral_floats_read_as_integers():
     assert allocate(Heuristic.UNIFORM, top, 8.0) == allocate(Heuristic.UNIFORM, top, 8)
     assert SolverConfig(max_outer_iters=2.0).max_outer_iters == 2
     assert _task(num_classes=2.0).num_classes == 2
+    target = _target()
+    task = make_synthetic_task(target, 3.0, rng_seed=0)
+    assert type(task.num_classes) is int and task.num_classes == 3
+    drawn, want = draw_samples(task, target, 2.0, 1), draw_samples(task, target, 2, 1)
+    assert all(np.array_equal(getattr(drawn, f), getattr(want, f)) for f in ("labels", "x", "z"))
     assert all(type(v) is int for v in (*plan.rep, *plan.tau_min, top.n_tx, top.num_groups,
                                          *top.group_sizes))
 

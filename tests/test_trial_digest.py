@@ -66,14 +66,30 @@ def test_against_joins_image_digests_on_the_image_index(tmp_path):
     assert proc.stdout.splitlines() == [
         "0 trials in both, 1 only in this, 0 only in other",
         "4 images in both, 1 only in this, 1 only in other",
-        "image_inference agreement +0.25 +- 0.48 lower 1 higher 2 of 4"]
+        "image_inference agreement +0.25 +- 0.48 lower 1 higher 2 of 4",
+        "image_inference argmax changed ota 4 digital 1 of 4"]
     saved = tmp_path / "saved.txt"
     saved.write_text(_digest("--workload", "image_inference", "--images", "3").stdout)
     proc = _digest("--workload", "image_inference", "--images", "3", "--against", str(saved))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "3 images in both, 0 only in this, 0 only in other",
-        "image_inference agreement +0 +- 0 lower 0 higher 0 of 3"]
+        "image_inference agreement +0 +- 0 lower 0 higher 0 of 3",
+        "image_inference argmax changed ota 0 digital 0 of 3"]
+
+
+def test_against_counts_argmax_flips_that_agreement_hides(tmp_path):
+    # image 0 flips both argmaxes and still agrees, image 1 flips its OTA
+    # argmax only, image 2 its digital argmax only, image 3 neither
+    this, other = tmp_path / "this.txt", tmp_path / "other.txt"
+    this.write_text(_image(0, 4, 4) + _image(1, 2, 1) + _image(2, 3, 6) + _image(3, 5, 5))
+    other.write_text(_image(0, 3, 3) + _image(1, 1, 1) + _image(2, 3, 3) + _image(3, 5, 5))
+    proc = subprocess.run([sys.executable, str(TOOL), str(this), "--against", str(other)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [
+        "image_inference agreement -0.5 +- 0.29 lower 2 higher 0 of 4",
+        "image_inference argmax changed ota 2 digital 2 of 4"]
 
 
 def test_against_refuses_a_line_that_is_no_digest_line(tmp_path):

@@ -32,8 +32,10 @@ point, trial), image lines on (workload, image). Instead of the lines it
 prints one line per workload and metric (nmse, ota_acc and iterations of a
 trial; of an image, the 0/1 indicator that the OTA and digital argmax
 agree) with the mean paired difference this - other, its standard error,
-and how many pairs this has lower and higher. Pairs with a failed trial (an
-error status) and lines in only one digest are counted, not compared.
+and how many pairs this has lower and higher. For images it also prints how
+many changed their OTA argmax and how many their digital argmax, which the
+agreement hides when both sides flip. Pairs with a failed trial (an error
+status) and lines in only one digest are counted, not compared.
 """
 
 import argparse
@@ -94,7 +96,7 @@ def paired_summary(this, other) -> list:
 
     Trial lines are joined on (workload, sweep, point, trial) and compared on
     METRICS; image lines are joined on (workload, image) and compared on the
-    indicator that the OTA and digital argmax agree.
+    indicator that the OTA and digital argmax agree, and on each argmax.
     """
     out = []
     this_t, other_t = _table(this, TRIAL), _table(other, TRIAL)
@@ -113,9 +115,12 @@ def paired_summary(this, other) -> list:
         joined, head = _joined(this_i, other_i, "images")
         out.append(head)
         for name in dict.fromkeys(key[0] for key in joined):
+            keys = [k for k in joined if k[0] == name]
             diff = [(this_i[k][3] == this_i[k][4]) - (other_i[k][3] == other_i[k][4])
-                    for k in joined if k[0] == name]
+                    for k in keys]
             out.append(_paired(name, "agreement", diff))
+            ota, dig = (sum(this_i[k][i] != other_i[k][i] for k in keys) for i in (3, 4))
+            out.append(f"{name} argmax changed ota {ota} digital {dig} of {len(keys)}")
     return out
 
 
