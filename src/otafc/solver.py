@@ -92,12 +92,30 @@ class SolverConfig:
                            integer(self.max_outer_iters, 1, "max_outer_iters"))
 
 
+# A block whose last FAILS_TO_REST tries failed sits out the next REST_MAPS
+# maps (shrinking, Joachims 1999); see solve.
+FAILS_TO_REST = 2
+REST_MAPS = 1
+
+
+@dataclass(frozen=True)
+class BlockTally:
+    """The maps in which one AO block moved, failed and sat out. A try
+    fails when the accept rule refuses the block's candidate, or when
+    update_a hands back the incumbent's own gains."""
+
+    moved: int = 0
+    failed: int = 0
+    rested: int = 0
+
+
 @dataclass(eq=False)  # == is identity: fields are arrays
 class SolveResult:
     params: OtaParams
     objective_trace: np.ndarray
     iterations: int
     status: str  # converged | max_iters
+    tallies: tuple = ()  # BlockTally of F1, then of a_1..a_L; F2 always moves
 
     @property
     def terminal_objective(self) -> float:
@@ -336,7 +354,16 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     x2's objective. So every iterate is feasible and the trace, the
     incumbent's objective after each map, is non-increasing. iterations
     counts the maps, stabilizing ones included; the relative-decrease test
-    follows plain maps only, so up to two maps solve is the plain AO.
+    follows plain maps only.
+
+    F1 and each gain block keep a count of their consecutive failed tries
+    (see BlockTally); a move resets it. A block whose count reaches
+    FAILS_TO_REST sits out the next REST_MAPS maps, plain or stabilizing,
+    and then runs again; F2, which always moves, runs in every map. Only a
+    map that ran every block may end the solve as converged: a map that
+    rested a block and passed the relative-decrease test clears every
+    count and starts a fresh SQUAREM cycle. No block rests before map 3,
+    so up to two maps solve is the plain AO.
 
     A gain move that keeps the incumbent's own gain array is skipped. When
     the candidate keeps every gain array it was given, only a_l has moved,
@@ -372,16 +399,37 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
             return cand, cand_obj
         return incumbent, incumbent_obj
 
+    blocks = est.num_groups + 1  # F1, then a_1..a_L
+    fails = [0] * blocks  # consecutive failed tries
+    rest = [0] * blocks  # maps left to sit out
+    tally = [[0, 0, 0] for _ in range(blocks)]  # moved, failed, rested
+
     def sweep(cur, obj):
-        """One AO map: the F1 -> a_1..a_L -> F2 pass from cur."""
-        cur, obj = step(cur, obj, cur.a, update_f1(cur, target, budget), cur.f2)
-        for l in range(1, est.num_groups + 1):
-            a_l, change = update_a(cur, target, l)
-            if a_l is cur.a[l - 1]:
+        """One AO map: the F1 -> a_1..a_L -> F2 pass from cur, in which a
+        resting block sits out."""
+        for b in range(blocks):
+            if rest[b]:
+                rest[b] -= 1
+                tally[b][2] += 1
                 continue
-            a = list(cur.a)
-            a[l - 1] = a_l
-            cur, obj = step(cur, obj, a, cur.f1, cur.f2, change)
+            if b == 0:
+                new, obj = step(cur, obj, cur.a, update_f1(cur, target, budget), cur.f2)
+            else:
+                a_l, change = update_a(cur, target, b)
+                new = cur
+                if a_l is not cur.a[b - 1]:
+                    a = list(cur.a)
+                    a[b - 1] = a_l
+                    new, obj = step(cur, obj, a, cur.f1, cur.f2, change)
+            if new is not cur:
+                tally[b][0] += 1
+                fails[b] = 0
+            else:
+                tally[b][1] += 1
+                fails[b] += 1
+                if fails[b] >= FAILS_TO_REST:
+                    rest[b] = REST_MAPS
+            cur = new
         return step(cur, obj, cur.a, cur.f1, *_f2_move(cur, target))
 
     def flat(cas):
@@ -396,12 +444,16 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     x = []  # the flattened starts of this cycle's two plain maps
     while len(trace) <= cfg.max_outer_iters:
         x.append(flat(cur))
-        prev = obj
+        prev, ran_all = obj, not any(rest)
         cur, obj = sweep(cur, obj)
         trace.append(obj)
         if prev - obj <= cfg.objective_tolerance * max(prev, 1e-300):
-            status = "converged"
-            break
+            if ran_all:
+                status = "converged"
+                break
+            fails[:] = rest[:] = [0] * blocks  # the next map runs every block
+            x = []
+            continue
         if len(x) < 2:
             continue
         (x0, x1), x = x, []
@@ -421,7 +473,8 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
 
     return SolveResult(params=OtaParams(f1=cur.f1, f2=cur.f2, a=cur.a),
                        objective_trace=np.asarray(trace),
-                       iterations=len(trace) - 1, status=status)
+                       iterations=len(trace) - 1, status=status,
+                       tallies=tuple(BlockTally(*t) for t in tally))
 
 
 @dataclass(frozen=True)

@@ -86,3 +86,29 @@ def test_summary_gives_the_claim_verdict(tmp_path, capsys, change, verdict):
     calls = next(line for line in out if "solver.solve.calls" in line)
     assert speed.endswith(f"  {verdict}")
     assert calls.endswith("wins 0/10  no change")
+
+
+def test_summary_leaves_out_failed_runs_and_names_them(tmp_path, capsys):
+    tool = _load_tool()
+    # pair 1's change run failed a check and pair 2's base run crashed: both
+    # pairs leave the medians, and stderr names each run with the counts
+    lines = [_record(pair, side, speed, 1.0) for pair in range(4)
+             for side, speed in (("base", 10.0), ("change", 11.0))]
+    lines[3]["result"].update(correct=False, failed=3)
+    lines[3]["result"]["metrics"]["items_per_s_norm"]["value"] = 1000.0
+    lines[3]["exit"] = 1
+    lines[4].update(exit=1, result=None)
+    path = tmp_path / "pairs.json"
+    path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+
+    assert tool.main(["summary", str(path)]) == 0
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert out[0] == "r1: deep_cascade seed 3 trace 0, base base: 2 pairs"
+    speed = next(line for line in out if "items_per_s_norm" in line)
+    assert "change 11 [11, 11]" in speed and speed.endswith("wins 2/2  gain")
+    assert captured.err.splitlines() == [
+        "r1: failed/attempted base 0/24, change 3/32",
+        "r1: left out pair 1 change: exit 1, correct False",
+        "r1: left out pair 2 base: exit 1, no result",
+    ]

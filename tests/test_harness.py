@@ -324,8 +324,9 @@ def test_run_trial_deterministic():
     assert t1 == t2
 
 
-# Captured from the SQUAREM-accelerated AO, which lands elsewhere than the
-# plain AO did (7, 95 and 57 maps there), and ota_acc from the receiver-side
+# Captured from the SQUAREM-accelerated AO in which a block that failed its
+# last two tries sits out a map, which lands elsewhere than the plain AO did
+# (7, 95 and 57 maps there), and ota_acc from the receiver-side
 # noise draw: a later solver change that moves these moves results the CSV
 # would show.
 GOLDEN_TRIALS = [
@@ -336,12 +337,12 @@ GOLDEN_TRIALS = [
     ({"topology": {"n_antennas": 16, "direct_link": True}, "estimator": "inject",
       "task": {"num_samples": 256}},
      SweepPoint("front_loaded", 200, 1.0, 6, 12), 977,
-     ("converged", 21, 0.2600486245502219, 0.5)),
+     ("converged", 41, 0.26193156832344167, 0.4921875)),
     # reference size (N=49, three groups of 50, no direct link)
     ({"topology": {"n_antennas": 49, "direct_link": False}, "estimator": "ls",
       "task": {"num_samples": 256}},
      SweepPoint("uniform", 600, 1.0, 3, 50), 20260418,
-     ("converged", 22, 0.11462456512217035, 0.9296875)),
+     ("converged", 20, 0.11500518552679101, 0.921875)),
 ]
 
 

@@ -695,8 +695,87 @@ def test_solve_calls_each_block_through_the_module(monkeypatch, direct):
         monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
     res = solve(ch, target, noise, budget)
     assert all(calls.values()), calls
-    assert calls["update_f1"] == res.iterations
+    assert calls["update_f1"] == res.iterations - res.tallies[0].rested  # F1 may sit out
     assert calls["update_f2"] == res.iterations + 1  # the F2 step too, not only the start
+
+
+def _block_maps(mp):
+    """Spy on solve's blocks through mp: {"f1": maps, l: maps}, the maps
+    (1-based, plain and stabilizing) in which F1 and each a_l ran, read
+    from the update_f2 calls before them (one at the start, one per map)."""
+    ran = {"f1": []}
+    f2_calls = [0]
+    real = {name: getattr(solver, name) for name in ("update_f1", "update_a", "update_f2")}
+
+    def update_f1(cas, *args, **kwargs):
+        ran["f1"].append(f2_calls[0])
+        return real["update_f1"](cas, *args, **kwargs)
+
+    def update_a(cas, target, l):
+        ran.setdefault(l, []).append(f2_calls[0])
+        return real["update_a"](cas, target, l)
+
+    def update_f2(*args):
+        f2_calls[0] += 1
+        return real["update_f2"](*args)
+
+    for name, fn in (("update_f1", update_f1), ("update_a", update_a),
+                     ("update_f2", update_f2)):
+        mp.setattr(solver, name, fn)
+    return ran
+
+
+def test_a_block_that_failed_twice_sits_out_one_map(monkeypatch):
+    # F1's candidate (no signal at all) is always refused and hop 1's
+    # update_a always hands back the incumbent's gains: both try in maps
+    # 1-2, sit out map 3, try in map 4, whose failure rests them in map 5
+    rng, ch, noise, target, budget, _ = random_instance(22)
+    ran = _block_maps(monkeypatch)
+    spied_f1, spied_a = solver.update_f1, solver.update_a
+
+    def update_f1(cas, *args, **kwargs):
+        spied_f1(cas, *args, **kwargs)
+        return np.zeros_like(cas.f1)
+
+    def update_a(cas, target, l):
+        result = spied_a(cas, target, l)
+        return (cas.a[0], 0.0) if l == 1 else result
+
+    monkeypatch.setattr(solver, "update_f1", update_f1)
+    monkeypatch.setattr(solver, "update_a", update_a)
+    cfg = solver.SolverConfig(max_outer_iters=5, objective_tolerance=1e-300)
+    res = solve(ch, target, noise, budget, cfg)
+    assert (res.iterations, res.status) == (5, "max_iters")
+    assert ran["f1"] == ran[1] == [1, 2, 4]
+    assert res.tallies[0] == res.tallies[1] == solver.BlockTally(moved=0, failed=3, rested=2)
+    assert_feasible_monotone(res, ch, noise, budget, cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), groups=st.lists(st.integers(1, 5), min_size=1,
+                                                          max_size=4),
+       n=st.integers(1, 4), direct=st.booleans(), cap_scale=st.floats(0.05, 5.0),
+       maps=st.integers(1, 40))
+def test_solve_converges_only_on_a_map_that_ran_every_block(seed, groups, n, direct,
+                                                            cap_scale, maps):
+    # a rested block might still move, so the stopping rule trusts only a
+    # map that tried every block; the tallies account for every map
+    rng = np.random.default_rng(seed)
+    ch = random_channel_set(rng, n, n, groups, direct=direct)
+    noise = NoiseModel(relay_noise_var=tuple(0.05 * rng.uniform(0.5, 1.5, len(groups))),
+                       rx_noise_var=0.05)
+    target = TargetLayer(w=cn(rng, (n, n), 1.0 / n), bias=np.zeros(n))
+    budget = PowerBudget.uniform(groups, float(n), 2.0 * cap_scale)
+    with pytest.MonkeyPatch.context() as mp:
+        ran = _block_maps(mp)
+        res = solve(ch, target, noise, budget, solver.SolverConfig(max_outer_iters=maps))
+    blocks = [ran["f1"]] + [ran[l] for l in range(1, len(groups) + 1)]
+    assert len(res.tallies) == len(blocks)
+    for maps_run, tally in zip(blocks, res.tallies):
+        assert tally.moved + tally.failed == len(maps_run) == res.iterations - tally.rested
+        assert maps_run[:2] == list(range(1, min(res.iterations, 2) + 1))  # no early rest
+    if res.status == "converged":
+        assert all(maps_run[-1] == res.iterations for maps_run in blocks)
 
 
 @pytest.mark.parametrize("direct", [False, True])

@@ -18,6 +18,10 @@ the change wins at least 9 in 10 pairs and its median beats the base median
 by more than the base side's quartile distance; `worse` when its median is
 worse than the base median by more than the metric's bound, a share of the
 base median (per-layer metrics have none); `no change` otherwise.
+A run that exited non-zero, printed no result, or whose result reads
+`correct: false` is left out of its pair; `summary` names each such run by
+pair and side on stderr, after each side's failed/attempted operation
+count summed over the invocation's runs.
 """
 
 import argparse
@@ -100,6 +104,30 @@ def _verdict(wins, pairs, gain, base_iqr, base_median, bound):
     return "no change"
 
 
+def _good(rec):
+    """Whether rec is a run whose perfbench exited 0 with a correct result."""
+    return (rec is not None and rec["exit"] == 0 and rec["result"] is not None
+            and rec["result"].get("correct") is True)
+
+
+def _report_checks(run, pairs):
+    """Each side's failed/attempted operations, and every run left out, on stderr."""
+    totals = []
+    for side in SIDES:
+        results = [p[side]["result"] for p in pairs.values()
+                   if side in p and p[side]["result"] is not None]
+        totals.append(f"{side} {sum(r['failed'] for r in results)}"
+                      f"/{sum(r['attempted'] for r in results)}")
+    print(f"{run}: failed/attempted {', '.join(totals)}", file=sys.stderr)
+    for pair, sides in sorted(pairs.items()):
+        for side, rec in sorted(sides.items()):
+            if not _good(rec):
+                result = rec["result"]
+                why = "no result" if result is None else f"correct {result.get('correct')}"
+                print(f"{run}: left out pair {pair} {side}: exit {rec['exit']}, {why}",
+                      file=sys.stderr)
+
+
 def summarise(args):
     metrics = _metrics()
     groups = {}  # (run, workload, seed, trace) -> pair -> side -> record
@@ -109,12 +137,11 @@ def summarise(args):
                 if not line.strip():
                     continue
                 rec = json.loads(line)
-                if rec["result"] is None:  # perfbench printed nothing
-                    continue
                 key = (rec.get("run", path), rec["workload"], rec["seed"], rec["trace"])
                 groups.setdefault(key, {}).setdefault(rec["pair"], {})[rec["side"]] = rec
     for (run, workload, seed, trace), pairs in groups.items():
-        complete = [p for p in pairs.values() if all(s in p for s in SIDES)]
+        _report_checks(run, pairs)
+        complete = [p for p in pairs.values() if all(_good(p.get(s)) for s in SIDES)]
         if not complete:
             continue
         base = " ".join(filter(None, (complete[0]["base"]["checkout"],
