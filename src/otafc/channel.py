@@ -218,13 +218,14 @@ def draw_channels(placement: Placement, params: PathlossParams, rng_seed) -> Cha
 
 
 def check_gains(ch: ChannelSet, gains) -> tuple:
-    """The gains as arrays; ValueError unless there is one (K_l,) vector per group."""
+    """The gains as arrays; ValueError unless there is one (K_l,) vector per
+    group. A gain may also be None, which only a capped Cascade takes."""
     if len(gains) != ch.num_groups:
         raise ValueError(f"expected {ch.num_groups} gain vectors, got {len(gains)}")
     for l, (a, k) in enumerate(zip(gains, ch.group_sizes)):
-        if np.shape(a) != (k,):
+        if a is not None and np.shape(a) != (k,):
             raise ValueError(f"gain vector {l} must have shape ({k},)")
-    return tuple(np.asarray(a) for a in gains)
+    return tuple(a if a is None else np.asarray(a) for a in gains)
 
 
 def check_noise_model(ch: ChannelSet, noise: NoiseModel) -> None:
@@ -267,12 +268,17 @@ class Cascade:
     With caps, the per-relay power caps of each group, the walk fits each
     gain as it goes to a_l = project(l, a_l), the clip to limit(l) =
     sqrt(cap_l / incident_powers(l)); a gain of None starts at limit(l).
+
+    The constructor checks the gains (check_gains), and a None gain needs
+    caps; moved, the hot path, takes gains of a checked cascade and checks
+    nothing. The per-hop accessors take l in 1..L (stage_noise in 1..L+1)
+    and refuse any other l, so none wraps to the end of a list.
     """
 
     def __init__(self, ch: ChannelSet, gains, f1: np.ndarray, f2: np.ndarray,
                  noise: NoiseModel, caps=None):
         check_noise_model(ch, noise)
-        self._walk(ch, gains, f1, f2, noise, caps, None)
+        self._walk(ch, check_gains(ch, gains), f1, f2, noise, caps, None)
 
     def moved(self, gains, f1: np.ndarray, f2: np.ndarray) -> "Cascade":
         """The cascade of the design (gains, f1, f2) on these channels, noise
@@ -306,8 +312,8 @@ class Cascade:
             self.u.append(m)
             self._p_in.append(base._p_in[l] if shared else None)
             self._limits.append(base._limits[l] if shared else None)
-            if caps is not None and not (shared and self.a[l] is base.a[l]):
-                a = self.a[l]
+            a = self.a[l]  # limit refuses a None gain of an uncapped cascade
+            if (caps is not None or a is None) and not (shared and a is base.a[l]):
                 self.a[l] = self.project(l + 1, self.limit(l + 1).astype(complex)
                                          if a is None else a)
             same.append(base is not None and self.a[l] is base.a[l])
@@ -334,9 +340,11 @@ class Cascade:
     @classmethod
     def of(cls, ch: ChannelSet, params, noise: NoiseModel) -> "Cascade":
         """The cascade of a design (f1, f2 and gains a, as in OtaParams) on ch."""
-        return cls(ch, check_gains(ch, params.a), params.f1, params.f2, noise)
+        return cls(ch, params.a, params.f1, params.f2, noise)
 
     def incident_powers(self, l: int) -> np.ndarray:
+        if not 0 < l <= len(self.a):
+            raise ValueError(f"hop index {l} out of range 1..{len(self.a)}")
         if self._p_in[l - 1] is None:
             # u is a complex matmul product, so its rows read as (re, im)
             # float pairs, and each row's |u|^2 sum is one (1 x 2n)(2n x 1)
@@ -351,6 +359,8 @@ class Cascade:
         its relay caps."""
         if self._caps is None:
             raise ValueError("the cascade has no relay caps; pass caps= when building it")
+        if not 0 < l <= len(self.a):
+            raise ValueError(f"hop index {l} out of range 1..{len(self.a)}")
         if self._limits[l - 1] is None:
             self._limits[l - 1] = np.sqrt(self._caps[l - 1] / self.incident_powers(l))
         return self._limits[l - 1]
@@ -388,6 +398,8 @@ class Cascade:
     def suffix(self, l: int) -> np.ndarray:
         """d[l-1], building only the suffixes from it to d[L-1]."""
         d, L = self._d, len(self.a)
+        if not 0 < l <= L:
+            raise ValueError(f"hop index {l} out of range 1..{L}")
         if not d:
             d.append(self.f2 @ self.ch.h_last)
         for j in range(L - len(d), l - 1, -1):  # _d holds d[L - len(_d):]
@@ -400,6 +412,8 @@ class Cascade:
         return self._d
 
     def stage_noise(self, l: int) -> np.ndarray:
+        if not 0 < l <= len(self.a) + 1:
+            raise ValueError(f"hop index {l} out of range 1..{len(self.a) + 1}")
         variances = self.noise.relay_noise_var + (self.noise.rx_noise_var,)
         if not self._noise:
             self._noise.append(variances[0] * np.eye(self.ch.group_sizes[0], dtype=complex))
@@ -421,9 +435,7 @@ def relay_input_powers(ch: ChannelSet, gains, f1: np.ndarray,
     plus the group's own noise floor; upstream relay noise is excluded by
     construction of the surrogate.
     """
-    if not 1 <= l <= ch.num_groups:
-        raise ValueError(f"hop index {l} out of range 1..{ch.num_groups}")
-    return Cascade(ch, check_gains(ch, gains), f1, None, noise).incident_powers(l)
+    return Cascade(ch, gains, f1, None, noise).incident_powers(l)
 
 
 def hop_statistics(placement: Placement, params: PathlossParams) -> HopStatistics:

@@ -10,7 +10,7 @@ the emulated layer is F2 @ Heff @ F1. The objective and the block updates
 read a design, its channels and its noise model from one channel.Cascade.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -92,21 +92,24 @@ class SolverConfig:
                            integer(self.max_outer_iters, 1, "max_outer_iters"))
 
 
-# A block whose last FAILS_TO_REST tries failed sits out the next REST_MAPS
-# maps (shrinking, Joachims 1999); see solve.
+# A block whose last FAILS_TO_REST tries failed sits out the next map
+# (shrinking, Joachims 1999); see _map.
 FAILS_TO_REST = 2
-REST_MAPS = 1
 
 
-@dataclass(frozen=True)
+@dataclass
 class BlockTally:
     """The maps in which one AO block moved, failed and sat out. A try
     fails when the accept rule refuses the block's candidate, or when
-    update_a hands back the incumbent's own gains."""
+    update_a hands back the incumbent's own gains. streak, the block's
+    consecutive failed tries, and resting, whether it sits out the next
+    map, are the resting rule's live state; == and repr leave them out."""
 
     moved: int = 0
     failed: int = 0
     rested: int = 0
+    streak: int = field(default=0, compare=False, repr=False)
+    resting: bool = field(default=False, compare=False, repr=False)
 
 
 @dataclass(eq=False)  # == is identity: fields are arrays
@@ -278,8 +281,6 @@ def update_a(cas: Cascade, target: TargetLayer, l: int) -> tuple:
     Re[(c - a)^H g (c + a)] - 2 Re b^H (c - a) for the candidate c and the
     current gains a: one matvec.
     """
-    if not 1 <= l <= cas.ch.num_groups:
-        raise ValueError(f"hop index {l} out of range 1..{cas.ch.num_groups}")
     g, b = _gain_quadratic(cas, target, l)
     cur = cas.a[l - 1]
     cand = cas.project(l, _solve_hermitian(g, b))
@@ -325,6 +326,73 @@ def _capped(ch: ChannelSet, gains, f1: np.ndarray, f2: np.ndarray,
     return Cascade(ch, gains, f1, f2, noise, budget.p_relay)
 
 
+def _flat(cas):
+    """The design of cas as one vector [F1, a_1..a_L, F2]."""
+    return np.concatenate([cas.f1.ravel(), *cas.a, cas.f2.ravel()])
+
+
+def _step(cur, obj, target, gains, f1, f2, change=None):
+    """The accept rule: (cand, its objective) for the candidate
+    cur.moved(gains, f1, f2) when its objective is not above obj, else
+    (cur, obj).
+
+    A candidate that keeps every gain array it was given differs from cur
+    in one block only, so with change, that block's exact objective change
+    (update_a's for a_l, _f2_move's for F2), it is scored as obj + change
+    rather than by a full objective.
+    """
+    cand = cur.moved(gains, f1, f2)
+    if change is not None and all(x is y for x, y in zip(cand.a, gains)):
+        cand_obj = obj + change
+    else:
+        cand_obj = objective(cand, target)
+    if not np.isfinite(cand_obj):
+        raise SolverDivergenceError("non-finite objective during iteration")
+    if cand_obj <= obj:
+        return cand, cand_obj
+    return cur, obj
+
+
+def _map(cur, obj, target, budget, blocks):
+    """One AO map from cur, the F1 -> a_1..a_L -> F2 pass: (cascade, objective).
+
+    A precoder or gain block move shifts the incident powers of downstream
+    relays, so each candidate is a capped Cascade, whose walk fits the
+    downstream gains to their caps, and the accept rule (_step) keeps it
+    only when the full objective does not increase. A gain move that keeps
+    the incumbent's own gain array is not tried.
+
+    blocks holds the BlockTally of F1, then of a_1..a_L, and the map
+    updates them. A move resets a block's streak of failed tries; a block
+    whose streak reaches FAILS_TO_REST sits out the next map, plain or
+    stabilizing, and then runs again. F2, which always moves, runs in
+    every map.
+    """
+    for b, tally in enumerate(blocks):
+        if tally.resting:
+            tally.resting = False
+            tally.rested += 1
+            continue
+        if b == 0:
+            new, obj = _step(cur, obj, target, cur.a, update_f1(cur, target, budget), cur.f2)
+        else:
+            a_l, change = update_a(cur, target, b)
+            new = cur
+            if a_l is not cur.a[b - 1]:
+                a = list(cur.a)
+                a[b - 1] = a_l
+                new, obj = _step(cur, obj, target, a, cur.f1, cur.f2, change)
+        if new is not cur:
+            tally.moved += 1
+            tally.streak = 0
+        else:
+            tally.failed += 1
+            tally.streak += 1
+            tally.resting = tally.streak >= FAILS_TO_REST
+        cur = new
+    return _step(cur, obj, target, cur.a, cur.f1, *_f2_move(cur, target))
+
+
 def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
           budget: PowerBudget, cfg: SolverConfig = SolverConfig(),
           start: OtaParams = None) -> SolveResult:
@@ -339,12 +407,7 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     problem raises ValueError before any map (its OtaParams has already
     refused a non-finite entry).
 
-    One AO map is an F1 -> a_1..a_L -> F2 pass. A precoder or gain block
-    move shifts the incident powers of downstream relays, so each candidate
-    is a capped Cascade, whose walk fits the downstream gains to their caps,
-    and it is accepted only when the full objective does not increase;
-    rejected moves leave the iterate untouched.
-
+    The AO repeats _map, which may rest a block that keeps failing.
     SQUAREM, scheme S3 (Varadhan & Roland 2008), extrapolates the maps: from
     x0, two maps give x1 and x2 of the design flattened to [F1, a, F2], and
     with r = x1 - x0, v = x2 - 2 x1 + x0, alpha = min(-||r|| / ||v||, -1)
@@ -356,21 +419,10 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     counts the maps, stabilizing ones included; the relative-decrease test
     follows plain maps only.
 
-    F1 and each gain block keep a count of their consecutive failed tries
-    (see BlockTally); a move resets it. A block whose count reaches
-    FAILS_TO_REST sits out the next REST_MAPS maps, plain or stabilizing,
-    and then runs again; F2, which always moves, runs in every map. Only a
-    map that ran every block may end the solve as converged: a map that
-    rested a block and passed the relative-decrease test clears every
-    count and starts a fresh SQUAREM cycle. No block rests before map 3,
-    so up to two maps solve is the plain AO.
-
-    A gain move that keeps the incumbent's own gain array is skipped. When
-    the candidate keeps every gain array it was given, only a_l has moved,
-    so it is scored from update_a's change of the gain quadratic, exact in
-    a_l, rather than by a full objective. An F2 move is scored the same
-    way, from the change of the F2 quadratic (_f2_move): it never moves a
-    gain.
+    Only a map that ran every block may end the solve as converged: a map
+    that rested a block and passed the relative-decrease test clears every
+    block's streak and starts a fresh SQUAREM cycle. No block rests before
+    map 3, so up to two maps solve is the plain AO.
     """
     _check_budget(est, budget)
     if start is None:
@@ -386,86 +438,37 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
         raise SolverDivergenceError("non-finite objective at initialization")
     trace = [obj]
     status = "max_iters"
-
-    def step(incumbent, incumbent_obj, gains, f1, f2, change=None):
-        cand = incumbent.moved(gains, f1, f2)
-        if change is not None and all(x is y for x, y in zip(cand.a, gains)):
-            cand_obj = incumbent_obj + change
-        else:
-            cand_obj = objective(cand, target)
-        if not np.isfinite(cand_obj):
-            raise SolverDivergenceError("non-finite objective during iteration")
-        if cand_obj <= incumbent_obj:
-            return cand, cand_obj
-        return incumbent, incumbent_obj
-
-    blocks = est.num_groups + 1  # F1, then a_1..a_L
-    fails = [0] * blocks  # consecutive failed tries
-    rest = [0] * blocks  # maps left to sit out
-    tally = [[0, 0, 0] for _ in range(blocks)]  # moved, failed, rested
-
-    def sweep(cur, obj):
-        """One AO map: the F1 -> a_1..a_L -> F2 pass from cur, in which a
-        resting block sits out."""
-        for b in range(blocks):
-            if rest[b]:
-                rest[b] -= 1
-                tally[b][2] += 1
-                continue
-            if b == 0:
-                new, obj = step(cur, obj, cur.a, update_f1(cur, target, budget), cur.f2)
-            else:
-                a_l, change = update_a(cur, target, b)
-                new = cur
-                if a_l is not cur.a[b - 1]:
-                    a = list(cur.a)
-                    a[b - 1] = a_l
-                    new, obj = step(cur, obj, a, cur.f1, cur.f2, change)
-            if new is not cur:
-                tally[b][0] += 1
-                fails[b] = 0
-            else:
-                tally[b][1] += 1
-                fails[b] += 1
-                if fails[b] >= FAILS_TO_REST:
-                    rest[b] = REST_MAPS
-            cur = new
-        return step(cur, obj, cur.a, cur.f1, *_f2_move(cur, target))
-
-    def flat(cas):
-        return np.concatenate([cas.f1.ravel(), *cas.a, cas.f2.ravel()])
-
-    def capped(x):
-        """The capped cascade of a flattened design."""
-        f1, *a, f2 = np.split(x, np.cumsum([cur.f1.size, *est.group_sizes]))
-        return _capped(est, a, f1.reshape(cur.f1.shape), f2.reshape(cur.f2.shape),
-                       noise, budget)
+    blocks = [BlockTally() for _ in range(est.num_groups + 1)]  # F1, then a_1..a_L
+    splits = np.cumsum([cur.f1.size, *est.group_sizes])
 
     x = []  # the flattened starts of this cycle's two plain maps
     while len(trace) <= cfg.max_outer_iters:
-        x.append(flat(cur))
-        prev, ran_all = obj, not any(rest)
-        cur, obj = sweep(cur, obj)
+        x.append(_flat(cur))
+        prev, ran_all = obj, not any(t.resting for t in blocks)
+        cur, obj = _map(cur, obj, target, budget, blocks)
         trace.append(obj)
         if prev - obj <= cfg.objective_tolerance * max(prev, 1e-300):
             if ran_all:
                 status = "converged"
                 break
-            fails[:] = rest[:] = [0] * blocks  # the next map runs every block
+            # fresh streaks: the next map runs every block
+            blocks = [replace(t, streak=0, resting=False) for t in blocks]
             x = []
             continue
         if len(x) < 2:
             continue
         (x0, x1), x = x, []
-        r, v = x1 - x0, flat(cur) - 2.0 * x1 + x0
+        r, v = x1 - x0, _flat(cur) - 2.0 * x1 + x0
         alpha = _s3_alpha(r, v)
         if alpha == -1.0 or len(trace) > cfg.max_outer_iters:
             continue  # the extrapolated point is cur itself, or no map is left
-        ext = capped(x0 - 2.0 * alpha * r + alpha ** 2 * v)
+        f1, *a, f2 = np.split(x0 - 2.0 * alpha * r + alpha ** 2 * v, splits)
+        ext = _capped(est, a, f1.reshape(cur.f1.shape), f2.reshape(cur.f2.shape),
+                      noise, budget)
         ext_obj = objective(ext, target)
         if not np.isfinite(ext_obj):
             continue
-        ext, ext_obj = sweep(ext, ext_obj)  # the stabilizing map
+        ext, ext_obj = _map(ext, ext_obj, target, budget, blocks)  # the stabilizing map
         if ext_obj <= obj:
             cur, obj = ext, ext_obj
         del ext  # a rejected design is not kept alive through the next cycle
@@ -473,8 +476,7 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
 
     return SolveResult(params=OtaParams(f1=cur.f1, f2=cur.f2, a=cur.a),
                        objective_trace=np.asarray(trace),
-                       iterations=len(trace) - 1, status=status,
-                       tallies=tuple(BlockTally(*t) for t in tally))
+                       iterations=len(trace) - 1, status=status, tallies=tuple(blocks))
 
 
 @dataclass(frozen=True)

@@ -112,3 +112,23 @@ def test_summary_leaves_out_failed_runs_and_names_them(tmp_path, capsys):
         "r1: left out pair 1 change: exit 1, correct False",
         "r1: left out pair 2 base: exit 1, no result",
     ]
+
+
+@pytest.mark.parametrize("pairs,verdict", [(4, "too few pairs"), (10, "worse")])
+def test_summary_gives_setup_s_a_verdict_from_ten_pairs_only(tmp_path, capsys, pairs, verdict):
+    tool = _load_tool()
+    # set-up 30% slower in every pair: past its 25% bound, but from 4 pairs
+    # setup_s spreads too widely to tell; the other metrics keep their verdict
+    lines = []
+    for pair in range(pairs):
+        for side, setup in (("base", 0.2), ("change", 0.26)):
+            lines.append(_record(pair, side, 10.0, 1.0, extra={"setup_s": {"value": setup}}))
+    path = tmp_path / "pairs.json"
+    path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+
+    assert tool.main(["summary", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    setup = next(line for line in out if "setup_s" in line)
+    speed = next(line for line in out if "items_per_s_norm" in line)
+    assert setup.endswith(f"wins 0/{pairs}  {verdict}")
+    assert speed.endswith(f"wins 0/{pairs}  no change")

@@ -267,6 +267,46 @@ def test_uncapped_cascade_has_no_limits():
         Cascade(ch, [np.ones(3), np.ones(2)], np.eye(2, dtype=complex), None, noise).limit(1)
 
 
+@pytest.mark.parametrize("gains,message", [
+    ([np.array([2 + 0j])], r"gain vector 0 must have shape \(3,\)"),
+    ([None], "the cascade has no relay caps"),
+    ([np.ones(3), np.ones(3)], "expected 1 gain vectors, got 2"),
+], ids=["length-1 gain vector", "None without caps", "extra gain vector"])
+def test_cascade_refuses_gains_that_do_not_fit(gains, message):
+    # one group of three relays: one gain is not broadcast over all three,
+    # and a gain of None starts at its cap, so it needs the caps
+    rng = np.random.default_rng(4)
+    ch = random_channel_set(rng, 2, 2, (3,))
+    noise = NoiseModel(relay_noise_var=(0.1,), rx_noise_var=0.1)
+    f1, f2 = complex_normal(rng, (2, 2)), complex_normal(rng, (2, 2))
+    with pytest.raises(ValueError, match=message):
+        Cascade(ch, gains, f1, f2, noise)
+    cold = Cascade(ch, [None], f1, f2, noise, (np.full(3, 0.5),))  # the cold start
+    assert np.array_equal(cold.a[0], cold.limit(1))
+
+
+@pytest.mark.parametrize("where", ["0", "-1", "L+1"])
+@pytest.mark.parametrize("name,last", [("incident_powers", 0), ("limit", 0), ("suffix", 0),
+                                       ("stage_noise", 1), ("update_a", 0)])
+def test_cascade_refuses_a_hop_index_out_of_range(name, last, where):
+    # on two groups, hop 0 and hop -1 would wrap to the last stage, and
+    # L + 1 is past it (stage_noise reaches the receiver at L + 1)
+    rng = np.random.default_rng(5)
+    ch = random_channel_set(rng, 2, 2, (3, 2))
+    noise = NoiseModel(relay_noise_var=(0.1, 0.2), rx_noise_var=0.1)
+    cas = Cascade(ch, [None, None], complex_normal(rng, (2, 2)), complex_normal(rng, (2, 2)),
+                  noise, (np.ones(3), np.ones(2)))
+    target = TargetLayer(w=complex_normal(rng, (2, 2)), bias=np.zeros(2))
+    accessor = (lambda l: update_a(cas, target, l)) if name == "update_a" \
+        else getattr(cas, name)
+    top = ch.num_groups + last
+    for l in range(1, top + 1):
+        accessor(l)
+    l = {"0": 0, "-1": -1, "L+1": top + 1}[where]
+    with pytest.raises(ValueError, match=rf"^hop index {l} out of range 1\.\.{top}$"):
+        accessor(l)
+
+
 @SETTINGS
 @given(instances())
 def test_gain_move_scored_from_its_quadratic(inst):

@@ -11,6 +11,7 @@ from otafc import (ConfigError, ExperimentConfig, Heuristic, OtaParams, SweepPoi
                    run_experiment, run_trial)
 from otafc.cli import main as cli_main
 from otafc.harness import ResultRow, Scenario, TrialResult, _chain_job, design, score
+from otafc.solver import BlockTally
 
 TINY_CFG = dict(
     topology=dict(n_antennas=4, area_m=120.0),
@@ -353,6 +354,36 @@ def test_run_trial_golden(tree, point, seed, want):
     assert (t.status, t.iterations) == (status, iterations)
     assert t.nmse == pytest.approx(nmse, rel=1e-10)
     assert t.ota_acc == pytest.approx(ota_acc, rel=1e-10)
+
+
+def _tallies(*counts):
+    return tuple(BlockTally(*c) for c in counts)
+
+
+# The block tallies (moved, failed, rested) of each GOLDEN_TRIALS solve, F1
+# first, captured with them: which blocks the resting rule sat out, and how
+# often, is pinned with the results it led to.
+GOLDEN_TALLIES = [
+    _tallies((5, 1, 0), (3, 3, 0), (5, 1, 0), (4, 2, 0)),
+    _tallies((13, 15, 13), (1, 22, 18), (5, 20, 16), (4, 21, 16), (4, 20, 17),
+             (10, 17, 14), (41, 0, 0)),
+    _tallies((11, 6, 3), (10, 7, 3), (11, 6, 3), (17, 3, 0)),
+]
+
+
+@pytest.mark.parametrize("golden,tallies", zip(GOLDEN_TRIALS, GOLDEN_TALLIES),
+                         ids=["quick", "deep-direct", "reference"])
+def test_run_trial_golden_tallies(monkeypatch, golden, tallies):
+    tree, point, seed, want = golden
+    seen, solve = [], harness.solve
+
+    def spy(*args, **kwargs):
+        seen.append(solve(*args, **kwargs))
+        return seen[-1]
+    monkeypatch.setattr(harness, "solve", spy)
+    run_trial(drawn(config_from_dict(tree), point, seed), point, None)
+    assert len(seen) == 1 and seen[0].iterations == want[1]
+    assert seen[0].tallies == tallies
 
 
 def test_run_trial_keeps_the_relay_power_overrun_of_its_design(monkeypatch):

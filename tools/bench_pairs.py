@@ -17,7 +17,9 @@ from the BENCHMARK.json beside this directory. The verdict is `gain` when
 the change wins at least 9 in 10 pairs and its median beats the base median
 by more than the base side's quartile distance; `worse` when its median is
 worse than the base median by more than the metric's bound, a share of the
-base median (per-layer metrics have none); `no change` otherwise.
+base median (per-layer metrics have none); `no change` otherwise. `setup_s`
+gets a verdict only from at least SETUP_PAIRS complete pairs, and reads
+`too few pairs` from fewer.
 A run that exited non-zero, printed no result, or whose result reads
 `correct: false` is left out of its pair; `summary` names each such run by
 pair and side on stderr, after each side's failed/attempted operation
@@ -34,6 +36,10 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "change")
+# setup_s times six fresh-interpreter set-ups per run, and its spread is wide:
+# 4 pairs of trees with the same set-up code have read x1.17 on it, while 20
+# set-up-only pairs of the same trees read equal
+SETUP_PAIRS = 10
 
 
 def _commit(checkout):
@@ -159,6 +165,8 @@ def summarise(args):
             wins = sum(sign * (c - b) > 0 for b, c in zip(vals["base"], vals["change"]))
             (b1, b2, b3), (c1, c2, c3) = (_quartiles(vals[s]) for s in SIDES)
             verdict = _verdict(wins, len(full), sign * (c2 - b2), b3 - b1, b2, bound)
+            if name == "setup_s" and len(full) < SETUP_PAIRS:
+                verdict = "too few pairs"
             print(f"  {name}: base {b2:.6g} [{b1:.6g}, {b3:.6g}]  "
                   f"change {c2:.6g} [{c1:.6g}, {c3:.6g}]  "
                   f"ratio {c2 / b2 if b2 else float('nan'):.4f}  wins {wins}/{len(full)}  "
