@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .topology import BS_RX_HEIGHT_M, RELAY_HEIGHT_M, Placement
-from .utils import complex_normal, hermitize, positive_real, read_each, read_only
+from .utils import complex_normal, hermitize, positive, positive_real, read_each, read_only
 
 SPEED_OF_LIGHT = 299_792_458.0
 RICEAN_KAPPA_DB = 0.0  # Ricean K-factor of the direct link
@@ -228,6 +228,19 @@ def check_gains(ch: ChannelSet, gains) -> tuple:
     return tuple(a if a is None else np.asarray(a) for a in gains)
 
 
+def check_caps(ch: ChannelSet, caps) -> None:
+    """ValueError unless caps holds one (K_l,) vector of positive, finite
+    per-relay caps per group."""
+    if len(caps) != ch.num_groups:
+        raise ValueError(f"budget group count must match the channel set: expected "
+                         f"{ch.num_groups} cap vectors, got {len(caps)}")
+    for l, (c, k) in enumerate(zip(caps, ch.group_sizes)):
+        if np.shape(c) != (k,):
+            raise ValueError(f"cap vector {l} must have shape ({k},)")
+        if not positive(c):
+            raise ValueError(f"cap vector {l} entries must be positive and finite")
+
+
 def check_noise_model(ch: ChannelSet, noise: NoiseModel) -> None:
     """ValueError unless noise has one relay variance per group of ch."""
     if len(noise.relay_noise_var) != ch.num_groups:
@@ -269,16 +282,20 @@ class Cascade:
     gain as it goes to a_l = project(l, a_l), the clip to limit(l) =
     sqrt(cap_l / incident_powers(l)); a gain of None starts at limit(l).
 
-    The constructor checks the gains (check_gains), and a None gain needs
-    caps; moved, the hot path, takes gains of a checked cascade and checks
-    nothing. The per-hop accessors take l in 1..L (stage_noise in 1..L+1)
-    and refuse any other l, so none wraps to the end of a list.
+    The constructor checks the gains (check_gains) and the caps, when given
+    (check_caps), and a None gain needs caps; moved, the hot path, checks
+    nothing: its gains are a checked cascade's, or split by the solver to
+    the group sizes. The per-hop accessors take l in 1..L (stage_noise in
+    1..L+1) and refuse any other l, so none wraps to the end of a list.
     """
 
     def __init__(self, ch: ChannelSet, gains, f1: np.ndarray, f2: np.ndarray,
                  noise: NoiseModel, caps=None):
         check_noise_model(ch, noise)
-        self._walk(ch, check_gains(ch, gains), f1, f2, noise, caps, None)
+        gains = check_gains(ch, gains)
+        if caps is not None:
+            check_caps(ch, caps)
+        self._walk(ch, gains, f1, f2, noise, caps, None)
 
     def moved(self, gains, f1: np.ndarray, f2: np.ndarray) -> "Cascade":
         """The cascade of the design (gains, f1, f2) on these channels, noise

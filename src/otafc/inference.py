@@ -1,56 +1,66 @@
 """End-to-end forward passes through the designed analog layer.
 
-ota_forward runs a design on the true channels as its link (M, S), compiled
-from its Cascade once per channel set and noise model. M = F2 Heff F1 carries
-the signal. The relay and receiver noise reach the output only through its
-covariance C = F2 R F2^H, and a circular complex Gaussian is fixed by its
-covariance, so the noise is drawn at the receiver: one out_dim-dimensional
-draw per sample, times S, the Hermitian square root of C over sqrt(2).
+ota_forward runs a design on the true channels as its link, compiled once
+per channel set and noise model from the design's cascade on them (the one
+evaluate_true reads) into one read-only stacked operator L = [M | S].
+M = F2 Heff F1 carries the signal. The relay and receiver noise reach the
+output only through its covariance C = F2 R F2^H, and a circular complex
+Gaussian is fixed by its covariance, so the noise is drawn at the receiver:
+one out_dim-dimensional draw z per sample, times S, the Hermitian square
+root of C over sqrt(2). A forward pass is one product y = L [x; z] (+ bias),
+the draw written below x in one stacked input.
 A synthetic classification task measures the OTA layer against its digital
 reference in two steps: draw_samples draws the labelled samples, their
-receiver-noise normals and the digital accuracy once, and ota_accuracy
-scores any design on them. imported_forward runs an externally trained
-image pipeline with the middle complex FC layer replaced by the OTA link,
-and digital_forward the same pipeline all digital; scoring one image
-both ways runs its front end once, through a one-slot memo on the pipeline
-keyed by the image's shape and bytes and the conv stride and padding.
+receiver-noise normals and the digital accuracy once, the samples and the
+normals stacked as that input, and ota_accuracy scores any design on them in
+one product. imported_forward runs an externally trained image pipeline with
+the middle complex FC layer replaced by the OTA link, and digital_forward
+the same pipeline all digital. Each pipeline precompiles its front end at
+construction (the conv kernel as one matrix, the conv bias folded into the
+batch-norm shift), and scoring one image both ways runs that front end
+once, through a one-slot memo on the pipeline keyed by the image's shape
+and bytes and the conv stride and padding.
 """
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .channel import Cascade, ChannelSet, NoiseModel
+from .channel import ChannelSet, NoiseModel
 from .solver import OtaParams, TargetLayer
 from .utils import complex_normal, integer, positive_real, read_only
 
 
-def _link(params: OtaParams, true_ch: ChannelSet, noise: NoiseModel) -> tuple:
-    """Read-only (M, S) with y = M x + S z, z ~ CN(0, 2 I) of out_dim entries.
+def _link(params: OtaParams, true_ch: ChannelSet, noise: NoiseModel) -> np.ndarray:
+    """The read-only stacked link L = [M | S], (out_dim, in_dim + out_dim):
+    y = L [x; z] = M x + S z, z ~ CN(0, 2 I) of out_dim entries.
 
-    M = F2 Heff F1. S is C^(1/2) / sqrt(2), where C = F2 R F2^H is the
-    output noise covariance, built as sum_l s_l P_l P_l^H + s_c F2 F2^H with
-    P_l = D_l diag(a_l). C^(1/2) is the principal (Hermitian PSD) square
-    root U diag(sqrt(lam)) U^H of the eigendecomposition C = U diag(lam) U^H,
-    with the negative eigenvalues that rounding leaves on a singular C
-    clipped to 0. C is singular whenever F2 has more rows than rank
-    (out_dim > N_r, a zero row), where a Cholesky factor fails; and
-    U diag(sqrt(lam)) U^H, unlike U diag(sqrt(lam)), depends on C alone, not
-    on the phases LAPACK picks for the eigenvectors. Kept on params for the
-    last (true_ch, noise) it was built for, by identity.
+    M = L[:, :in_dim] = F2 Heff F1. S = L[:, in_dim:] is C^(1/2) / sqrt(2),
+    where C = F2 R F2^H is the output noise covariance, built as
+    sum_l s_l P_l P_l^H + s_c F2 F2^H with P_l = D_l diag(a_l). C^(1/2) is
+    the principal (Hermitian PSD) square root U diag(sqrt(lam)) U^H of the
+    eigendecomposition C = U diag(lam) U^H, with the negative eigenvalues
+    that rounding leaves on a singular C clipped to 0. C is singular
+    whenever F2 has more rows than rank (out_dim > N_r, a zero row), where a
+    Cholesky factor fails; and U diag(sqrt(lam)) U^H, unlike
+    U diag(sqrt(lam)), depends on C alone, not on the phases LAPACK picks
+    for the eigenvectors. Built from the design's cascade on true_ch
+    (OtaParams.cascade, the one evaluate_true reads) and kept on params for
+    the last (true_ch, noise) it was built for, by identity.
     """
     memo = getattr(params, "_link", None)
     if memo is not None and memo[0] is true_ch and memo[1] is noise:
         return memo[2]
-    cas = Cascade.of(true_ch, params, noise)
+    cas = params.cascade(true_ch, noise)
     scales = np.sqrt(noise.relay_noise_var + (noise.rx_noise_var,))
     blocks = (c * d * a for c, d, a in zip(scales, cas.d + [params.f2], cas.a + [1.0]))
     lam, u = np.linalg.eigh(sum(p @ p.conj().T for p in blocks))
-    link = (params.f2 @ cas.b, (u * np.sqrt(np.maximum(lam, 0.0) / 2.0)) @ u.conj().T)
-    for arr in link:
-        arr.flags.writeable = False
+    link = np.concatenate((params.f2 @ cas.b,
+                           (u * np.sqrt(np.maximum(lam, 0.0) / 2.0)) @ u.conj().T), axis=1)
+    link.flags.writeable = False
     object.__setattr__(params, "_link", (true_ch, noise, link))  # kept out of repr
     return link
 
@@ -66,35 +76,39 @@ def ota_forward(x: np.ndarray, params: OtaParams, true_ch: ChannelSet,
     S times one standard_normal draw of 2 out_dim numbers per sample (2 out_dim
     S for a batch), whose consecutive pairs are the real and imaginary parts of
     each entry. out_dim is F2's row count, N_r in every design the harness
-    builds. The bias, when given, is added digitally after combining. With an
-    all-zero draw the output is F2 Heff F1 x + bias. A single vector gives the
-    numbers and generator state of a one-column batch. ValueError, before any
+    builds. The draw lands below x in one stacked input [x; z], and the output
+    is one product with the stacked link L = [M | S]. The bias, when given,
+    is added digitally after combining. With an all-zero draw the output is
+    F2 Heff F1 x + bias. A single vector gives the numbers and generator
+    state of a one-column batch. rng_seed is anything np.random.default_rng
+    takes; a Generator is drawn from as it is. ValueError, before any
     draw, unless x is (in_dim,) or (in_dim, S) with in_dim F1's column count,
     there is one (K_l,) gain vector per group, and a bias, when given, is
     (out_dim,). The link is reused while params, true_ch and noise are the
     same objects, whose arrays are read-only.
     """
-    m, s = _link(params, true_ch, noise)
+    link = _link(params, true_ch, noise)
+    out_dim, n = len(link), params.f1.shape[1]
     x = np.asarray(x, dtype=complex)
-    if x.ndim not in (1, 2) or x.shape[0] != m.shape[1]:
-        raise ValueError(f"x must have shape ({m.shape[1]},) or ({m.shape[1]}, S), "
-                         f"got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"x must have shape ({n},) or ({n}, S), got {x.shape}")
     if bias is not None:
         bias = np.asarray(bias, dtype=complex)
-        if bias.shape != (len(m),):
-            raise ValueError(f"bias must have shape ({len(m)},), got {bias.shape}")
-    shape = (len(m),) + x.shape[1:]
-    z = np.random.default_rng(rng_seed).standard_normal(shape[:-1] + (2 * shape[-1],))
-    return _received(m, s, x, z, bias)
+        if bias.shape != (out_dim,):
+            raise ValueError(f"bias must have shape ({out_dim},), got {bias.shape}")
+    rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
+           else np.random.default_rng(rng_seed))
+    xz = np.empty((n + out_dim,) + x.shape[1:], dtype=complex)
+    xz[:n] = x
+    rng.standard_normal(out=xz[n:].view(float))  # (out_dim, 2 S) or (2 out_dim,)
+    return _received(link, xz, bias)
 
 
-def _received(m: np.ndarray, s: np.ndarray, x: np.ndarray, z: np.ndarray,
-              bias: np.ndarray = None) -> np.ndarray:
-    """y = M x + S z + bias through the link (M, S): z is real, its
-    consecutive pairs along the last axis the real and imaginary parts of
-    each noise entry; the bias, when given, is added digitally."""
-    y = m @ x
-    y += s @ z.view(complex)
+def _received(link: np.ndarray, xz: np.ndarray, bias: np.ndarray = None) -> np.ndarray:
+    """y = L [x; z] + bias through the stacked link L = [M | S]: xz is the
+    input over the receiver-noise entries, one column per sample (or one
+    vector); the bias, when given, is added digitally."""
+    y = link @ xz
     if bias is not None:
         y += bias if y.ndim == 1 else bias[:, None]
     return y
@@ -147,16 +161,25 @@ def make_synthetic_task(target: TargetLayer, num_classes: int = 10,
 class TaskSamples:
     """A labelled sample set of a task, drawn once and scored on any design.
 
-    x holds the samples as columns, z the standard normals of their receiver
-    noise as ota_forward draws them for that batch, and digital_acc the
-    target layer's accuracy on them, which no design changes. draw_samples
-    leaves every array read-only.
+    inputs is ota_forward's stacked input for that batch: the samples x as
+    columns, over the standard normals of their receiver noise as
+    ota_forward draws them, each consecutive pair one complex entry. So a
+    design scores the whole set in one product with its link. x and z are
+    views of inputs. digital_acc is the target layer's accuracy on the
+    samples, which no design changes. draw_samples leaves every array
+    read-only.
     """
 
     labels: np.ndarray  # (S,)
-    x: np.ndarray       # (in_dim, S) complex
-    z: np.ndarray       # (out_dim, 2 S) real
+    inputs: np.ndarray  # (in_dim + out_dim, S) complex
+    in_dim: int
     digital_acc: float
+    x: np.ndarray = field(init=False, repr=False)  # (in_dim, S) complex
+    z: np.ndarray = field(init=False, repr=False)  # (out_dim, 2 S) real
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", self.inputs[:self.in_dim])
+        object.__setattr__(self, "z", self.inputs[self.in_dim:].view(float))
 
 
 def draw_samples(task: SyntheticTask, target: TargetLayer, num_samples: int,
@@ -172,20 +195,22 @@ def draw_samples(task: SyntheticTask, target: TargetLayer, num_samples: int,
     xs = task.class_means[labels].T
     if task.sample_noise_var > 0:
         xs = xs + complex_normal(rng, xs.shape, task.sample_noise_var)
-    z = rng.standard_normal((target.out_dim, 2 * num_samples))
+    n = len(xs)
+    inputs = np.empty((n + target.out_dim, num_samples), dtype=complex)
+    inputs[:n] = xs
+    rng.standard_normal(out=inputs[n:].view(float))
     y_dig = target.w @ xs + target.bias[:, None]
     pred_dig = np.argmax((task.classifier_head @ y_dig).real, axis=0)
-    for arr in (labels, xs, z):  # each made here: read-only in place, layout kept
+    for arr in (labels, inputs):  # each made here: read-only in place, layout kept
         arr.flags.writeable = False
-    return TaskSamples(labels, xs, z, float(np.mean(pred_dig == labels)))
+    return TaskSamples(labels, inputs, n, float(np.mean(pred_dig == labels)))
 
 
 def ota_accuracy(task: SyntheticTask, samples: TaskSamples, target: TargetLayer,
                  params: OtaParams, true_ch: ChannelSet, noise: NoiseModel) -> float:
     """Accuracy of the design on the samples: ota_forward's output with
     target's bias, on the samples' own receiver-noise normals."""
-    m, s = _link(params, true_ch, noise)
-    y = _received(m, s, samples.x, samples.z, target.bias)
+    y = _received(_link(params, true_ch, noise), samples.inputs, target.bias)
     pred = np.argmax((task.classifier_head @ y).real, axis=0)
     return float(np.mean(pred == samples.labels))
 
@@ -224,8 +249,12 @@ class ImportedPipeline:
     fc_out_weight's columns read [Re; Im] of the FC output: Re_0 .. Re_{M-1},
     then Im_0 .. Im_{M-1}. head is the same matrix with its columns
     interleaved (Re_0, Im_0, Re_1, ...), the order of a complex vector's
-    float view. It is derived by every construction, read-only, and neither
-    a dataclass field nor part of the weight file.
+    float view. Two more operators precompile the front end: conv_matrix,
+    the conv kernel as a C-contiguous (in_channels * kh * kw, 2) matrix whose
+    rows follow _window_index's columns, and feature_shift, the conv bias
+    folded into the batch-norm shift, bn_scale * (b_0 + 1j b_1) + bn_shift.
+    Each of the three is derived by every construction, read-only, and
+    neither a dataclass field nor part of the weight file.
     """
 
     conv_kernel: np.ndarray   # (2, in_channels, kh, kw) real
@@ -257,9 +286,14 @@ class ImportedPipeline:
         if self.fc_out_bias.shape != (classes,):
             raise ValueError("output FC bias length mismatch")
         head = self.fc_out_weight.reshape(classes, 2, m).transpose(0, 2, 1)
-        head = head.reshape(classes, 2 * m)
-        head.flags.writeable = False
-        object.__setattr__(self, "head", head)  # kept out of repr, fields and the file
+        derived = {
+            "head": head.reshape(classes, 2 * m),
+            "conv_matrix": np.ascontiguousarray(self.conv_kernel.reshape(2, -1).T),
+            "feature_shift": self.bn_scale * complex(*self.conv_bias) + self.bn_shift,
+        }
+        for name, arr in derived.items():  # kept out of repr, fields and the file
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def target_layer(self) -> TargetLayer:
@@ -352,6 +386,20 @@ def _window_index(in_ch: int, height: int, width: int, kh: int, kw: int,
     return idx
 
 
+def _patches(image: np.ndarray, kernel_shape: tuple, stride: int,
+             padding: int) -> np.ndarray:
+    """The conv's input windows after zero padding, (out_h * out_w,
+    in_ch * kh * kw): one row per output pixel in row-major order, laid out
+    as _window_index's columns, for a kernel of shape (in_ch, kh, kw) per
+    output channel. A 2-D image is one channel."""
+    image = image[None] if image.ndim == 2 else image
+    in_ch, kh, kw = kernel_shape
+    if image.shape[0] != in_ch:
+        raise ValueError(f"expected {in_ch} input channels, got {image.shape[0]}")
+    idx = _window_index(in_ch, image.shape[1], image.shape[2], kh, kw, stride, padding)
+    return np.concatenate((image.reshape(-1), np.zeros(1, image.dtype)))[idx]
+
+
 def _conv2d(image: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
             stride: int, padding: int) -> np.ndarray:
     """Strided valid convolution (cross-correlation) after zero padding.
@@ -359,13 +407,7 @@ def _conv2d(image: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     Channels last: the result is (out_h * out_w, out_ch), one row per output
     pixel in row-major order.
     """
-    image = image[None] if image.ndim == 2 else image
-    out_ch, in_ch, kh, kw = kernel.shape
-    if image.shape[0] != in_ch:
-        raise ValueError(f"expected {in_ch} input channels, got {image.shape[0]}")
-    idx = _window_index(in_ch, image.shape[1], image.shape[2], kh, kw, stride, padding)
-    flat = np.concatenate((image.reshape(-1), np.zeros(1, image.dtype)))
-    out = flat[idx] @ kernel.reshape(out_ch, -1).T
+    out = _patches(image, kernel.shape[1:], stride, padding) @ kernel.reshape(len(kernel), -1).T
     out += bias
     return out
 
@@ -374,31 +416,33 @@ def _power_normalize(z: np.ndarray) -> None:
     """Scale one feature vector, in place, to unit average per-feature power."""
     mean_power = np.vdot(z, z).real / z.size
     if mean_power != 0:
-        z /= np.sqrt(mean_power)
+        z /= math.sqrt(mean_power)
 
 
 def _pre_layers(pipeline: ImportedPipeline, image: np.ndarray) -> np.ndarray:
     """Conv + R2C + batch norm + power normalization -> read-only complex features.
 
-    image is float64. The features of the last image are kept on the pipeline,
-    keyed by the image's shape and bytes and the CONV_STRIDE and CONV_PADDING
-    in force, so imported_forward and digital_forward of one image share one
-    front-end pass: a hit hands back that very array. One slot only; an image
-    edited in place between the calls no longer matches its key.
+    The conv is the gather of _patches and one product with the pipeline's
+    conv_matrix; its bias rides in feature_shift, which the batch norm adds
+    after its scale. image is float64. The features of the last image are
+    kept on the pipeline, keyed by the image's shape and bytes and the
+    CONV_STRIDE and CONV_PADDING in force, so imported_forward and
+    digital_forward of one image share one front-end pass: a hit hands back
+    that very array. One slot only; an image edited in place between the
+    calls no longer matches its key.
     """
     key = (image.shape, image.tobytes(), CONV_STRIDE, CONV_PADDING)
     memo = getattr(pipeline, "_features", None)
     if memo is not None and memo[0] == key:
         return memo[1]
-    conv = _conv2d(image, pipeline.conv_kernel, pipeline.conv_bias, CONV_STRIDE,
-                   CONV_PADDING)
+    patches = _patches(image, pipeline.conv_kernel.shape[1:], CONV_STRIDE, CONV_PADDING)
     features = pipeline.fc_mid_weight.shape[1]
-    if len(conv) != features:
-        raise ValueError(f"conv produced {len(conv)} complex features, "
+    if len(patches) != features:
+        raise ValueError(f"conv produced {len(patches)} complex features, "
                          f"pipeline expects {features}")
-    z = conv.view(complex).reshape(-1)  # each pixel's two channels: Re, Im
-    z = pipeline.bn_scale * z  # a new array: in place, numpy may take z * scale,
-    z += pipeline.bn_shift     # which can round apart from scale * z
+    z = (patches @ pipeline.conv_matrix).view(complex).reshape(-1)  # Re, Im per pixel
+    np.multiply(pipeline.bn_scale, z, out=z)  # scale * z, not z * scale, which
+    z += pipeline.feature_shift               # can round apart from it
     _power_normalize(z)
     z.flags.writeable = False
     object.__setattr__(pipeline, "_features", (key, z))  # kept out of repr

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import Cascade, ChannelSet, NoiseModel, check_gains
+from .channel import Cascade, ChannelSet, NoiseModel, check_caps, check_noise_model
 from .utils import hermitize, integer, positive_real, read_each, read_only
 
 
@@ -60,6 +60,17 @@ class OtaParams:
         object.__setattr__(self, "f1", read_only(self.f1, None, "f1"))
         object.__setattr__(self, "f2", read_only(self.f2, None, "f2"))
         object.__setattr__(self, "a", read_each(self.a, complex, "a"))
+
+    def cascade(self, ch: ChannelSet, noise: NoiseModel) -> Cascade:
+        """Cascade.of(ch, self, noise), kept on the design for the last
+        (ch, noise) it was built for, by identity, and out of its repr: the
+        scores of a design on its true channels (evaluate_true and the
+        inference link) read one walk of them."""
+        memo = getattr(self, "_cascade", None)
+        if memo is None or memo[0] is not ch or memo[1] is not noise:
+            memo = (ch, noise, Cascade.of(ch, self, noise))
+            object.__setattr__(self, "_cascade", memo)
+        return memo[2]
 
 
 @dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
@@ -297,33 +308,21 @@ def _s3_alpha(r: np.ndarray, v: np.ndarray) -> float:
     return min(-np.linalg.norm(r) / norm_v, -1.0) if norm_v > 0 else -1.0
 
 
-def _check_budget(ch: ChannelSet, budget: PowerBudget) -> None:
-    if len(budget.p_relay) != ch.num_groups:
-        raise ValueError("budget group count must match the channel set")
-    for p, k in zip(budget.p_relay, ch.group_sizes):
-        if p.shape != (k,):
-            raise ValueError("per-relay budget lengths must match group sizes")
-
-
 def _check_start(ch: ChannelSet, target: TargetLayer, start: OtaParams) -> None:
-    """ValueError naming the first part of start that does not fit the problem."""
+    """ValueError naming F1 or F2 of start when its shape does not fit the
+    problem; the Cascade built from start checks its gains."""
     for name, arr, shape in (("F1", start.f1, (ch.n_tx, target.in_dim)),
                              ("F2", start.f2, (target.out_dim, ch.n_rx))):
         if arr.shape != shape:
             raise ValueError(f"start {name} must have shape {shape}, got {arr.shape}")
-    try:
-        check_gains(ch, start.a)
-    except ValueError as exc:
-        raise ValueError(f"start gains: {exc}") from None
 
 
-def _capped(ch: ChannelSet, gains, f1: np.ndarray, f2: np.ndarray,
-            noise: NoiseModel, budget: PowerBudget) -> Cascade:
-    """The capped cascade of a design, its F1 scaled into the power ball."""
+def _in_ball(f1: np.ndarray, budget: PowerBudget) -> np.ndarray:
+    """F1 scaled into the transmit-power ball; f1 itself inside it."""
     power = np.vdot(f1, f1).real
     if power > budget.p_max_bs:
         f1 = f1 * np.sqrt(budget.p_max_bs / power)
-    return Cascade(ch, gains, f1, f2, noise, budget.p_relay)
+    return f1
 
 
 def _flat(cas):
@@ -424,14 +423,21 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
     block's streak and starts a fresh SQUAREM cycle. No block rests before
     map 3, so up to two maps solve is the plain AO.
     """
-    _check_budget(est, budget)
     if start is None:
         f1 = (np.sqrt(budget.p_max_bs / est.n_tx)
               * np.eye(est.n_tx, target.in_dim, dtype=complex))
         cur = Cascade(est, [None] * est.num_groups, f1, None, noise, budget.p_relay)
     else:
+        # the noise model and caps first, so that the only error the start's
+        # cascade can raise is about the start's gains
+        check_noise_model(est, noise)
+        check_caps(est, budget.p_relay)
         _check_start(est, target, start)
-        cur = _capped(est, start.a, start.f1, start.f2, noise, budget)
+        try:
+            cur = Cascade(est, start.a, _in_ball(start.f1, budget), start.f2, noise,
+                          budget.p_relay)
+        except ValueError as exc:
+            raise ValueError(f"start gains: {exc}") from None
     cur = cur.moved(cur.a, cur.f1, update_f2(cur, target))
     obj = objective(cur, target)
     if not np.isfinite(obj):
@@ -463,8 +469,9 @@ def solve(est: ChannelSet, target: TargetLayer, noise: NoiseModel,
         if alpha == -1.0 or len(trace) > cfg.max_outer_iters:
             continue  # the extrapolated point is cur itself, or no map is left
         f1, *a, f2 = np.split(x0 - 2.0 * alpha * r + alpha ** 2 * v, splits)
-        ext = _capped(est, a, f1.reshape(cur.f1.shape), f2.reshape(cur.f2.shape),
-                      noise, budget)
+        # split to the design's shapes, so moved's unchecked walk fits it
+        ext = cur.moved(a, _in_ball(f1.reshape(cur.f1.shape), budget),
+                        f2.reshape(cur.f2.shape))
         ext_obj = objective(ext, target)
         if not np.isfinite(ext_obj):
             continue
@@ -497,8 +504,8 @@ def evaluate_true(params: OtaParams, true_ch: ChannelSet, target: TargetLayer,
     far the true incident powers push any relay past its cap in budget
     (diagnostic only, never enforced).
     """
-    _check_budget(true_ch, budget)
-    cas = Cascade.of(true_ch, params, noise)
+    check_caps(true_ch, budget.p_relay)
+    cas = params.cascade(true_ch, noise)
     resid = cas.f2 @ cas.b - target.w
     nmse = float(np.sum(np.abs(resid) ** 2) / np.sum(np.abs(target.w) ** 2))
     obj = objective(cas, target)

@@ -285,6 +285,26 @@ def test_cascade_refuses_gains_that_do_not_fit(gains, message):
     assert np.array_equal(cold.a[0], cold.limit(1))
 
 
+@pytest.mark.parametrize("caps,message", [
+    ((np.array([0.5]),), r"cap vector 0 must have shape \(3,\)"),
+    ((np.full(3, 0.5), np.full(3, 0.5)), "expected 1 cap vectors, got 2"),
+    ((), "expected 1 cap vectors, got 0"),
+    ((np.array([0.5, 0.0, 0.5]),), "cap vector 0 entries must be positive and finite"),
+    ((np.array([0.5, np.nan, 0.5]),), "cap vector 0 entries must be positive and finite"),
+], ids=["length-1 cap vector", "extra cap vector", "no cap vectors", "zero cap", "nan cap"])
+def test_cascade_refuses_caps_that_do_not_fit(caps, message):
+    # one group of three relays: one cap is not broadcast over all three, a
+    # cap vector too many is not ignored, and none at all fails here, not
+    # as an IndexError from limit; with or without a gain to fit
+    rng = np.random.default_rng(4)
+    ch = random_channel_set(rng, 2, 2, (3,))
+    noise = NoiseModel(relay_noise_var=(0.1,), rx_noise_var=0.1)
+    f1, f2 = complex_normal(rng, (2, 2)), complex_normal(rng, (2, 2))
+    for gains in ([None], [np.ones(3)]):
+        with pytest.raises(ValueError, match=message):
+            Cascade(ch, gains, f1, f2, noise, caps)
+
+
 @pytest.mark.parametrize("where", ["0", "-1", "L+1"])
 @pytest.mark.parametrize("name,last", [("incident_powers", 0), ("limit", 0), ("suffix", 0),
                                        ("stage_noise", 1), ("update_a", 0)])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otafc import (ChannelSet, HopStatistics, NoiseModel, OtaParams, PowerBudget,
-                   SolveResult, TargetLayer, Topology, digital_forward,
+from otafc import (Cascade, ChannelSet, HopStatistics, NoiseModel, OtaParams, PowerBudget,
+                   SolveResult, TargetLayer, Topology, digital_forward, evaluate_true,
                    generate_placement, imported_forward, load_pipeline,
                    make_synthetic_task, ota_forward, save_pipeline)
 from otafc import inference
@@ -74,7 +74,8 @@ def assert_link_law(x, params, ch, noise, seed, bias=None):
     of the largest entry."""
     gen, again = np.random.default_rng(seed), np.random.default_rng(seed)
     got = ota_forward(x, params, ch, noise, gen, bias=bias)
-    m, s = _link(params, ch, noise)
+    link, n = _link(params, ch, noise), params.f1.shape[1]
+    m, s = link[:, :n], link[:, n:]  # L = [M | S]
     x = np.asarray(x, dtype=complex)
     pairs = again.standard_normal((len(m),) + x.shape[1:] + (2,))
     assert gen.bit_generator.state == again.bit_generator.state
@@ -114,8 +115,8 @@ def test_ota_forward_matches_chain_walk_property(data):
 
 def test_ota_forward_link_follows_the_channels_and_noise_it_runs_on():
     # one design run in turn on two channel sets and two noise models: each
-    # run keeps the contract, the link is M and one out_dim x out_dim noise
-    # factor, and the memo is not part of the design
+    # run keeps the contract, the link is M beside one out_dim x out_dim
+    # noise factor in one array, and the memo is not part of the design
     rng = np.random.default_rng(22)
     chs = (random_channel_set(rng, 3, 4, (4, 2), direct=True),
            random_channel_set(rng, 3, 4, (4, 2)))
@@ -129,10 +130,37 @@ def test_ota_forward_link_follows_the_channels_and_noise_it_runs_on():
         assert_link_law(x, params, chs[c], noises[n], step, bias=cn(rng, (3,)))
     link = _link(params, chs[0], noises[0])
     assert link is _link(params, chs[0], noises[0])
-    assert [arr.shape for arr in link] == [(3, 3), (3, 3)]
-    assert not any(arr.flags.writeable for arr in link)
+    assert link.shape == (3, 6) and link.flags.c_contiguous
+    assert not link.flags.writeable
     # the memo is no dataclass field, so neither repr nor == reads it
     assert repr(params) == shown and [f.name for f in fields(params)] == ["f1", "f2", "a"]
+
+
+def test_scoring_a_design_walks_its_true_channels_once(monkeypatch):
+    # evaluate_true and the link read one cascade of the design on the true
+    # channels, kept on the design by identity like the link, and the link
+    # is the one a cascade of its own gives, bit for bit
+    rng = np.random.default_rng(23)
+    chs = (random_channel_set(rng, 3, 4, (4, 2), direct=True),
+           random_channel_set(rng, 3, 4, (4, 2)))
+    noise = NoiseModel(relay_noise_var=(0.2, 0.5), rx_noise_var=0.1)
+    params = OtaParams(f1=cn(rng, (3, 3)), f2=cn(rng, (3, 4)),
+                       a=(cn(rng, (4,)), cn(rng, (2,))))
+    target = TargetLayer(w=cn(rng, (3, 3)), bias=cn(rng, (3,)))
+    budget = PowerBudget.uniform((4, 2), 3.0, 1.0)
+    alone = [_link(replace(params), ch, noise) for ch in chs]
+    shown, built, of = repr(params), [], Cascade.of.__func__
+
+    def counting(cls, ch, design, noise):
+        built.append(ch)
+        return of(cls, ch, design, noise)
+    monkeypatch.setattr(Cascade, "of", classmethod(counting))
+    for ch, want in zip(chs + chs[:1], alone + alone[:1]):
+        evaluate_true(params, ch, target, noise, budget)
+        assert np.array_equal(_link(params, ch, noise), want)
+        assert params.cascade(ch, noise) is params.cascade(ch, noise)
+    assert built == [chs[0], chs[1], chs[0]]  # one walk per switch of channels
+    assert repr(params) == shown
 
 
 @pytest.mark.parametrize("batch", [None, 1, 5])
@@ -405,8 +433,12 @@ def test_accuracy_is_one_drawn_sample_set_scored(svar):
     assert gen.bit_generator.state == oracle.bit_generator.state
     assert samples.labels.tobytes() == labels.tobytes()
     assert samples.x.tobytes() == xs.tobytes() and samples.z.shape == (4, 100)
-    assert not any(a.flags.writeable for a in (samples.labels, samples.x, samples.z))
-    got = _received(*_link(params, ch, noise), samples.x, samples.z, target.bias)
+    # x over the normals as complex pairs: one stacked array, no copies
+    assert samples.inputs.shape == (8, 50) and samples.inputs.flags.c_contiguous
+    assert all(np.shares_memory(a, samples.inputs) for a in (samples.x, samples.z))
+    assert not any(a.flags.writeable for a in (samples.labels, samples.inputs, samples.x,
+                                               samples.z))
+    got = _received(_link(params, ch, noise), samples.inputs, target.bias)
     assert got.tobytes() == y.tobytes()
     head = task.classifier_head
     want = {"ota_acc": float(np.mean(np.argmax((head @ y).real, axis=0) == labels)),
@@ -650,11 +682,25 @@ def test_imported_forward_deterministic_batch():
 
 def oracle_features(pipe, conv):
     """conv[0] + 1j conv[1] of a (2, ...) conv output, batch norm and power
-    normalization."""
+    normalization; and the root mean power r it divided by, 0 when it did not."""
     z = (conv[0] + 1j * conv[1]).ravel()
     z = pipe.bn_scale * z + pipe.bn_shift
-    mean_power = np.vdot(z, z).real / z.size
-    return z if mean_power == 0 else z / np.sqrt(mean_power)
+    r = np.sqrt(np.vdot(z, z).real / z.size)
+    return (z if r == 0 else z / r), r
+
+
+def feature_bound(pipe, mag, z, r):
+    """1e-12 (w + |z| max(w)) / r for features z normalized by r, w the sum
+    of the magnitudes of each unnormalized feature's terms: |bn_scale| times
+    the two conv channels' term magnitudes mag (bias included), plus
+    |bn_shift|. Adding those terms in any order, the conv bias folded into
+    the shift or not, rounds each unnormalized feature by well under
+    1e-12 w; dividing by r carries that to w / r, and the error it makes in
+    r itself, at most the largest one of a feature, moves every feature by
+    |z| max(w) / r. max(w) >= r, so that term also covers the rounding of
+    the division."""
+    w = np.abs(pipe.bn_scale) * (mag[0] + mag[1]).ravel() + np.abs(pipe.bn_shift)
+    return 1e-12 * (w + np.abs(z) * w.max()) / r
 
 
 def oracle_head(pipe, y):
@@ -725,18 +771,27 @@ def test_image_pipeline_matches_the_plain_form_stage_by_stage_property(data):
         want_conv, mag = _naive_conv(image.reshape(in_ch, height, width), pipe.conv_kernel,
                                      pipe.conv_bias, stride, padding)
         assert np.all(np.abs(conv.T - want_conv.reshape(2, -1)) <= 1e-12 * mag.reshape(2, -1))
-        z = oracle_features(pipe, conv.T)  # from the library's conv output
+        # from the library's conv output; the front end adds the conv bias
+        # inside the batch-norm shift, so the features agree within a bound
+        want_z, r = oracle_features(pipe, conv.T)
+        want_gen, got_gen = np.random.default_rng(seed), np.random.default_rng(seed)
         if way == "dig":
             got = digital_forward(pipe, image)
+        else:
+            got = imported_forward(pipe, image, params, ch, noise, got_gen)
+        z = seen.pop("z")
+        if r == 0:
+            assert not z.any()
+        else:
+            assert np.all(np.abs(z - want_z) <= feature_bound(pipe, mag, want_z, r))
+        # given the library's features, its FC output is the plain form's
+        if way == "dig":
             want_y = pipe.fc_mid_weight @ z + pipe.fc_mid_bias
         else:
             # a single vector runs as the batch of one it used to be run as
-            want_gen, got_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = imported_forward(pipe, image, params, ch, noise, got_gen)
             want_y = ota_forward(z[:, None], params, ch, noise, want_gen,
                                  bias=pipe.fc_mid_bias)[:, 0]
-            assert got_gen.bit_generator.state == want_gen.bit_generator.state
-        assert np.array_equal(seen.pop("z"), z)
+        assert got_gen.bit_generator.state == want_gen.bit_generator.state
         assert np.array_equal(seen.pop("y"), want_y)
         assert np.all(np.abs(got - oracle_head(pipe, want_y)) <= head_bound(pipe, want_y))
         return z
@@ -793,6 +848,33 @@ def test_the_head_is_derived_read_only_and_never_written(tmp_path):
     assert not back.head.flags.writeable
     save_pipeline(back, again)  # save -> load -> save: the same bytes
     assert again.read_bytes() == raw
+
+
+def test_front_end_operators_are_derived_read_only_and_never_written(tmp_path):
+    # the conv kernel as a C-contiguous (in_ch kh kw, 2) matrix, and the conv
+    # bias folded into the batch-norm shift: each derived from its own
+    # pipeline's tensors, read-only, and neither a field nor in the file
+    pipe = _random_pipeline(14, n=5, classes=3)
+    kernel, (b0, b1) = pipe.conv_kernel, pipe.conv_bias
+    assert pipe.conv_matrix.shape == (kernel[0].size, 2) and pipe.conv_matrix.flags.c_contiguous
+    assert np.array_equal(pipe.conv_matrix, kernel.reshape(2, -1).T)
+    assert np.array_equal(pipe.feature_shift, pipe.bn_scale * (b0 + 1j * b1) + pipe.bn_shift)
+    names = ("conv_matrix", "feature_shift")
+    for name in names:
+        arr = getattr(pipe, name)
+        assert not arr.flags.writeable and name not in repr(pipe)
+        assert name not in {f.name for f in fields(pipe)}
+    other = replace(pipe, conv_kernel=-kernel, conv_bias=-pipe.conv_bias)
+    assert np.array_equal(other.conv_matrix, -pipe.conv_matrix)
+    assert np.array_equal(other.feature_shift,
+                          pipe.bn_scale * (-b0 - 1j * b1) + pipe.bn_shift)
+    path = tmp_path / "weights.otaw"
+    save_pipeline(pipe, path)
+    assert not any(name.encode() in path.read_bytes() for name in names)
+    back = load_pipeline(path)
+    for name in names:
+        assert getattr(back, name) is not getattr(pipe, name)
+        assert np.array_equal(getattr(back, name), getattr(pipe, name))
 
 
 def cold(pipe):

@@ -660,6 +660,21 @@ def test_solve_refuses_a_malformed_start_before_any_map(monkeypatch, change, mes
         solve(ch, target, noise, budget, start=OtaParams(**fields))
 
 
+def test_solve_checks_a_start_s_gains_once(monkeypatch):
+    # the cascade built from the start checks its gains, and solve does not
+    # check them first as well; one map, so no extrapolated point is built
+    ch, noise, target, budget, start = rectangular_instance()
+    checked, check_gains = [], channel.check_gains
+
+    def counting(ch, gains):
+        checked.append(gains)
+        return check_gains(ch, gains)
+    monkeypatch.setattr(channel, "check_gains", counting)
+    monkeypatch.setattr(solver, "check_gains", counting, raising=False)
+    solve(ch, target, noise, budget, solver.SolverConfig(max_outer_iters=1), start=start)
+    assert len(checked) == 1 and checked[0] is start.a
+
+
 @pytest.mark.parametrize("direct", [False, True])
 def test_solve_survives_a_poisoned_extrapolation(monkeypatch, direct):
     # a wild S3 step lands far outside any sensible design; the safeguard
