@@ -41,16 +41,20 @@ class PathlossParams:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-group relay noise variances and the receiver noise variance, watts."""
+    """Per-group relay noise variances and the receiver noise variance, watts.
+    stage_var, derived, is the variance heard by stage l = 1..L+1 at index
+    l - 1: the relay groups', then the receiver's."""
 
     relay_noise_var: tuple
     rx_noise_var: float
+    stage_var: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "relay_noise_var", tuple(
             positive_real(v, "noise variances") for v in self.relay_noise_var))
         object.__setattr__(self, "rx_noise_var",
                            positive_real(self.rx_noise_var, "noise variances"))
+        object.__setattr__(self, "stage_var", self.relay_noise_var + (self.rx_noise_var,))
 
 
 def noise_power_watts(psd_dbm_per_hz: float = -174.0, bandwidth_hz: float = 300e6) -> float:
@@ -431,14 +435,14 @@ class Cascade:
     def stage_noise(self, l: int) -> np.ndarray:
         if not 0 < l <= len(self.a) + 1:
             raise ValueError(f"hop index {l} out of range 1..{len(self.a) + 1}")
-        variances = self.noise.relay_noise_var + (self.noise.rx_noise_var,)
         if not self._noise:
-            self._noise.append(variances[0] * np.eye(self.ch.group_sizes[0], dtype=complex))
+            self._noise.append(self.noise.stage_var[0]
+                               * np.eye(self.ch.group_sizes[0], dtype=complex))
         for j in range(len(self._noise), l):  # only the hops upstream of group l
             h, a = self.ch.chain[j], self.a[j - 1]
             x = (a[:, None] * self._noise[-1]) * a.conj()[None, :]
             n = h @ x @ h.conj().T  # a new C-ordered array, so reshape is a view
-            n.reshape(-1)[::n.shape[0] + 1] += variances[j]  # the noise floor
+            n.reshape(-1)[::n.shape[0] + 1] += self.noise.stage_var[j]  # the noise floor
             self._noise.append(n)
         return self._noise[l - 1]
 

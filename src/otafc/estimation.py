@@ -93,7 +93,7 @@ def _per_phase(ch: ChannelSet, plan: PilotPlan, noise: NoiseModel, rng_seed,
     if plan.num_phases != L + 1:
         raise ValueError(f"plan has {plan.num_phases} phases, channel needs {L + 1}")
     rng = np.random.default_rng(rng_seed)
-    recv_var = noise.relay_noise_var + (noise.rx_noise_var,)  # phase l is heard by stage l + 1
+    recv_var = noise.stage_var  # phase l is heard by stage l + 1
 
     hops = [estimate(ch.h_hop[0], 0, recv_var[0], rng)]
     if ch.has_direct:

@@ -262,6 +262,7 @@ class TrialResult:
     rep: tuple = ()
     iterations: int = 0
     relay_power_overrun: float = np.nan  # of the design on the true channels, as evaluate_true
+    tallies: tuple = ()  # the solve's BlockTally of F1, then of a_1..a_L
     # the solved design, for the next budget to start from; run_experiment
     # drops it once that budget has started, so no ResultRow holds one
     design: OtaParams = field(default=None, compare=False, repr=False)
@@ -336,7 +337,8 @@ def score(sc: Scenario, plan: PilotPlan, result: SolveResult) -> TrialResult:
                        ota_acc=ota_acc, digital_acc=sc.samples.digital_acc,
                        tau_tot=plan.tau_total, rep=plan.rep,
                        iterations=result.iterations, status=result.status,
-                       relay_power_overrun=ev.relay_power_overrun, design=result.params)
+                       relay_power_overrun=ev.relay_power_overrun, tallies=result.tallies,
+                       design=result.params)
 
 
 def run_trial(sc: Scenario, point: SweepPoint, start: OtaParams) -> TrialResult:

@@ -1,8 +1,8 @@
 """End-to-end forward passes through the designed analog layer.
 
 ota_forward runs a design on the true channels as its link, compiled once
-per channel set and noise model from the design's cascade on them (the one
-evaluate_true reads) into one read-only stacked operator L = [M | S].
+per channel set and noise model from the design's cascade on them into one
+read-only stacked operator L = [M | S].
 M = F2 Heff F1 carries the signal. The relay and receiver noise reach the
 output only through its covariance C = F2 R F2^H, and a circular complex
 Gaussian is fixed by its covariance, so the noise is drawn at the receiver:
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelSet, NoiseModel
+from .channel import Cascade, ChannelSet, NoiseModel
 from .solver import OtaParams, TargetLayer
 from .utils import complex_normal, integer, positive_real, read_only
 
@@ -47,15 +47,15 @@ def _link(params: OtaParams, true_ch: ChannelSet, noise: NoiseModel) -> np.ndarr
     whenever F2 has more rows than rank (out_dim > N_r, a zero row), where a
     Cholesky factor fails; and U diag(sqrt(lam)) U^H, unlike
     U diag(sqrt(lam)), depends on C alone, not on the phases LAPACK picks
-    for the eigenvectors. Built from the design's cascade on true_ch
-    (OtaParams.cascade, the one evaluate_true reads) and kept on params for
-    the last (true_ch, noise) it was built for, by identity.
+    for the eigenvectors. Built from the design's cascade on true_ch and
+    kept on params for the last (true_ch, noise) it was built for, by
+    identity.
     """
     memo = getattr(params, "_link", None)
     if memo is not None and memo[0] is true_ch and memo[1] is noise:
         return memo[2]
-    cas = params.cascade(true_ch, noise)
-    scales = np.sqrt(noise.relay_noise_var + (noise.rx_noise_var,))
+    cas = Cascade.of(true_ch, params, noise)
+    scales = np.sqrt(noise.stage_var)
     blocks = (c * d * a for c, d, a in zip(scales, cas.d + [params.f2], cas.a + [1.0]))
     lam, u = np.linalg.eigh(sum(p @ p.conj().T for p in blocks))
     link = np.concatenate((params.f2 @ cas.b,

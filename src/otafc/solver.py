@@ -61,17 +61,6 @@ class OtaParams:
         object.__setattr__(self, "f2", read_only(self.f2, None, "f2"))
         object.__setattr__(self, "a", read_each(self.a, complex, "a"))
 
-    def cascade(self, ch: ChannelSet, noise: NoiseModel) -> Cascade:
-        """Cascade.of(ch, self, noise), kept on the design for the last
-        (ch, noise) it was built for, by identity, and out of its repr: the
-        scores of a design on its true channels (evaluate_true and the
-        inference link) read one walk of them."""
-        memo = getattr(self, "_cascade", None)
-        if memo is None or memo[0] is not ch or memo[1] is not noise:
-            memo = (ch, noise, Cascade.of(ch, self, noise))
-            object.__setattr__(self, "_cascade", memo)
-        return memo[2]
-
 
 @dataclass(frozen=True, eq=False)  # == is identity: fields are arrays
 class PowerBudget:
@@ -505,7 +494,7 @@ def evaluate_true(params: OtaParams, true_ch: ChannelSet, target: TargetLayer,
     (diagnostic only, never enforced).
     """
     check_caps(true_ch, budget.p_relay)
-    cas = params.cascade(true_ch, noise)
+    cas = Cascade.of(true_ch, params, noise)
     resid = cas.f2 @ cas.b - target.w
     nmse = float(np.sum(np.abs(resid) ** 2) / np.sum(np.abs(target.w) ** 2))
     obj = objective(cas, target)

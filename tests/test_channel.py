@@ -407,3 +407,15 @@ def test_default_noise_model():
             NoiseModel(relay_noise_var=(1.0, bad), rx_noise_var=1.0)
         with pytest.raises(ValueError):
             NoiseModel(relay_noise_var=(1.0,), rx_noise_var=bad)
+
+
+def test_noise_model_derives_its_stage_variances():
+    # the variance heard by each stage, relay groups then the receiver, read
+    # from the checked fields: no constructor argument, no part of repr or ==
+    nm = NoiseModel(relay_noise_var=(0.5, 0.25), rx_noise_var=2)
+    assert nm.stage_var == (0.5, 0.25, 2.0) and type(nm.stage_var[-1]) is float
+    assert "stage_var" not in repr(nm)
+    assert dataclasses.replace(nm, rx_noise_var=3.0).stage_var == (0.5, 0.25, 3.0)
+    assert nm == NoiseModel(relay_noise_var=(0.5, 0.25), rx_noise_var=2.0)
+    with pytest.raises(TypeError):
+        NoiseModel(relay_noise_var=(0.5,), rx_noise_var=2.0, stage_var=(1.0, 1.0))

@@ -362,7 +362,8 @@ def _tallies(*counts):
 
 # The block tallies (moved, failed, rested) of each GOLDEN_TRIALS solve, F1
 # first, captured with them: which blocks the resting rule sat out, and how
-# often, is pinned with the results it led to.
+# often, is pinned with the results it led to, on the solve's result and on
+# the trial's record.
 GOLDEN_TALLIES = [
     _tallies((5, 1, 0), (3, 3, 0), (5, 1, 0), (4, 2, 0)),
     _tallies((13, 15, 13), (1, 22, 18), (5, 20, 16), (4, 21, 16), (4, 20, 17),
@@ -381,9 +382,9 @@ def test_run_trial_golden_tallies(monkeypatch, golden, tallies):
         seen.append(solve(*args, **kwargs))
         return seen[-1]
     monkeypatch.setattr(harness, "solve", spy)
-    run_trial(drawn(config_from_dict(tree), point, seed), point, None)
+    t = run_trial(drawn(config_from_dict(tree), point, seed), point, None)
     assert len(seen) == 1 and seen[0].iterations == want[1]
-    assert seen[0].tallies == tallies
+    assert seen[0].tallies == t.tallies == tallies
 
 
 def test_run_trial_keeps_the_relay_power_overrun_of_its_design(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otafc import (Cascade, ChannelSet, HopStatistics, NoiseModel, OtaParams, PowerBudget,
+from otafc import (ChannelSet, HopStatistics, NoiseModel, OtaParams, PowerBudget,
                    SolveResult, TargetLayer, Topology, digital_forward, evaluate_true,
                    generate_placement, imported_forward, load_pipeline,
                    make_synthetic_task, ota_forward, save_pipeline)
@@ -136,10 +136,10 @@ def test_ota_forward_link_follows_the_channels_and_noise_it_runs_on():
     assert repr(params) == shown and [f.name for f in fields(params)] == ["f1", "f2", "a"]
 
 
-def test_scoring_a_design_walks_its_true_channels_once(monkeypatch):
-    # evaluate_true and the link read one cascade of the design on the true
-    # channels, kept on the design by identity like the link, and the link
-    # is the one a cascade of its own gives, bit for bit
+def test_a_scored_design_keeps_its_link_and_no_cascade():
+    # evaluate_true keeps nothing on a design, and ota_accuracy keeps only
+    # the link; on each switch of channels both score the design as they
+    # score a fresh design of the same arrays, bit for bit
     rng = np.random.default_rng(23)
     chs = (random_channel_set(rng, 3, 4, (4, 2), direct=True),
            random_channel_set(rng, 3, 4, (4, 2)))
@@ -148,18 +148,19 @@ def test_scoring_a_design_walks_its_true_channels_once(monkeypatch):
                        a=(cn(rng, (4,)), cn(rng, (2,))))
     target = TargetLayer(w=cn(rng, (3, 3)), bias=cn(rng, (3,)))
     budget = PowerBudget.uniform((4, 2), 3.0, 1.0)
-    alone = [_link(replace(params), ch, noise) for ch in chs]
-    shown, built, of = repr(params), [], Cascade.of.__func__
-
-    def counting(cls, ch, design, noise):
-        built.append(ch)
-        return of(cls, ch, design, noise)
-    monkeypatch.setattr(Cascade, "of", classmethod(counting))
-    for ch, want in zip(chs + chs[:1], alone + alone[:1]):
-        evaluate_true(params, ch, target, noise, budget)
-        assert np.array_equal(_link(params, ch, noise), want)
-        assert params.cascade(ch, noise) is params.cascade(ch, noise)
-    assert built == [chs[0], chs[1], chs[0]]  # one walk per switch of channels
+    task = make_synthetic_task(target, num_classes=3, rng_seed=1)
+    samples = draw_samples(task, target, 16, 2)
+    shown = repr(params)
+    for ch in chs + chs[:1]:
+        ev = evaluate_true(params, ch, target, noise, budget)
+        acc = ota_accuracy(task, samples, target, params, ch, noise)
+        fresh = replace(params)
+        assert evaluate_true(fresh, ch, target, noise, budget) == ev
+        assert vars(fresh).keys() == {"f1", "f2", "a"}
+        assert ota_accuracy(task, samples, target, fresh, ch, noise) == acc
+        assert vars(params).keys() == vars(fresh).keys() == {"f1", "f2", "a", "_link"}
+        assert _link(params, ch, noise).tobytes() == _link(fresh, ch, noise).tobytes()
+    assert not hasattr(OtaParams, "cascade")
     assert repr(params) == shown
 
 
