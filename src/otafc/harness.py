@@ -15,7 +15,6 @@ in ascending order, and each solve starts from the design of the budget
 below it, so a point's numbers depend on the lower budgets of its chain.
 """
 
-import concurrent.futures
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -429,6 +428,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     jobs = [(cfg, chain, derive_trial_seed(cfg.base_seed, key, i))
             for key, chain in chains.items() for i in range(cfg.trials)]
     if cfg.workers > 1:
+        import concurrent.futures  # only here: a serial run loads no pool
         with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
             results = list(pool.map(_chain_job, jobs, chunksize=1))
     else:

@@ -24,7 +24,7 @@ and bytes and the conv stride and padding.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -164,22 +164,14 @@ class TaskSamples:
     inputs is ota_forward's stacked input for that batch: the samples x as
     columns, over the standard normals of their receiver noise as
     ota_forward draws them, each consecutive pair one complex entry. So a
-    design scores the whole set in one product with its link. x and z are
-    views of inputs. digital_acc is the target layer's accuracy on the
-    samples, which no design changes. draw_samples leaves every array
-    read-only.
+    design scores the whole set in one product with its link. digital_acc
+    is the target layer's accuracy on the samples, which no design changes.
+    draw_samples leaves every array read-only.
     """
 
     labels: np.ndarray  # (S,)
     inputs: np.ndarray  # (in_dim + out_dim, S) complex
-    in_dim: int
     digital_acc: float
-    x: np.ndarray = field(init=False, repr=False)  # (in_dim, S) complex
-    z: np.ndarray = field(init=False, repr=False)  # (out_dim, 2 S) real
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", self.inputs[:self.in_dim])
-        object.__setattr__(self, "z", self.inputs[self.in_dim:].view(float))
 
 
 def draw_samples(task: SyntheticTask, target: TargetLayer, num_samples: int,
@@ -203,7 +195,7 @@ def draw_samples(task: SyntheticTask, target: TargetLayer, num_samples: int,
     pred_dig = np.argmax((task.classifier_head @ y_dig).real, axis=0)
     for arr in (labels, inputs):  # each made here: read-only in place, layout kept
         arr.flags.writeable = False
-    return TaskSamples(labels, inputs, n, float(np.mean(pred_dig == labels)))
+    return TaskSamples(labels, inputs, float(np.mean(pred_dig == labels)))
 
 
 def ota_accuracy(task: SyntheticTask, samples: TaskSamples, target: TargetLayer,
@@ -398,18 +390,6 @@ def _patches(image: np.ndarray, kernel_shape: tuple, stride: int,
         raise ValueError(f"expected {in_ch} input channels, got {image.shape[0]}")
     idx = _window_index(in_ch, image.shape[1], image.shape[2], kh, kw, stride, padding)
     return np.concatenate((image.reshape(-1), np.zeros(1, image.dtype)))[idx]
-
-
-def _conv2d(image: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
-            stride: int, padding: int) -> np.ndarray:
-    """Strided valid convolution (cross-correlation) after zero padding.
-
-    Channels last: the result is (out_h * out_w, out_ch), one row per output
-    pixel in row-major order.
-    """
-    out = _patches(image, kernel.shape[1:], stride, padding) @ kernel.reshape(len(kernel), -1).T
-    out += bias
-    return out
 
 
 def _power_normalize(z: np.ndarray) -> None:

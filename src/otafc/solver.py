@@ -120,10 +120,6 @@ class SolveResult:
     status: str  # converged | max_iters
     tallies: tuple = ()  # BlockTally of F1, then of a_1..a_L; F2 always moves
 
-    @property
-    def terminal_objective(self) -> float:
-        return float(self.objective_trace[-1])
-
 
 def objective(cas: Cascade, target: TargetLayer) -> float:
     """Imitation error plus propagated-noise penalty on the cascade's channels."""

@@ -12,9 +12,8 @@ from scipy.stats import ks_2samp
 from otafc import (Cascade, ChannelSet, Heuristic, NoiseModel, OtaParams,
                    PilotPlan, PowerBudget, Scenario, TargetLayer, allocate,
                    config_from_dict, emit_csv, estimate_all, evaluate_true,
-                   inject_error, objective, pilot_dictionary_size,
-                   relay_input_powers, run_trial, solve, tau_min_total,
-                   tau_minimums, update_f1, update_f2)
+                   inject_error, objective, pilot_dictionary_size, run_trial,
+                   solve, tau_min_total, tau_minimums, update_f1, update_f2)
 from otafc.cli import main as cli_main
 from otafc.topology import Topology
 from otafc.utils import complex_normal
@@ -129,7 +128,7 @@ def test_c03_ao_contract():
         assert np.all(np.diff(tr) <= 1e-9 * tr[0]), f"trace increased, seed {seed}"
 
         params = res.params
-        scale = max(1.0, res.terminal_objective)
+        scale = max(1.0, res.objective_trace[-1])
 
         # F2 block: unconstrained minimum of the full objective
         f2 = update_f2(Cascade.of(ch, params, noise), target)
@@ -180,7 +179,7 @@ def test_c04_constraint_compliance():
         worst_f1 = max(worst_f1,
                        np.linalg.norm(res.params.f1) ** 2 / budget.p_max_bs - 1.0)
         for l in range(1, len(groups) + 1):
-            p_in = relay_input_powers(ch, res.params.a, res.params.f1, noise, l)
+            p_in = Cascade(ch, res.params.a, res.params.f1, None, noise).incident_powers(l)
             used = np.abs(res.params.a[l - 1]) ** 2 * p_in
             worst_relay = max(worst_relay,
                               float(np.max(used / budget.p_relay[l - 1])) - 1.0)
@@ -201,8 +200,8 @@ def test_c05_perfect_csi_consistency():
                                                    num_groups=2, group_size=8)
         res = solve(ch, target, noise, budget)
         ev = evaluate_true(res.params, ch, target, noise, budget)
-        rel = abs(ev.objective_true - res.terminal_objective) \
-            / max(res.terminal_objective, 1e-300)
+        rel = abs(ev.objective_true - res.objective_trace[-1]) \
+            / max(res.objective_trace[-1], 1e-300)
         worst = max(worst, rel)
     report("C5 perfect-CSI consistency", worst <= 1e-12,
            f"worst relative mismatch {worst:.2e} over 5 instances")

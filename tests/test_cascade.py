@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otafc import (Cascade, NoiseModel, OtaParams, PowerBudget, SolverConfig,
-                   TargetLayer, objective, relay_input_powers, solve, update_a)
+                   TargetLayer, objective, solve, update_a)
 from otafc.channel import project_gains
 from otafc.solver import _gain_quadratic
 from otafc.utils import complex_normal
@@ -113,7 +113,7 @@ def test_cascade_incident_powers_match_per_group_walk(inst):
     m = ch.h_hop[0] @ params.f1
     for l in range(1, ch.num_groups + 1):
         want = np.sum(np.abs(m) ** 2, axis=1) + noise.relay_noise_var[l - 1]
-        assert_close(relay_input_powers(ch, params.a, params.f1, noise, l), want)
+        assert_close(Cascade(ch, params.a, params.f1, None, noise).incident_powers(l), want)
         if l < ch.num_groups:
             m = ch.h_hop[l] @ np.diag(params.a[l - 1]) @ m
 
@@ -362,6 +362,6 @@ def test_solve_keeps_invariants(inst, data):
     assert np.all(np.diff(res.objective_trace) <= 0)
     assert np.sum(np.abs(res.params.f1) ** 2) <= p_max * (1 + 1e-9)
     for l in range(1, ch.num_groups + 1):
-        p_in = relay_input_powers(ch, res.params.a, res.params.f1, noise, l)
+        p_in = Cascade(ch, res.params.a, res.params.f1, None, noise).incident_powers(l)
         used = np.abs(res.params.a[l - 1]) ** 2 * p_in
         assert np.all(used <= caps[l - 1] * (1 + 1e-9))

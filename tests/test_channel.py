@@ -5,8 +5,7 @@ import pytest
 
 from otafc import (Cascade, ChannelSet, NoiseModel, PathlossParams, Topology,
                    default_noise_model, draw_channels, generate_placement,
-                   hop_statistics, linear_gain, noise_power_watts, pathloss_db,
-                   relay_input_powers)
+                   hop_statistics, linear_gain, noise_power_watts, pathloss_db)
 from otafc.channel import HopStatistics, check_gains
 from otafc.utils import complex_normal, hermitize
 
@@ -281,7 +280,7 @@ def test_relay_input_power_unit_row():
                     h_last=np.eye(2, dtype=complex))
     noise = NoiseModel(relay_noise_var=(0.25,), rx_noise_var=1.0)
     f1 = np.eye(2, dtype=complex)
-    got = relay_input_powers(ch, [np.ones(2, dtype=complex)], f1, noise, 1)[0]
+    got = Cascade(ch, [np.ones(2, dtype=complex)], f1, None, noise).incident_powers(1)[0]
     assert got == pytest.approx(1.0 + 0.25, rel=1e-12)
 
 
@@ -290,7 +289,7 @@ def test_relay_input_power_zero_upstream_gains():
     ch = random_channel_set(rng, 3, 3, (4, 5))
     noise = NoiseModel(relay_noise_var=(0.1, 0.7), rx_noise_var=1.0)
     gains = [np.zeros(4, dtype=complex), cn(rng, (5,))]
-    p = relay_input_powers(ch, gains, np.eye(3, dtype=complex), noise, 2)
+    p = Cascade(ch, gains, np.eye(3, dtype=complex), None, noise).incident_powers(2)
     assert np.allclose(p, 0.7)
 
 
@@ -300,7 +299,7 @@ def test_relay_input_power_matches_simulated_variance():
     noise = NoiseModel(relay_noise_var=(0.2, 0.45), rx_noise_var=1.0)
     gains = [cn(rng, (4,)), cn(rng, (3,))]
     f1 = cn(rng, (3, 3))
-    want = relay_input_powers(ch, gains, f1, noise, 2)
+    want = Cascade(ch, gains, f1, None, noise).incident_powers(2)
 
     trials = 100_000
     sim = np.random.default_rng(16)
@@ -318,7 +317,7 @@ def test_relay_input_power_index_errors():
     noise = NoiseModel(relay_noise_var=(0.1,), rx_noise_var=0.1)
     f1 = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
-        relay_input_powers(ch, [np.ones(3)], f1, noise, 2)
+        Cascade(ch, [np.ones(3)], f1, None, noise).incident_powers(2)
 
 
 # ---------------------------------------------------------------- hop stats

@@ -1,13 +1,15 @@
 import csv
 import dataclasses
+import gc
 import re
+import types
 
 import numpy as np
 import pytest
 
 import otafc.harness as harness
-from otafc import (ConfigError, ExperimentConfig, Heuristic, OtaParams, SweepPoint, allocate,
-                   config_from_dict, derive_trial_seed, emit_csv, load_config,
+from otafc import (Cascade, ConfigError, ExperimentConfig, Heuristic, OtaParams, SweepPoint,
+                   allocate, config_from_dict, derive_trial_seed, emit_csv, load_config,
                    run_experiment, run_trial)
 from otafc.cli import main as cli_main
 from otafc.harness import ResultRow, Scenario, TrialResult, _chain_job, design, score
@@ -385,6 +387,44 @@ def test_run_trial_golden_tallies(monkeypatch, golden, tallies):
     t = run_trial(drawn(config_from_dict(tree), point, seed), point, None)
     assert len(seen) == 1 and seen[0].iterations == want[1]
     assert seen[0].tallies == t.tallies == tallies
+
+
+def reachable(*roots):
+    """Every object reachable from roots by gc.get_referents, not entering
+    classes, modules or functions."""
+    seen, todo = {}, list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return seen.values()
+
+
+def test_results_reach_no_cascade(monkeypatch):
+    # a solve's result and a trial's record hold arrays and counts only: a
+    # cascade kept in either (in params, a memo or a tally) would outlive
+    # the solve with all its products
+    seen, solve = [], harness.solve
+
+    def spy(*args, **kwargs):
+        seen.append(solve(*args, **kwargs))
+        return seen[-1]
+    monkeypatch.setattr(harness, "solve", spy)
+    tree, point, seed, _ = GOLDEN_TRIALS[0]
+    sc = drawn(config_from_dict(tree), point, seed)
+    t = run_trial(sc, point, None)
+    res = seen[0]
+    assert t.design is res.params and t.tallies is res.tallies  # the walks below reach both
+    for root in (res, t):
+        objs = list(reachable(root))
+        assert {id(res.params.f1), id(res.params._link[2]), *map(id, res.tallies)} \
+            <= {id(o) for o in objs}
+        assert not any(isinstance(o, Cascade) for o in objs)
+    # the walk finds a cascade where there is one
+    cas = Cascade.of(sc.ch, res.params, sc.noise)
+    assert any(o is cas for o in reachable((res, cas)))
 
 
 def test_run_trial_keeps_the_relay_power_overrun_of_its_design(monkeypatch):
@@ -844,7 +884,7 @@ def test_scenario_arrays_are_read_only():
                                        sc.stats.beta, sc.target.w, sc.target.bias,
                                        *sc.budget.p_relay, sc.task.class_means,
                                        sc.task.classifier_head, sc.samples.labels,
-                                       sc.samples.x, sc.samples.z, sc.est_seed.pool)}
+                                       sc.samples.inputs, sc.est_seed.pool)}
     assert [a for a in arrays if a.flags.writeable] == []
     # a read-only pool seeds the draws of a fresh one
     fresh = np.random.SeedSequence(sc.est_seed.entropy, spawn_key=sc.est_seed.spawn_key)

@@ -12,7 +12,7 @@ from otafc import (ChannelSet, HopStatistics, NoiseModel, OtaParams, PowerBudget
                    generate_placement, imported_forward, load_pipeline,
                    make_synthetic_task, ota_forward, save_pipeline)
 from otafc import inference
-from otafc.inference import (ImportedPipeline, SyntheticTask, _conv2d, _link, _received,
+from otafc.inference import (ImportedPipeline, SyntheticTask, _link, _patches, _received,
                              draw_samples, ota_accuracy)
 from otafc.utils import complex_normal
 
@@ -433,12 +433,12 @@ def test_accuracy_is_one_drawn_sample_set_scored(svar):
     y = ota_forward(xs, params, ch, noise, oracle, bias=target.bias)
     assert gen.bit_generator.state == oracle.bit_generator.state
     assert samples.labels.tobytes() == labels.tobytes()
-    assert samples.x.tobytes() == xs.tobytes() and samples.z.shape == (4, 100)
+    x, z = samples.inputs[:4], samples.inputs[4:].view(float)
+    assert x.tobytes() == xs.tobytes() and z.shape == (4, 100)
     # x over the normals as complex pairs: one stacked array, no copies
     assert samples.inputs.shape == (8, 50) and samples.inputs.flags.c_contiguous
-    assert all(np.shares_memory(a, samples.inputs) for a in (samples.x, samples.z))
-    assert not any(a.flags.writeable for a in (samples.labels, samples.inputs, samples.x,
-                                               samples.z))
+    assert all(np.shares_memory(a, samples.inputs) for a in (x, z))
+    assert not any(a.flags.writeable for a in (samples.labels, samples.inputs, x, z))
     got = _received(_link(params, ch, noise), samples.inputs, target.bias)
     assert got.tobytes() == y.tobytes()
     head = task.classifier_head
@@ -488,12 +488,19 @@ def _random_pipeline(seed=0, n=49, classes=10):
     )
 
 
+def _conv(image, kernel, bias, stride, padding):
+    """The conv as _patches times the kernel, plus the bias: (out_h * out_w,
+    out_ch), one row per output pixel, channels last."""
+    patches = _patches(image, kernel.shape[1:], stride, padding)
+    return patches @ kernel.reshape(len(kernel), -1).T + bias
+
+
 def test_conv_geometry_produces_49_complex_features():
     # 28x28 input, kernel 3, stride 4, padding 1 -> 7x7 per channel
     rng = np.random.default_rng(9)
     img = rng.standard_normal((28, 28))
     kernel = rng.standard_normal((2, 1, 3, 3))
-    out = _conv2d(img, kernel, np.zeros(2), stride=4, padding=1)
+    out = _conv(img, kernel, np.zeros(2), stride=4, padding=1)
     assert out.shape == (49, 2)  # one row per output pixel, channels last
     assert len(out) == 49  # == N_t in the reference configuration
 
@@ -503,7 +510,7 @@ def test_conv_matches_naive_loops():
     img = rng.standard_normal((9, 9))
     kernel = rng.standard_normal((2, 1, 3, 3))
     bias = rng.standard_normal(2)
-    out = _conv2d(img, kernel, bias, stride=4, padding=1)
+    out = _conv(img, kernel, bias, stride=4, padding=1)
     padded = np.pad(img, 1)
     assert out.shape == (9, 2)
     for c in range(2):
@@ -547,16 +554,16 @@ def test_conv_matches_naive_padded_loops_property(data):
     kernel = rng.standard_normal((out_ch, in_ch, kh, kw))
     bias = rng.standard_normal(out_ch)
     want, mag = _naive_conv(img, kernel, bias, stride, padding)
-    out = _conv2d(img[0] if in_ch == 1 else img, kernel, bias, stride, padding)
+    out = _conv(img[0] if in_ch == 1 else img, kernel, bias, stride, padding)
     assert out.shape == (want[0].size, out_ch)
     assert np.all(np.abs(out.T - want.reshape(out_ch, -1)) <= 1e-12 * mag.reshape(out_ch, -1))
     wrong = data.draw(st.sampled_from([c for c in (1, 2, 3, 4) if c != in_ch]))
     with pytest.raises(ValueError, match="input channels"):
-        _conv2d(rng.standard_normal((wrong, height, width)), kernel, bias,
-                stride, padding)
-    too_tall = np.zeros((out_ch, in_ch, height + 2 * padding + 1, kw))
+        _patches(rng.standard_normal((wrong, height, width)), kernel.shape[1:],
+                 stride, padding)
+    too_tall = (in_ch, height + 2 * padding + 1, kw)
     with pytest.raises(ValueError, match="does not fit"):
-        _conv2d(img, too_tall, bias, stride, padding)
+        _patches(img, too_tall, stride, padding)
 
 
 def test_pipeline_round_trip(tmp_path):
@@ -768,11 +775,11 @@ def test_image_pipeline_matches_the_plain_form_stage_by_stage_property(data):
 
     def check(image, way):
         """Score image one way, comparing each stage with the plain form."""
-        conv = _conv2d(image, pipe.conv_kernel, pipe.conv_bias, stride, padding)
+        conv = _conv(image, pipe.conv_kernel, pipe.conv_bias, stride, padding)
         want_conv, mag = _naive_conv(image.reshape(in_ch, height, width), pipe.conv_kernel,
                                      pipe.conv_bias, stride, padding)
         assert np.all(np.abs(conv.T - want_conv.reshape(2, -1)) <= 1e-12 * mag.reshape(2, -1))
-        # from the library's conv output; the front end adds the conv bias
+        # from _patches times the kernel; the front end adds the conv bias
         # inside the batch-norm shift, so the features agree within a bound
         want_z, r = oracle_features(pipe, conv.T)
         want_gen, got_gen = np.random.default_rng(seed), np.random.default_rng(seed)

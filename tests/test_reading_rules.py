@@ -171,7 +171,7 @@ def test_integral_floats_read_as_integers():
     task = make_synthetic_task(target, 3.0, rng_seed=0)
     assert type(task.num_classes) is int and task.num_classes == 3
     drawn, want = draw_samples(task, target, 2.0, 1), draw_samples(task, target, 2, 1)
-    assert all(np.array_equal(getattr(drawn, f), getattr(want, f)) for f in ("labels", "x", "z"))
+    assert all(np.array_equal(getattr(drawn, f), getattr(want, f)) for f in ("labels", "inputs"))
     assert all(type(v) is int for v in (*plan.rep, *plan.tau_min, top.n_tx, top.num_groups,
                                          *top.group_sizes))
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from otafc import (Cascade, ChannelSet, NoiseModel, OtaParams, PowerBudget,
                    TargetLayer, evaluate_true, inject_error, objective,
-                   relay_input_powers, solve, update_a, update_f1, update_f2)
+                   solve, update_a, update_f1, update_f2)
 from otafc import channel, solver
 from otafc.channel import project_gains
 from otafc.estimation import PilotPlan
@@ -395,7 +395,7 @@ def test_solve_scalar_exact_target():
     target = TargetLayer(w=np.array([[0.5 - 0.25j]]), bias=np.zeros(1))
     budget = PowerBudget(p_max_bs=100.0, p_relay=(np.array([100.0]),))
     res = solve(ch, target, noise, budget)
-    assert res.terminal_objective <= 1e-10
+    assert res.objective_trace[-1] <= 1e-10
     assert res.status == "converged"
 
 
@@ -414,7 +414,7 @@ def test_solve_constraints_at_solution():
         res = solve(ch, target, noise, budget)
         assert np.linalg.norm(res.params.f1) ** 2 <= budget.p_max_bs * (1 + 1e-9)
         for l in range(1, ch.num_groups + 1):
-            p_in = relay_input_powers(ch, res.params.a, res.params.f1, noise, l)
+            p_in = Cascade(ch, res.params.a, res.params.f1, None, noise).incident_powers(l)
             used = np.abs(res.params.a[l - 1]) ** 2 * p_in
             assert np.all(used <= budget.p_relay[l - 1] * (1 + 1e-9))
 
@@ -423,7 +423,7 @@ def test_perfect_csi_consistency():
     rng, ch, noise, target, budget, _ = random_instance(9)
     res = solve(ch, target, noise, budget)
     ev = evaluate_true(res.params, ch, target, noise, budget)
-    assert ev.objective_true == pytest.approx(res.terminal_objective, rel=1e-12)
+    assert ev.objective_true == pytest.approx(res.objective_trace[-1], rel=1e-12)
     assert ev.relay_power_overrun <= 1e-9
 
 
@@ -442,7 +442,7 @@ def test_estimated_csi_approaches_perfect_with_pilot_power():
     est = inject_error(ch, plan, noise, 3)
     res_est = solve(est, target, noise, budget)
     ev = evaluate_true(res_est.params, ch, target, noise, budget)
-    assert ev.objective_true == pytest.approx(res_perfect.terminal_objective, rel=0.01)
+    assert ev.objective_true == pytest.approx(res_perfect.objective_trace[-1], rel=0.01)
 
 
 def test_pilot_power_ordering_of_nmse():
@@ -472,7 +472,7 @@ def test_solve_with_direct_link_monotone_and_feasible():
     assert np.all(np.diff(tr) <= 1e-9 * tr[0])
     assert np.linalg.norm(res.params.f1) ** 2 <= budget.p_max_bs * (1 + 1e-9)
     for l in range(1, ch.num_groups + 1):
-        p_in = relay_input_powers(ch, res.params.a, res.params.f1, noise, l)
+        p_in = Cascade(ch, res.params.a, res.params.f1, None, noise).incident_powers(l)
         used = np.abs(res.params.a[l - 1]) ** 2 * p_in
         assert np.all(used <= budget.p_relay[l - 1] * (1 + 1e-9))
     # the direct link gives the solver a second path: it must not hurt
@@ -592,14 +592,14 @@ def test_solve_from_a_start(seed, groups, n, direct, cap_scale, maps):
     if cold.status == "converged":
         again = solve(ch, target, noise, budget, start=cold.params)
         # the start is the cold design itself: feasible, with F2 optimal
-        assert again.objective_trace[0] <= cold.terminal_objective * (1 + 1e-12)
-        assert again.terminal_objective <= again.objective_trace[0]
+        assert again.objective_trace[0] <= cold.objective_trace[-1] * (1 + 1e-12)
+        assert again.objective_trace[-1] <= again.objective_trace[0]
         # The stopping rule can stop on a slow stretch of the AO: on about one
         # problem in a thousand the maps from the cold result still lower the
         # objective by more than the tolerance, and then the warm AO goes on.
         tol = solver.SolverConfig().objective_tolerance
         assert (again.iterations <= 2
-                or again.terminal_objective < cold.terminal_objective * (1 - tol))
+                or again.objective_trace[-1] < cold.objective_trace[-1] * (1 - tol))
 
 
 def test_solve_projects_a_start_like_an_extrapolated_point():
