@@ -6,7 +6,7 @@ from .channel import (Cascade, ChannelSet, HopStatistics, NoiseModel,
                       PathlossParams, default_noise_model, draw_channels,
                       hop_statistics, linear_gain, noise_power_watts,
                       pathloss_db, relay_input_powers)
-from .estimation import PilotPlan, estimate_all, estimate_hop, inject_error
+from .estimation import PilotPlan, estimate_all, inject_error
 from .harness import (ConfigError, ExperimentConfig, ResultRow, Scenario,
                       SweepPoint, TrialResult, config_from_dict, derive_trial_seed,
                       emit_csv, load_config, run_experiment, run_trial)

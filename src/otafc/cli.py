@@ -28,8 +28,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _out_problem(path: str):
     """Why the CSV cannot be written at path, or None."""
-    if os.path.isdir(path):
-        return "is a directory"
+    if not path or os.path.isdir(path):
+        return "is a directory" if path else "is empty"
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         return f"{parent} is not an existing directory"

@@ -6,11 +6,13 @@ phase 0 is the BS (received by group 1), phase l (1 <= l < L) is group l
 phase uses an orthogonal pilot matrix of length tau[l] = rep[l] * tau_min[l]
 channel uses; repetition is realized as a longer orthogonal block.
 
-The pilot exchange defines the estimate; it is computed in closed form. With
-truncated DFT pilots (tau x m, entry (t, k) = exp(-2j pi t k / tau)),
-correlating the received block with the pilots returns the channel plus the
-inverse DFT of the slot noise, so no pilot matrix and no tau-long product is
-formed.
+With orthogonal pilots (Phi^H Phi = tau I), the LS estimate
+Y Phi^* / (sqrt(p_p) tau) of Y = sqrt(p_p) H Phi^T + N is H plus an i.i.d.
+CN(0, sigma^2 / (p_p tau)) error, sigma^2 the receiver's noise variance. The
+estimators draw that error directly; no pilot matrix is formed. They differ
+only in their random stream: estimate_all (estimator "ls") draws on a stream
+per plan, inject_error (estimator "inject") draws once per seed and scales
+that draw across plans.
 """
 
 from dataclasses import dataclass
@@ -55,77 +57,54 @@ class PilotPlan:
         return sum(self.tau)
 
 
-def estimate_hop(h_true: np.ndarray, plan: PilotPlan, hop: int,
-                 noise_var: float, rng_seed) -> np.ndarray:
-    """LS estimate of one hop matrix from a pilot exchange.
+def _per_phase(ch: ChannelSet, plan: PilotPlan, noise: NoiseModel, rng_seed) -> ChannelSet:
+    """ch plus an i.i.d. CN(0, sigma^2 / (p_p tau_l)) error on every link.
 
-    Transmitters are the columns of h_true. The received block is
-    Y = sqrt(p_p) H Phi^T + N with i.i.d. CN(0, noise_var) noise on the tau
-    slots, Phi the tau x n_tx truncated DFT pilots of the module docstring,
-    and the estimate is Y Phi^* / (sqrt(p_p) tau). Since Phi^T Phi^* = tau I
-    and column k of Phi^* / tau is the k-th row of the inverse DFT of length
-    tau, that estimate is H + ifft(N)[:, :n_tx] / sqrt(p_p), which is how it
-    is computed, from the same draw of N: H plus an i.i.d.
-    CN(0, noise_var / (p_p tau)) error.
-    """
-    if not 0 <= hop < plan.num_phases:
-        raise ValueError(f"phase index {hop} out of range")
-    tau = plan.tau[hop]
-    n_rx, n_tx = h_true.shape
-    if tau < n_tx:
-        raise ValueError(
-            f"phase {hop}: pilot length {tau} shorter than {n_tx} transmitters"
-        )
-    slot_noise = complex_normal(np.random.default_rng(rng_seed), (n_rx, tau), noise_var)
-    return h_true + np.fft.ifft(slot_noise, axis=1)[:, :n_tx] / np.sqrt(plan.pilot_power)
-
-
-def _per_phase(ch: ChannelSet, plan: PilotPlan, noise: NoiseModel, rng_seed,
-               estimate) -> ChannelSet:
-    """Apply estimate(h, phase, receive_noise_var, rng) to every link.
-
-    Links are visited in one fixed order (hop 1, the direct link when
-    present, hops 2..L, the last hop), so a seed maps to the same draws.
-    A blocked direct link stays exactly zero.
+    Phase l is heard at the noise variance of the stage it reaches; the
+    direct link, when present, in the BS phase at the receiver's. Links are
+    drawn in one fixed order (hop 1, the direct link, hops 2..L, the last
+    hop), so a seed maps to the same draws. A blocked direct link stays as
+    it is, exactly zero. A phase shorter than its transmitters has no
+    orthogonal pilots and is refused before any draw.
     """
     check_noise_model(ch, noise)
     L = ch.num_groups
     if plan.num_phases != L + 1:
         raise ValueError(f"plan has {plan.num_phases} phases, channel needs {L + 1}")
+    for phase, (h, tau) in enumerate(zip(ch.chain, plan.tau)):
+        if tau < h.shape[1]:
+            raise ValueError(
+                f"phase {phase}: pilot length {tau} shorter than {h.shape[1]} transmitters")
     rng = np.random.default_rng(rng_seed)
     recv_var = noise.stage_var  # phase l is heard by stage l + 1
 
-    hops = [estimate(ch.h_hop[0], 0, recv_var[0], rng)]
-    if ch.has_direct:
-        h_direct = estimate(ch.h_direct, 0, noise.rx_noise_var, rng)
-    else:
-        h_direct = np.zeros_like(ch.h_direct)
+    def estimate(h, phase, var):
+        return h + complex_normal(rng, h.shape, var / (plan.pilot_power * plan.tau[phase]))
+
+    hops = [estimate(ch.h_hop[0], 0, recv_var[0])]
+    h_direct = estimate(ch.h_direct, 0, noise.rx_noise_var) if ch.has_direct else ch.h_direct
     for l in range(1, L):
-        hops.append(estimate(ch.h_hop[l], l, recv_var[l], rng))
-    h_last = estimate(ch.h_last, L, recv_var[L], rng)
+        hops.append(estimate(ch.h_hop[l], l, recv_var[l]))
+    h_last = estimate(ch.h_last, L, recv_var[L])
     return ChannelSet(h_direct=h_direct, h_hop=tuple(hops), h_last=h_last)
 
 
 def estimate_all(ch: ChannelSet, plan: PilotPlan, noise: NoiseModel,
                  rng_seed) -> ChannelSet:
-    """Run every training phase and assemble the estimated channel set.
+    """LS estimates of every link under plan, on a stream of its own.
 
-    The direct link, when present, is estimated during the BS phase (the Rx
-    correlates with the BS pilots like a group-1 device, at its own noise
-    floor); otherwise it stays exactly zero.
+    rng_seed (an int or a SeedSequence) and plan.tau key the draw: one
+    plan always gives one estimate, and a plan of other pilot lengths an
+    independent one. rng_seed is read, never spawned from.
     """
-    def estimate(h, phase, var, rng):
-        return estimate_hop(h, plan, phase, var, rng)
-    return _per_phase(ch, plan, noise, rng_seed, estimate)
+    if not isinstance(rng_seed, np.random.SeedSequence):
+        rng_seed = np.random.SeedSequence(rng_seed)
+    stream = np.random.SeedSequence(rng_seed.entropy, spawn_key=rng_seed.spawn_key + plan.tau)
+    return _per_phase(ch, plan, noise, stream)
 
 
 def inject_error(ch: ChannelSet, plan: PilotPlan, noise: NoiseModel,
                  rng_seed) -> ChannelSet:
-    """Closed-form shortcut: add CN(0, sigma^2 / (p_p tau_l)) errors directly.
-
-    Distributionally identical to estimate_all because orthogonal-pilot LS
-    errors are exactly i.i.d. complex Gaussian at that variance.
-    """
-    def perturbed(h, phase, var, rng):
-        return h + complex_normal(rng, h.shape, var / (plan.pilot_power * plan.tau[phase]))
-    return _per_phase(ch, plan, noise, rng_seed, perturbed)
+    """The LS error law drawn from rng_seed itself: every plan of one seed
+    gets the same draw, scaled by its pilot lengths."""
+    return _per_phase(ch, plan, noise, rng_seed)

@@ -330,13 +330,14 @@ def test_run_trial_deterministic():
 # Captured from the SQUAREM-accelerated AO in which a block that failed its
 # last two tries sits out a map, which lands elsewhere than the plain AO did
 # (7, 95 and 57 maps there), and ota_acc from the receiver-side
-# noise draw: a later solver change that moves these moves results the CSV
+# noise draw; the ls trials draw their errors on a stream per plan. A later
+# solver or estimation change that moves these moves results the CSV
 # would show.
 GOLDEN_TRIALS = [
     ({"topology": {"n_antennas": 16, "direct_link": False}, "estimator": "ls",
       "task": {"sample_noise_var": 0.5, "num_samples": 256}},
      SweepPoint("uniform", 600, 1.0, 3, 12), 20260417,
-     ("converged", 6, 0.3152878848524292, 0.56640625)),
+     ("converged", 6, 0.3002357210579031, 0.58984375)),
     ({"topology": {"n_antennas": 16, "direct_link": True}, "estimator": "inject",
       "task": {"num_samples": 256}},
      SweepPoint("front_loaded", 200, 1.0, 6, 12), 977,
@@ -345,7 +346,7 @@ GOLDEN_TRIALS = [
     ({"topology": {"n_antennas": 49, "direct_link": False}, "estimator": "ls",
       "task": {"num_samples": 256}},
      SweepPoint("uniform", 600, 1.0, 3, 50), 20260418,
-     ("converged", 20, 0.11500518552679101, 0.921875)),
+     ("converged", 14, 0.11520490812866496, 0.921875)),
 ]
 
 
@@ -367,10 +368,10 @@ def _tallies(*counts):
 # often, is pinned with the results it led to, on the solve's result and on
 # the trial's record.
 GOLDEN_TALLIES = [
-    _tallies((5, 1, 0), (3, 3, 0), (5, 1, 0), (4, 2, 0)),
+    _tallies((5, 1, 0), (4, 2, 0), (4, 2, 0), (4, 2, 0)),
     _tallies((13, 15, 13), (1, 22, 18), (5, 20, 16), (4, 21, 16), (4, 20, 17),
              (10, 17, 14), (41, 0, 0)),
-    _tallies((11, 6, 3), (10, 7, 3), (11, 6, 3), (17, 3, 0)),
+    _tallies((10, 3, 1), (10, 4, 0), (12, 2, 0), (12, 2, 0)),
 ]
 
 
@@ -776,14 +777,14 @@ def test_cli_run_reports_failed_trials_on_stderr(tmp_path, monkeypatch, capsys):
     assert out_path.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("where", ["missing/res.csv", "."])
+@pytest.mark.parametrize("where", ["missing/res.csv", ".", ""])
 def test_cli_refuses_a_bad_out_before_any_trial(tmp_path, monkeypatch, capsys, where):
-    # a path under a directory that does not exist, or a directory itself,
-    # fails at once, not after the whole sweep has run
+    # a path under a directory that does not exist, a directory itself, or
+    # the empty path fails at once, not after the whole sweep has run
     cfg_path = write_cfg(tmp_path)
     calls = []
     monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
-    out = tmp_path / where
+    out = tmp_path / where if where else ""
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert calls == []
     captured = capsys.readouterr()
